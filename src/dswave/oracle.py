@@ -257,28 +257,53 @@ def _spouge_gamma(z: mp.mpc, digits: int) -> mp.mpc:
 
 
 def _series_hyp2f1(a, b, c, z, digits: int):
+    """Raw Gauss series, summed again at a higher precision until ``digits``
+    guard digits (plus the usual 15) sit above the digits the sum lost to
+    cancellation, log10(peak |term| / |sum|).
+
+    A sum that is roundoff noise under-reports its loss, so the loop repeats
+    until the loss measured at the working precision fits.  The peak term is
+    a product and keeps full relative precision, so the next precision
+    allows for a sum of order one below it.
+    """
     if mp.im(c) == 0 and mp.re(c) <= 0 and mp.re(c) == mp.floor(mp.re(c)):
         raise PoleError(f"oracle hyp2f1: c={c} on a pole")
     if abs(z) >= 1:
         raise ValueError("oracle hyp2f1 requires |z| < 1")
-    term = mp.mpc(1)
-    total = mp.mpc(1)
-    eps = mp.mpf(10) ** (-(digits + 8))
-    small = 0
-    for n in range(1_000_000):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
-        total += term
-        if term == 0:
-            return total
-        if abs(term) <= eps * abs(total):
-            small += 1
-            if small >= 3:
-                return total
-        else:
+    dps = mp.mp.dps
+    while True:
+        with mp.workdps(dps):
+            term = mp.mpc(1)
+            total = mp.mpc(1)
+            peak = mp.mpf(1)
+            eps = mp.mpf(10) ** (-(digits + 8))
             small = 0
-    raise NonConvergence(
-        f"oracle hyp2f1: 1e6 terms at |z|={abs(z)} without reaching {digits} digits"
-    )
+            for n in range(1_000_000):
+                term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+                total += term
+                mag = abs(term.real) + abs(term.imag)  # within sqrt(2) of |term|
+                if mag > peak:
+                    peak = mag
+                if term == 0:
+                    break
+                # small against the peak as well as the sum; the first test is cheaper
+                if mag <= eps * peak and mag <= eps * abs(total):
+                    small += 1
+                    if small >= 3:
+                        break
+                else:
+                    small = 0
+            else:
+                raise NonConvergence(
+                    f"oracle hyp2f1: 1e6 terms at |z|={abs(z)} without reaching {digits} digits"
+                )
+            lost = dps if total == 0 else max(0, int(mp.ceil(mp.log10(peak / abs(total)))))
+            peak_digits = int(mp.ceil(mp.log10(peak)))
+        if dps >= digits + 15 + lost:
+            return total
+        if lost > 100 * (digits + 15):
+            raise NonConvergence(f"oracle hyp2f1: cancellation spans more than {lost} digits")
+        dps = max(digits + 15 + lost, digits + 25 + peak_digits)
 
 
 def _series_bessel_j(p, x, digits: int):

@@ -1,14 +1,27 @@
 """Complex-parameter special functions used throughout the package.
 
 This module is the double-precision numeric substrate: complex log-Gamma,
-asymptotic Gamma ratios, the Gauss hypergeometric series with a z -> 1-z
-connection route, and Bessel/Hankel functions for real (primarily
-half-integer) orders.  Everything here is pure and deterministic; the
+asymptotic Gamma ratios, the Gauss hypergeometric function, and
+Bessel/Hankel functions for real (primarily half-integer) orders.
+Everything here is pure, deterministic and float-only; the
 extended-precision counterparts used to certify these routines live in
-:mod:`dswave.oracle`.
+:mod:`dswave.oracle`, the only module with big-float arithmetic.
+
+hyp2f1 takes one of three routes, chosen from its arguments and from what
+the float series measures:
+
+* direct: the Gauss series at z, summed in doubles;
+* connection: for real z above the connection threshold (and c-a-b not an
+  integer), the z -> 1-z formula DLMF 15.8.4 with two series at 1-z;
+* continuation: whenever one of those series measures a ratio above
+  _CANCEL_RETRY between its largest term and its sum, or overflows, F is
+  carried to the series argument by Taylor steps along the hypergeometric
+  ODE [3], from a point on the ray where the series is still benign.
 
 Accuracy contract: 1e-13 relative for log_gamma over |z| <= 1e7 (away from
-poles), series summation to the requested relative tolerance, and
+poles), series summation to the requested relative tolerance (up to
+_CANCEL_RETRY of cancellation), continuation with an estimated rounding
+amplification of at most _AMPLIFY_LIMIT (NonConvergence beyond it), and
 half-integer Bessel orders evaluated through exact trigonometric seeds.
 
 References
@@ -18,6 +31,10 @@ References
 .. [2] NIST Digital Library of Mathematical Functions, https://dlmf.nist.gov/,
        sections 5.11 (Stirling), 10.17 (Bessel asymptotics), 15.8
        (hypergeometric connection formulas).
+.. [3] J. W. Pearson, S. Olver, M. A. Porter, "Numerical methods for the
+       computation of the confluent and Gauss hypergeometric functions",
+       Numer. Algorithms 74 (2017), arXiv:1407.7786 (the Taylor series
+       method).
 """
 from __future__ import annotations
 
@@ -218,98 +235,204 @@ def gamma_ratio_asymptotic(z: complex, A: complex, B: complex, order: int = 1) -
     return base * (1.0 + (A - B) * (A + B - 1.0) / (2.0 * z))
 
 
-# When intermediate terms tower this far above the sum, double precision has
-# lost more than ~3 digits to cancellation and the summation is replayed in
-# extended precision (large imaginary parameters make the series violently
-# oscillatory long before it converges).
+# When intermediate terms tower this far above the sum, the float series has
+# lost more than ~3 digits to cancellation (large imaginary parameters make it
+# violently oscillatory long before it converges), and F is continued along
+# its ODE instead.
 _CANCEL_RETRY = 1e3
+# Cancellation allowed in the series that start the continuation and in each
+# of its Taylor steps.
+_CANCEL_START = 10.0
+# A Taylor step spans at most this fraction of the distance to the nearest
+# singular point (0 or 1) ...
+_STEP_REACH = 0.5
+# ... and at most this many radians of the local frequency sqrt|ab/(t(1-t))|.
+_STEP_PHASE = 1.5
+# The continuation refuses a path on which a partner solution outgrows F by
+# more than this: its rounding error could then exceed ~1e-10 relative.
+_AMPLIFY_LIMIT = 1e5
 
 
-def _gauss_series_mp(
-    a: complex, b: complex, c: complex, z: complex, ctl: SeriesControl, dps: int
-) -> complex:
-    """Extended-precision replay of the Gauss series.
+def _series_sum(
+    a: complex, b: complex, c: complex, z: complex, ctl: SeriesControl
+) -> tuple[complex, float]:
+    """Float Gauss series and its cancellation, peak |term| / |sum|.
 
-    The first float pass only bounds the cancellation from below (its own
-    sum can be roundoff noise), so each pass re-measures peak/|total| and
-    escalates the working precision until the cancellation fits with 18
-    guard digits.
+    The cancellation is inf when a term or the sum overflows or the sum is
+    zero; no OverflowError escapes.
     """
-    import mpmath as mp
-
-    while True:
-        with mp.workdps(dps):
-            am, bm, cm, zm = mp.mpc(a), mp.mpc(b), mp.mpc(c), mp.mpc(z)
-            term = mp.mpc(1)
-            total = mp.mpc(1)
-            peak = mp.mpf(1)
-            small_streak = 0
-            converged = False
-            for _n in range(ctl.max_terms):
-                term = term * (am + _n) * (bm + _n) / ((cm + _n) * (_n + 1)) * zm
-                total += term
-                mag = abs(term)
-                if mag > peak:
-                    peak = mag
-                if term == 0:
-                    converged = True
-                    break
-                if mag <= ctl.rel_tol * abs(total):
-                    small_streak += 1
-                    if small_streak >= 2:
-                        converged = True
-                        break
-                else:
-                    small_streak = 0
-            if not converged:
-                raise NonConvergence(
-                    f"2F1 series (extended precision): no convergence after "
-                    f"{ctl.max_terms} terms (|z|={abs(z):.3g})"
-                )
-            if total == 0:
-                raise NonConvergence("2F1 series: sum cancelled to exactly zero")
-            measured = float(mp.log10(peak / abs(total)))
-        if dps >= measured + 18.0:
-            return complex(total)
-        dps = int(math.ceil(measured)) + 25
-        if dps > 400:
-            raise NonConvergence(
-                f"2F1 series: cancellation spans {measured:.0f} digits"
-            )
-
-
-def _gauss_series(a: complex, b: complex, c: complex, z: complex, ctl: SeriesControl) -> complex:
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     peak = 1.0
     small_streak = 0
-    for n in range(ctl.max_terms):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        mag = abs(term)
-        if mag > peak:
-            peak = mag
-        if term == 0.0:
-            return total
-        if mag <= ctl.rel_tol * abs(total):
-            small_streak += 1
-            if small_streak >= 2:
+    try:
+        for n in range(ctl.max_terms):
+            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+            total += term
+            mag = abs(term)
+            if mag > peak:
+                if mag == math.inf:
+                    return total, math.inf
+                peak = mag
+            if term == 0.0:
                 break
+            if mag <= ctl.rel_tol * abs(total):
+                small_streak += 1
+                if small_streak >= 2:
+                    break
+            else:
+                small_streak = 0
         else:
-            small_streak = 0
-    else:
-        raise NonConvergence(
-            f"2F1 series: no convergence after {ctl.max_terms} terms "
-            f"(|z|={abs(z):.3g}, last |term|={abs(term):.3g})"
-        )
-    cancel = peak / abs(total) if total != 0.0 else math.inf
-    if math.isfinite(cancel) and cancel <= _CANCEL_RETRY:
+            raise NonConvergence(
+                f"2F1 series: no convergence after {ctl.max_terms} terms "
+                f"(|z|={abs(z):.3g}, last |term|={abs(term):.3g})"
+            )
+        size = abs(total)
+    except OverflowError:
+        return total, math.inf
+    if not 0.0 < size < math.inf:
+        return total, math.inf
+    return total, peak / size
+
+
+def _gauss_series(a: complex, b: complex, c: complex, z: complex, ctl: SeriesControl) -> complex:
+    total, cancel = _series_sum(a, b, c, z, ctl)
+    if cancel <= _CANCEL_RETRY:
         return total
-    if math.isfinite(cancel):
-        dps = min(120, 20 + int(math.ceil(math.log10(cancel))))
-    else:
-        dps = 80
-    return _gauss_series_mp(a, b, c, z, ctl, dps)
+    return _ode_continuation(a, b, c, z, ctl, cancel)
+
+
+def _ode_continuation(
+    a: complex, b: complex, c: complex, z: complex, ctl: SeriesControl, cancel: float
+) -> complex:
+    """F(a, b; c; z) by Taylor steps along z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0.
+
+    Start.  The float series at z lost log10(cancel) digits, and that loss
+    grows with |z|.  The start z0 = q z on the ray to z is shrunk by the
+    measured loss until the series for F and F' = (ab/c) F(a+1, b+1; c+1; z0)
+    cancel by at most _CANCEL_START.  It is not a fixed small multiple of
+    1/|ab|: with c < 0 the partner solution z^(1-c) amplifies the start-up
+    rounding by up to (z/z0)^(1-c), so the start is kept as far out as the
+    cancellation allows.
+
+    Steps.  Each step from t to t+h sums the Taylor series of the solution
+    at t, whose coefficients obey the three-term recurrence
+
+        t(1-t)(k+1)(k+2) C[k+2] = (k+a)(k+b) C[k] - (k+1)((1-2t)k + c-(a+b+1)t) C[k+1].
+
+    |h| is bounded by the distance to the singular points 0 and 1 and by the
+    local frequency sqrt|ab/(t(1-t))|, the geometric mean of the ODE's two
+    local rates.  Bounding by the fast rate |c-(a+b+1)t|/|t(1-t)| instead
+    would make the large-|c| connection sub-series take thousands of steps.
+    A step whose terms still tower over its sum by more than _CANCEL_START
+    (a rounding excitation of the fast partner) is retaken at half the span.
+
+    Error budget.  Rounding is amplified by the growth of a partner solution
+    against F.  The Wronskian W = t^(-c) (1-t)^(c-a-b-1) (up to a constant)
+    measures that growth without computing a partner: |partner| / |F| is
+    about |W| / (A^2 freq), with A = sqrt(|F|^2 + |F'/freq|^2) the local
+    amplitude of F.  When it grows by more than _AMPLIFY_LIMIT over its
+    smallest value on the path so far, the continuation raises
+    NonConvergence instead of returning a value it cannot vouch for.  Every
+    step and every step's series counts against ctl.max_terms.
+
+    Pearson, Olver & Porter, arXiv:1407.7786 (Taylor series method);
+    Michel & Stoitsov, arXiv:0708.0116.
+    """
+    q = 1.0
+    while True:
+        lost = math.log10(cancel) if cancel < math.inf else 308.0
+        q *= min(0.5, 1.0 / lost)
+        f, cancel_f = _series_sum(a, b, c, q * z, ctl)
+        df, cancel_df = _series_sum(a + 1.0, b + 1.0, c + 1.0, q * z, ctl)
+        cancel = max(cancel_f, cancel_df)
+        if cancel <= _CANCEL_START:
+            break
+    ab = a * b
+    apb1 = a + b + 1.0
+    wronskian_exp = c - (a + b) - 1.0  # W ~ t^(-c) (1-t)^(c-a-b-1)
+    df *= ab / c
+    log_limit = math.log(_AMPLIFY_LIMIT)
+    # (k+a)(k+b)/((k+1)(k+2)) does not depend on the step centre
+    coef: list[complex] = []
+    length = abs(z)
+    pos = q * length
+    t = q * z
+    cap = math.inf  # span limit after a rejected step, relaxed as steps succeed
+    growth_min = math.inf
+    for _step in range(ctl.max_terms):
+        a0 = t * (1.0 - t)
+        freq = math.sqrt(abs(ab / a0))
+        # log |W| / (A^2 freq): the partner's size against F, up to a constant
+        growth = (
+            (wronskian_exp * cmath.log(1.0 - t) - c * cmath.log(t)).real
+            - 2.0 * math.log(math.hypot(abs(f), abs(df) / freq))
+            - math.log(freq)
+        )
+        growth_min = min(growth_min, growth)
+        if growth - growth_min > log_limit:
+            raise NonConvergence(
+                f"2F1 continuation: rounding error outgrew its budget by |t|={pos:.3g} "
+                f"(a partner solution outgrows F; ill-conditioned parameters)"
+            )
+        if pos >= length:
+            return f
+        span = min(_STEP_REACH * min(abs(t), abs(1.0 - t)), cap)
+        if freq * span > _STEP_PHASE:
+            span = _STEP_PHASE / freq
+        if span >= length - pos:
+            span = length - pos
+        h = z * (span / length)
+        h1 = h / a0
+        h2 = h * h1
+        a1h = (1.0 - 2.0 * t) * h1
+        b0h = (c - apb1 * t) * h1
+        e0 = f
+        e1 = df * h
+        fs = e0 + e1
+        ds = e1
+        m0 = abs(e0)
+        m1 = abs(e1)
+        peak = max(m0, m1)
+        small = ctl.rel_tol * (m0 + m1)
+        small_streak = 0
+        for k in range(ctl.max_terms):
+            try:
+                p = coef[k]
+            except IndexError:
+                p = (k + a) * (k + b) / ((k + 1) * (k + 2))
+                coef.append(p)
+            e2 = p * h2 * e0 - (a1h * k + b0h) * e1 / (k + 2)
+            fs += e2
+            ds += (k + 2) * e2
+            mag = abs(e2)
+            if mag > peak:
+                peak = mag
+            if (k + 2) * mag <= small:
+                small_streak += 1
+                if small_streak >= 2:
+                    break
+            else:
+                small_streak = 0
+            e0, e1 = e1, e2
+        else:
+            raise NonConvergence(
+                f"2F1 continuation: Taylor step did not converge in {ctl.max_terms} terms"
+            )
+        scale = abs(fs) + abs(ds)
+        if not scale < math.inf:
+            raise NonConvergence(f"2F1 continuation overflowed at |t|={pos:.3g}")
+        if peak > _CANCEL_START * scale:
+            cap = 0.5 * span
+            continue
+        cap = 2.0 * span
+        f = fs
+        df = ds / h
+        pos += span
+        t = z * (pos / length)
+    raise NonConvergence(
+        f"2F1 continuation: {ctl.max_terms} Taylor steps did not reach |z|={length:.3g}"
+    )
 
 
 def hyp2f1(
@@ -322,19 +445,34 @@ def hyp2f1(
 ) -> complex:
     """Gauss hypergeometric function F(a, b; c; z) on |z| < 1.
 
-    Direct power series for small |z|; for real z above
-    ``connection_threshold`` the evaluation is routed through the z -> 1-z
-    connection formula (DLMF 15.8.4), which keeps the series arguments small
-    near z = 1.  The connection route requires c-a-b to be non-integer; when
-    it is an integer the direct series is attempted anyway (it converges,
-    slowly, for |z| < 1).
+    Routes, all in double precision:
+
+    * direct: the power series at z.
+    * connection: for real z above ``connection_threshold`` the z -> 1-z
+      formula (DLMF 15.8.4), which keeps the series arguments small near
+      z = 1.  It requires c-a-b to be non-integer; when it is an integer the
+      direct series is attempted anyway (it converges, slowly, for |z| < 1).
+    * continuation: a series of either route (the direct one, or one of the
+      two connection series) whose largest term exceeds its sum by more than
+      1e3 (_CANCEL_RETRY), or that overflows, is replaced by Taylor steps
+      along z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0.  They start from a point
+      on the ray to its argument where the series cancels by at most 10
+      (_CANCEL_START) (Pearson, Olver & Porter, arXiv:1407.7786).  Large
+      |Im a|, |Im b|, as in the wave families at large epsilon, take this
+      route at interior z.
+
+    The route follows from the arguments and from the cancellation the float
+    series measures; there is no setting that selects it.
 
     Raises
     ------
     PoleError
         If c is a non-positive integer.
     NonConvergence
-        If the series does not meet the tolerance within max_terms.
+        If a series or a continuation step does not meet the tolerance
+        within max_terms, the continuation needs more than max_terms steps,
+        or it estimates its rounding amplification above 1e5
+        (_AMPLIFY_LIMIT).
     ValueError
         For |z| >= 1 (analytic continuation beyond the unit disc is not
         provided).

@@ -4,11 +4,14 @@ from __future__ import annotations
 import json
 import pathlib
 
+import mpmath as mp
 import pytest
 
 import dswave
 from dswave.cli import main
+from dswave.model import HorizonUnitsParams
 from dswave.oracle import NonConvergence
+from dswave.waves import make_ansatz
 
 FIXDIR = pathlib.Path(dswave.__file__).parent / "fixtures"
 
@@ -82,6 +85,36 @@ def test_wave_standing_kinds_real(capsys):
         assert rc == 0
         _, rows = csv_rows(out)
         assert all(abs(float(row[2])) < 1e-10 for row in rows)  # im_u column
+
+
+def test_wave_large_epsilon_where_the_series_overflows(capsys):
+    # At r=0.7 (z=0.49) the float Gauss series overflows before it converges.
+    # Every row must still match mpmath to 1e-10 of the amplitude envelope
+    # |to_out U_out| + |to_in U_in|.
+    rc, out, err = run(
+        capsys, "wave", "--epsilon", "1000", "--m", "400", "--j", "2", "--kind", "f", "--grid", "19"
+    )
+    assert rc == 0, err
+    _, rows = csv_rows(out)
+    assert len(rows) == 19
+    ans = make_ansatz(HorizonUnitsParams(epsilon=1000.0, m=400.0, j=2), "regular")
+    with mp.workdps(40):
+        a, b, c, sigma = (mp.mpc(v) for v in (ans.a, ans.b, ans.c, ans.sigma))
+        to_out = mp.gamma(c) * mp.gamma(c - a - b) / (mp.gamma(c - a) * mp.gamma(c - b))
+        to_in = mp.gamma(c) * mp.gamma(a + b - c) / (mp.gamma(a) * mp.gamma(b))
+        for row in rows:
+            z = mp.mpf(row[0]) ** 2
+            lead = z ** mp.mpf(ans.kappa)
+            phase = mp.exp(sigma * mp.log(1 - z))
+            u_out = lead * phase * mp.hyp2f1(a, b, a + b - c + 1, 1 - z, maxterms=10**6)
+            u_in = lead / phase * mp.hyp2f1(c - a, c - b, c - a - b + 1, 1 - z, maxterms=10**6)
+            envelope = abs(to_out * u_out) + abs(to_in * u_in)
+            if z <= 0.5:
+                value = lead * phase * mp.hyp2f1(a, b, c, z, maxterms=10**6)
+            else:  # DLMF 15.8.4; mpmath's own z -> 1-z route ignores maxterms
+                value = to_out * u_out + to_in * u_in
+            got = complex(float(row[1]), float(row[2]))
+            assert float(abs(got - value) / envelope) < 1e-10, row[0]
 
 
 # --- reflect -----------------------------------------------------------------

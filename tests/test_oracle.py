@@ -18,7 +18,9 @@ from dswave.oracle import (
     extended_series,
     integrate,
 )
+from dswave.model import HorizonUnitsParams
 from dswave.special import hyp2f1
+from dswave.waves import make_ansatz
 
 FIXDIR = pathlib.Path(dswave.__file__).parent / "fixtures"
 
@@ -136,6 +138,19 @@ def test_oracle_agrees_with_fast_route():
         slow = complex(extended_series("hyp2f1", [aa, bb, cc, zz], digits=35))
         fast = hyp2f1(aa, bb, cc, zz)
         assert abs(fast - slow) < 1e-12 * max(1.0, abs(slow))
+
+
+@pytest.mark.parametrize("eps", [200.0, 1000.0])
+def test_oracle_hyp2f1_survives_cancellation(eps):
+    # regular ansatz, m = eps/2, j = 1, z = 0.25: the series cancels by ~40
+    # (eps=200) and ~217 (eps=1000) digits, far beyond the default 15 guard
+    # digits; the oracle must re-sum at a precision that covers the loss
+    ans = make_ansatz(HorizonUnitsParams(epsilon=eps, m=eps / 2.0, j=1), "regular")
+    got = extended_series("hyp2f1", [ans.a, ans.b, ans.c, 0.25], digits=30)
+    with mp.workdps(40):
+        a, b, c = (mp.mpc(v) for v in (ans.a, ans.b, ans.c))
+        expected = mp.hyp2f1(a, b, c, mp.mpf(0.25), maxterms=10**6)
+        assert abs(got - expected) / abs(expected) < mp.mpf(10) ** -28
 
 
 def test_oracle_domain_guards():

@@ -7,9 +7,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dswave
 from dswave.special import (
     NonConvergence,
     PoleError,
@@ -169,14 +174,75 @@ def test_hyp2f1_unit_at_origin_and_polynomial_termination():
 
 def test_hyp2f1_heavy_cancellation_rescue():
     # |Im a| ~ 30 parameters: series terms tower ~1e19 above the 3e-7 sum,
-    # so a plain double summation returns noise; the extended-precision
-    # replay must restore full accuracy.  Value frozen from mpmath (40
-    # digits) at the epsilon=60, m=10, j=5 regular-family parameters.
+    # so a plain double summation returns noise; the continuation along the
+    # hypergeometric ODE must restore full accuracy.  Value frozen from mpmath
+    # (40 digits) at the epsilon=60, m=10, j=5 regular-family parameters.
     a = 3.25 - 25.006253911140455j
     b = 3.25 - 34.993746088859545j
     c = 6.5 + 0j
     expected = complex(2.29384434432998e-07, 2.977960668158825e-07)
     assert rel(hyp2f1(a, b, c, 0.45), expected) < 1e-12
+
+
+def test_hyp2f1_series_overflow_is_continued():
+    # epsilon=1000, m=400, j=2 regular family at z=0.49: the float series
+    # overflows before it converges; the value must still be finite and right
+    s = math.sqrt(400.0**2 - 0.25)
+    a = complex(1.75, 0.5 * (s - 1000.0))
+    b = complex(1.75, 0.5 * (-s - 1000.0))
+    expected = complex(-4.5570823310320755e-08, 2.6204946630695175e-08)
+    got = hyp2f1(a, b, 3.5, 0.49)
+    assert cmath.isfinite(got)
+    assert rel(got, expected) < 1e-11
+
+
+def test_hyp2f1_continuation_retakes_steps_that_excite_the_fast_partner():
+    # |c| = 1e4 against |ab| = 2.5e5: the partner z^(1-c) varies ~30 times
+    # faster than the step bound assumes, so full-length Taylor steps blow up
+    # and must be retaken at a shorter span.  Value from mpmath at 40 digits.
+    expected = complex(-0.7244332551908012, 0.7120182517476774)
+    assert rel(hyp2f1(0.5 - 500j, 0.3 - 500j, 1 - 1e4j, 0.4), expected) < 1e-11
+
+
+def test_hyp2f1_continuation_is_right_or_refuses():
+    # Here F falls to ~1e-104 along the ray while a partner solution grows,
+    # so double-precision continuation amplifies its rounding enormously.
+    # It must return the right value or raise NonConvergence, never noise.
+    a, b, c, z = 0.11 - 251.55j, 0.07 - 278.94j, 4.55 - 151.13j, 0.236 - 0.470j
+    expected = complex(-8.178844052709164e-104, -1.3256098175162862e-104)
+    try:
+        got = hyp2f1(a, b, c, z)
+    except NonConvergence:
+        return
+    assert rel(got, expected) < 1e-10
+
+
+def test_hyp2f1_continuation_honours_term_budget():
+    # epsilon=1000, m=500, j=1 outgoing-wave series at 0.4: the float pass
+    # converges within 300 terms but cancels, and the continuation needs more
+    # than 300 Taylor steps
+    s = math.sqrt(500.0**2 - 0.25)
+    a = complex(1.25, 0.5 * (s - 1000.0))
+    b = complex(1.25, 0.5 * (-s - 1000.0))
+    with pytest.raises(NonConvergence, match="continuation"):
+        hyp2f1(a, b, a + b - 1.5, 0.4, SeriesControl(max_terms=300))
+
+
+def test_runtime_path_does_not_import_mpmath():
+    # mpmath serves the oracle only; the double-precision route must not load it
+    code = (
+        "import sys\n"
+        "from dswave import special, waves\n"
+        "from dswave.model import HorizonUnitsParams\n"
+        "hp = HorizonUnitsParams(epsilon=1000.0, m=500.0, j=1)\n"
+        "waves.eval_running(waves.make_ansatz(hp, 'regular'), 'out', 0.5)\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dswave.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_hyp2f1_pole_and_domain_errors():

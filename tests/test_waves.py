@@ -4,10 +4,12 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from dswave.model import DomainError, HorizonUnitsParams, ModelParams, phi
+from dswave.oracle import extended_series
 from dswave.waves import (
     EvanescentMode,
     UnsupportedMass,
@@ -116,6 +118,62 @@ def test_connection_residual_small():
             ans = make_ansatz(hp, fam)
             for r in (0.1, 0.3, 0.5, 0.7, 0.9):
                 assert connection_residual(ans, r) < 1e-10
+
+
+def _oracle_hyp2f1(a, b, c, x):
+    """F(a, b; c; x) from the big-float oracle: its raw series for x <= 1/2,
+    DLMF 15.8.4 with its Spouge Gamma beyond.  Runs at the caller's mp
+    precision."""
+    if x <= 0.5:
+        return extended_series("hyp2f1", [a, b, c, x])
+
+    def gamma(v):
+        return extended_series("gamma", [v])
+
+    s = c - a - b
+    w = 1 - mp.mpf(x)
+    g1 = gamma(c) * gamma(s) / (gamma(c - a) * gamma(c - b))
+    g2 = gamma(c) * gamma(-s) / (gamma(a) * gamma(b))
+    return g1 * extended_series("hyp2f1", [a, b, 1 - s, w]) + g2 * w**s * extended_series(
+        "hyp2f1", [c - a, c - b, 1 + s, w]
+    )
+
+
+def test_wave_accuracy_grid_against_oracle():
+    # The ROADMAP grid: j = cell index mod 3, mu = 2.  Running waves within
+    # 1e-12 relative; standing waves within 1e-12 of their amplitude envelope
+    # |to_out U_out| + |to_in U_in|, which does not vanish at their nodes.
+    # The references take the package's double-precision ansatz parameters
+    # as exact and carry everything else in 45-digit arithmetic.
+    for e_idx, eps in enumerate((10.0, 50.0, 200.0, 1000.0)):
+        for r_idx, r in enumerate((0.1, 0.5, 0.9, 0.99)):
+            hp = HorizonUnitsParams(epsilon=eps, m=eps / 2.0, j=(4 * e_idx + r_idx) % 3)
+            with mp.workdps(45):
+                z = mp.mpf(r) ** 2
+                running = {}
+                reg = make_ansatz(hp, "regular")
+                a, b, c = (mp.mpc(v) for v in (reg.a, reg.b, reg.c))
+                lead = z ** mp.mpf(reg.kappa)
+                phase = mp.exp(mp.mpc(reg.sigma) * mp.log(1 - z))
+                running["out"] = lead * phase * _oracle_hyp2f1(a, b, a + b - c + 1, 1 - z)
+                running["in"] = lead / phase * _oracle_hyp2f1(c - a, c - b, c - a - b + 1, 1 - z)
+                for direction, ref in running.items():
+                    got = eval_running(reg, direction, r)
+                    err = float(abs(got - ref) / abs(ref))
+                    assert err <= 1e-12, (eps, r, direction, err)
+                for family in ("regular", "singular"):
+                    ans = make_ansatz(hp, family)
+                    a, b, c = (mp.mpc(v) for v in (ans.a, ans.b, ans.c))
+                    value = (
+                        z ** mp.mpf(ans.kappa)
+                        * mp.exp(mp.mpc(ans.sigma) * mp.log(1 - z))
+                        * _oracle_hyp2f1(a, b, c, z)
+                    )
+                    cc = connect(ans)
+                    # both families share the same running waves
+                    envelope = abs(cc.to_out * running["out"]) + abs(cc.to_in * running["in"])
+                    err = float(abs(eval_standing(ans, r) - value) / envelope)
+                    assert err <= 1e-12, (eps, r, family, err)
 
 
 def test_wronskian_of_standing_pair():
