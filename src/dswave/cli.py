@@ -30,16 +30,20 @@ Exit codes
 ----------
 0  success
 2  configuration / input errors (bad flags, malformed config or fixture
-   files, out-of-domain radii, expansion validity violations)
+   files, non-finite or negative parameters, a potential beyond double
+   range, grids or sweeps longer than MAX_POINTS, out-of-domain radii,
+   expansion validity violations)
 3  regime / physical-validity errors (evanescent mode, far-field regime
    guard, unsupported mass, non-positive barrier factor)
-4  numerical non-convergence (series or integrator failure)
+4  numerical non-convergence (series or integrator failure, far-field
+   amplitudes or other intermediates beyond double range)
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -64,18 +68,15 @@ from .model import (
 )
 from .oracle import StepFailure, classify_singularities
 from .rational_ode import UnfactoredInput
-from .reflection import (
-    RegimeError,
-    far_field_coefficients,
-    horizon_flux_balance,
-    reflection_coefficient,
-)
+from .reflection import RegimeError, far_field_reflection, horizon_flux_balance
 from .special import NonConvergence, PoleError
 from .waves import EvanescentMode, UnsupportedMass, connection_residual, evaluate_profile, flat_limit_convergence, make_ansatz
 
 __all__ = ["main", "build_parser", "ConfigError"]
 
 DEFAULT_TOL = 1e-10
+# Longest --grid or --sweep accepted; checked before any list is built.
+MAX_POINTS = 10_000
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -252,6 +253,8 @@ def _r_grid(args: argparse.Namespace, file_cfg: dict, lo: float, hi: float, n: i
     count = int(_resolve(args, file_cfg, "grid", n))
     if count <= 0:
         raise ConfigError(f"--grid must be a positive point count, got {count}")
+    if count > MAX_POINTS:
+        raise ConfigError(f"--grid {count} exceeds the limit of {MAX_POINTS} points")
     if not r_min < r_max:
         raise ConfigError(f"need --r-min < --r-max, got {r_min} >= {r_max}")
     if count == 1:
@@ -262,9 +265,7 @@ def _r_grid(args: argparse.Namespace, file_cfg: dict, lo: float, hi: float, n: i
 # -------------------------------------------------------------- sub-commands
 
 
-def cmd_potential(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    cfg = _run_config(args, file_cfg)
+def cmd_potential(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> int:
     hp, echo = _physics_params(args, file_cfg, cfg, need_epsilon=False)
     grid = _r_grid(args, file_cfg, 1e-6, 1.0 - 1e-6, 1000)
     if grid[0] <= 0.0 or grid[-1] >= 1.0:
@@ -273,6 +274,11 @@ def cmd_potential(args: argparse.Namespace) -> int:
     barrier_ok = True
     for r in grid:
         u_val, f_val = effective_potential(hp, float(r))
+        if not (math.isfinite(u_val) and math.isfinite(f_val)):
+            raise ConfigError(
+                f"the potential overflows at r={r:.6g}: m={hp.m:.6g} (j={hp.j}) is too "
+                f"large for double precision"
+            )
         rows.append((float(r), tortoise(float(r)), u_val, f_val))
         if f_val <= 0.0:
             barrier_ok = False
@@ -291,9 +297,7 @@ _KIND_MAP = {
 }
 
 
-def cmd_wave(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    cfg = _run_config(args, file_cfg)
+def cmd_wave(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> int:
     hp, echo = _physics_params(args, file_cfg, cfg)
     kind = _resolve(args, file_cfg, "kind")
     if kind not in _KIND_MAP:
@@ -327,8 +331,12 @@ def _parse_sweep(text: str, units: str) -> tuple[str, list[float]]:
         raise ConfigError(
             f"--sweep parameter must be one of {allowed} in {units} units, got {name!r}"
         )
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"--sweep bounds and step must be finite numbers, got {text!r}")
     if step <= 0.0 or stop < start:
         raise ConfigError("--sweep needs start <= stop and step > 0")
+    if (stop - start) / step >= MAX_POINTS:
+        raise ConfigError(f"--sweep {text!r} exceeds the limit of {MAX_POINTS} points")
     values = []
     v = start
     while v <= stop + 1e-9 * step:
@@ -338,9 +346,8 @@ def _parse_sweep(text: str, units: str) -> tuple[str, list[float]]:
 
 
 def _reflect_point(hp: HorizonUnitsParams, tol: float, with_flux: bool) -> dict:
-    ans = make_ansatz(hp, "regular")
-    amps = far_field_coefficients(ans, hp)
-    result = reflection_coefficient(ModelParams(R=hp.m, lam=1.0, mu=hp.mu, j=hp.j))
+    result = far_field_reflection(hp)
+    amps = result.amplitudes
     point = {
         "C1": amps.C1,
         "C2": amps.C2,
@@ -351,15 +358,13 @@ def _reflect_point(hp: HorizonUnitsParams, tol: float, with_flux: bool) -> dict:
         "regime_ok": result.regime_ok,
     }
     if with_flux:
-        flux = horizon_flux_balance(ans, hp, tol=min(tol, 1e-11))
+        flux = horizon_flux_balance(make_ansatz(hp, "regular"), hp, tol=min(tol, 1e-11))
         point["flux_ratio"] = flux
         point["flux_vs_far_field"] = abs(flux - result.ratio)
     return point
 
 
-def cmd_reflect(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    cfg = _run_config(args, file_cfg)
+def cmd_reflect(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> int:
     sweep = _resolve(args, file_cfg, "sweep")
     with_flux = not args.no_flux
     if sweep is None:
@@ -409,9 +414,7 @@ def _sweep_row(name: str | None, value: float | None, point: dict) -> tuple[list
     return header, row
 
 
-def cmd_flat_limit(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    cfg = _run_config(args, file_cfg)
+def cmd_flat_limit(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> int:
     mu = float(_require(_resolve(args, file_cfg, "mu"), "mu"))
     j = int(_require(_resolve(args, file_cfg, "j"), "j"))
     kr = float(_resolve(args, file_cfg, "kr", 0.5))
@@ -437,9 +440,7 @@ def cmd_flat_limit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_expand(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    cfg = _run_config(args, file_cfg)
+def cmd_expand(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> int:
     mu = float(_require(_resolve(args, file_cfg, "mu"), "mu"))
     X = float(_require(_resolve(args, file_cfg, "X"), "X"))
     j = int(_require(_resolve(args, file_cfg, "j"), "j"))
@@ -527,9 +528,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    cfg = _run_config(args, file_cfg)
+def cmd_classify(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> int:
     try:
         with open(args.coefficients, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -649,11 +648,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    func: Callable[[argparse.Namespace], int] = args.func
+    func: Callable[[argparse.Namespace, dict, RunConfig], int] = args.func
     try:
-        return func(args)
+        file_cfg = _load_config_file(args.config)
+        return func(args, file_cfg, _run_config(args, file_cfg))
     except (NonConvergence, StepFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICS
+    except OverflowError as exc:
+        print(f"error: double-precision overflow ({exc}); the parameters are too large", file=sys.stderr)
         return EXIT_NUMERICS
     except (RegimeError, EvanescentMode, UnsupportedMass) as exc:
         print(f"error: {exc}", file=sys.stderr)

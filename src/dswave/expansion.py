@@ -97,6 +97,9 @@ class ExpansionParams:
     @classmethod
     def from_scale(cls, mu: float, X: float, j: int) -> "ExpansionParams":
         """Build params for orbital index j at curvature ratio X = lam/R."""
+        for name, value in (("mu", mu), ("X", X)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         x_exact = Fraction(X)
         return cls(
             X=X,

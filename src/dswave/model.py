@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,9 +49,25 @@ def phi(r: float) -> float:
     return 1.0 - r * r
 
 
+def _check_finite(name: str, value: float, *, positive: bool) -> None:
+    """Raise ValueError naming the parameter unless value is a finite number
+    that is > 0 (positive) or >= 0 (otherwise)."""
+    if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be a finite {sign} number, got {value!r}")
+
+
+def _check_j(j: int) -> None:
+    if j < 0 or j != int(j):
+        raise ValueError("j must be a non-negative integer")
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical parameterization (R and lam carry the same length unit)."""
+    """Physical parameterization (R and lam carry the same length unit).
+
+    R and lam are finite positive lengths, mu a finite non-negative energy.
+    """
 
     R: float
     lam: float
@@ -59,30 +75,32 @@ class ModelParams:
     j: int
 
     def __post_init__(self) -> None:
-        if not (self.R > 0.0 and self.lam > 0.0):
-            raise ValueError("R and lam must be positive lengths")
-        if self.j < 0 or self.j != int(self.j):
-            raise ValueError("j must be a non-negative integer")
+        _check_finite("R", self.R, positive=True)
+        _check_finite("lam", self.lam, positive=True)
+        _check_finite("mu", self.mu, positive=False)
+        _check_j(self.j)
 
 
 @dataclass(frozen=True)
 class HorizonUnitsParams:
-    """Dimensionless parameters: epsilon = mu R/lam, m = R/lam, p = j + 1/2."""
+    """Dimensionless parameters: epsilon = mu R/lam, m = R/lam, p = j + 1/2.
+
+    epsilon and m are finite and non-negative (m = 0 is the massless field).
+    """
 
     epsilon: float
     m: float
     j: int
-    p: float = field(default=None)  # type: ignore[assignment]
-    Phi: Callable[[float], float] = field(default=phi, repr=False, compare=False)
     _source: "ModelParams | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.j < 0 or self.j != int(self.j):
-            raise ValueError("j must be a non-negative integer")
-        if self.p is None:
-            object.__setattr__(self, "p", self.j + 0.5)
-        elif self.p != self.j + 0.5:
-            raise ValueError("p must equal j + 1/2")
+        _check_finite("m", self.m, positive=False)  # first: epsilon may default to m
+        _check_finite("epsilon", self.epsilon, positive=False)
+        _check_j(self.j)
+
+    @property
+    def p(self) -> float:
+        return self.j + 0.5
 
     @property
     def mu(self) -> float:

@@ -242,14 +242,6 @@ class FactoredRational:
             den *= (x - float(root)) ** mult
         return num / den
 
-    def eval_exact(self, x: Fraction) -> Fraction:
-        den = self.const
-        for root, mult in self.roots:
-            den *= (x - root) ** mult
-        if den == 0:
-            raise ZeroDivisionError(f"pole at x={x}")
-        return poly_eval(self.numerator, x) / den
-
     # -- behavior at infinity -----------------------------------------------
 
     def compose_inverse_over_power(self, k: int) -> tuple[Coeffs, Coeffs, int]:

@@ -35,7 +35,7 @@ from .model import (
     to_horizon_units,
 )
 from .oracle import OdeProblem, integrate
-from .special import gamma_ratio_asymptotic, log_gamma
+from .special import NonConvergence, gamma_ratio_asymptotic, log_gamma
 from .waves import EvanescentMode, WaveAnsatz, make_ansatz
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "ReflectionResult",
     "check_regime",
     "far_field_coefficients",
+    "far_field_reflection",
     "reflection_coefficient",
     "horizon_flux_balance",
     "interior_wave_ratio",
@@ -107,37 +108,54 @@ def far_field_coefficients(
         A_minus = C1 e^(+i pi (p+1/2)/2) + C2 e^(+i pi (-p+1/2)/2).
 
     Raises RegimeError below the hard validity floor (margin = 1), where
-    the algorithm's defining substitution has no asymptotic backing.
+    the algorithm's defining substitution has no asymptotic backing, and
+    NonConvergence when eps^2 - m^2 or an amplitude is not a finite double
+    (or the outgoing amplitude underflows to zero): the Gamma factors at
+    |Im| ~ eps lose every digit long before eps^2 itself overflows.
     """
     eps, m, p, j = hp.epsilon, hp.m, hp.p, hp.j
     if eps <= m:
         raise EvanescentMode(f"eps={eps} <= m={m}: no propagating far field")
+    gap = eps * eps - m * m
+    if not math.isfinite(gap):
+        raise NonConvergence(
+            f"far-field amplitudes overflow: eps^2 - m^2 = {gap} at eps={eps:.6g}, m={m:.6g}"
+        )
     if not check_regime(hp, margin):
         raise RegimeError(
             f"far-field algorithm needs eps^2 - m^2 >> j^2 "
-            f"(have {eps * eps - m * m:.6g} vs j^2 = {j * j}); "
+            f"(have {gap:.6g} vs j^2 = {j * j}); "
             f"the amplitudes are undefined outside this regime"
         )
     if ans.family != "regular" or abs((ans.a + ans.b - ans.c) - complex(0, -eps)) > 1e-9 * (
         1.0 + eps
     ):
         raise ValueError("ansatz does not match the regular family of these parameters")
-    kappa = math.sqrt(eps * eps - m * m)
+    kappa = math.sqrt(gap)
     w = complex(0.0, -0.5 * (eps - m))
     v = complex(0.0, -0.5 * (eps + m))
     shift = 0.5 * (1.0 + p)
-    asym_w = gamma_ratio_asymptotic(w, 0.5 * (1.0 - p), shift, order=1)
-    asym_v = gamma_ratio_asymptotic(v, 0.5 * (1.0 - p), shift, order=1)
-    common = cmath.exp(
-        log_gamma(complex(1.0, -eps)) - log_gamma(w + shift) - log_gamma(v + shift)
-    )
     g_j = -1.0 if j % 2 else 1.0  # sin(pi p) for half-integer p
-    c1 = -math.pi * g_j * common * (2.0 ** p) * kappa ** (-j) / (asym_w * asym_v)
-    c2 = math.pi * g_j * common * (2.0 ** -p) * kappa ** (j + 1)
     ph_p = 0.25 * math.pi * (2.0 * p + 1.0)  # pi (p + 1/2) / 2
     ph_m = 0.25 * math.pi * (-2.0 * p + 1.0)
-    a_plus = c1 * cmath.exp(-1j * ph_p) + c2 * cmath.exp(-1j * ph_m)
-    a_minus = c1 * cmath.exp(1j * ph_p) + c2 * cmath.exp(1j * ph_m)
+    try:
+        asym_w = gamma_ratio_asymptotic(w, 0.5 * (1.0 - p), shift, order=1)
+        asym_v = gamma_ratio_asymptotic(v, 0.5 * (1.0 - p), shift, order=1)
+        common = cmath.exp(
+            log_gamma(complex(1.0, -eps)) - log_gamma(w + shift) - log_gamma(v + shift)
+        )
+        c1 = -math.pi * g_j * common * (2.0 ** p) * kappa ** (-j) / (asym_w * asym_v)
+        c2 = math.pi * g_j * common * (2.0 ** -p) * kappa ** (j + 1)
+        a_plus = c1 * cmath.exp(-1j * ph_p) + c2 * cmath.exp(-1j * ph_m)
+        a_minus = c1 * cmath.exp(1j * ph_p) + c2 * cmath.exp(1j * ph_m)
+        finite = a_plus != 0.0 and all(map(cmath.isfinite, (c1, c2, a_plus, a_minus)))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise NonConvergence(
+            f"far-field amplitudes overflow double precision at eps={eps:.6g}, "
+            f"m={m:.6g}, j={j}"
+        )
     return FarFieldAmplitudes(C1=c1, C2=c2, A_plus=a_plus, A_minus=a_minus)
 
 
@@ -149,9 +167,16 @@ def reflection_coefficient(p: ModelParams) -> ReflectionResult:
     """
     if p.mu <= 1.0:
         raise EvanescentMode(f"mu={p.mu} <= 1 is evanescent")
-    hp = to_horizon_units(p)
-    ans = make_ansatz(hp, "regular")
-    amps = far_field_coefficients(ans, hp)
+    return far_field_reflection(to_horizon_units(p))
+
+
+def far_field_reflection(hp: HorizonUnitsParams) -> ReflectionResult:
+    """Far-field amplitudes and reflection |A_minus/A_plus|^2 of these parameters.
+
+    regime_ok records the default-margin regime check (see
+    reflection_coefficient).
+    """
+    amps = far_field_coefficients(make_ansatz(hp, "regular"), hp)
     ratio = abs(amps.A_minus) / abs(amps.A_plus)
     return ReflectionResult(
         amplitudes=amps,
@@ -180,15 +205,20 @@ _GL5_WEIGHTS = (
 )
 
 
+# Samples of the interior solution, degree of the channel envelope
+# polynomials, and the central-difference step for Q' and Q'' in the WKB
+# phase of interior_wave_ratio.
+_N_SAMPLES = 64
+_POLY_DEGREE = 6
+_FD_STEP = 5e-4
+
+
 def interior_wave_ratio(
     u_of_rstar: Callable[[float], float],
     epsilon: float,
     launch_rstar: float,
     window: tuple[float, float] = (1.2, 2.2),
-    n_samples: int = 64,
-    poly_degree: int = 6,
     tol: float = 1e-11,
-    fd_step: float = 5e-4,
 ) -> tuple[float, float]:
     """Incoming/outgoing channel ratio of a purely-outgoing-at-launch solution.
 
@@ -200,7 +230,7 @@ def interior_wave_ratio(
         Q = eps^2 - U,  S2' = Q''/(8 Q^(3/2)) - 5 Q'^2 / (32 Q^(5/2))
 
     (third-order WKB; derivatives of Q by central differences with step
-    fd_step).  The envelope polynomials absorb the remaining smooth channel
+    _FD_STEP).  The degree-_POLY_DEGREE envelope polynomials absorb the remaining smooth channel
     dressing, so the reported incoming coefficient is a genuine reflection
     measure, not a basis artifact.  Returns (|c_in/c_out|, fit residual),
     both relative, with the coefficients read at the window center.
@@ -219,7 +249,7 @@ def interior_wave_ratio(
     prob = OdeProblem(
         p=None, q=q_fn, r0=launch_rstar, u0=u0, du0=1j * epsilon * u0, direction=-1
     )
-    rstars = np.linspace(hi, lo, n_samples)
+    rstars = np.linspace(hi, lo, _N_SAMPLES)
     sol = integrate(prob, lo, tol, samples=rstars)
     xs = sol.r
 
@@ -233,10 +263,10 @@ def interior_wave_ratio(
 
     def phase_rate(x: float) -> float:
         q = local_q(x)
-        qm = epsilon * epsilon - u_of_rstar(x - fd_step)
-        qp = epsilon * epsilon - u_of_rstar(x + fd_step)
-        d1 = (qp - qm) / (2.0 * fd_step)
-        d2 = (qp - 2.0 * q + qm) / (fd_step * fd_step)
+        qm = epsilon * epsilon - u_of_rstar(x - _FD_STEP)
+        qp = epsilon * epsilon - u_of_rstar(x + _FD_STEP)
+        d1 = (qp - qm) / (2.0 * _FD_STEP)
+        d2 = (qp - 2.0 * q + qm) / (_FD_STEP * _FD_STEP)
         s2 = 0.125 * d2 / q**1.5 - (5.0 / 32.0) * d1 * d1 / q**2.5
         return math.sqrt(q) - s2
 
@@ -251,14 +281,14 @@ def interior_wave_ratio(
         phase[i] = phase[i - 1] + half * acc
     zeta = k_loc**-0.5 * np.exp(1j * phase)
     t = (2.0 * xs - (lo + hi)) / (hi - lo)  # window-normalized poly variable
-    cols = [(t**d) * zeta for d in range(poly_degree + 1)]
-    cols += [(t**d) * np.conj(zeta) for d in range(poly_degree + 1)]
+    cols = [(t**d) * zeta for d in range(_POLY_DEGREE + 1)]
+    cols += [(t**d) * np.conj(zeta) for d in range(_POLY_DEGREE + 1)]
     design = np.column_stack(cols)
     coef, _, _, _ = np.linalg.lstsq(design, sol.u, rcond=None)
     fitted = design @ coef
     resid = float(np.linalg.norm(fitted - sol.u) / np.linalg.norm(sol.u))
     c_out = coef[0]
-    c_in = coef[poly_degree + 1]
+    c_in = coef[_POLY_DEGREE + 1]
     return float(abs(c_in) / abs(c_out)), resid
 
 

@@ -2,7 +2,8 @@
 
 This module is the double-precision numeric substrate: complex log-Gamma,
 asymptotic Gamma ratios, the Gauss hypergeometric function, and
-Bessel/Hankel functions for real (primarily half-integer) orders.
+Bessel/Hankel functions of half-integer order p = +/-(j + 1/2), the only
+orders the flat-space limit and the small-curvature expansion produce.
 Everything here is pure, deterministic and float-only; the
 extended-precision counterparts used to certify these routines live in
 :mod:`dswave.oracle`, the only module with big-float arithmetic.
@@ -11,7 +12,7 @@ hyp2f1 takes one of three routes, chosen from its arguments and from what
 the float series measures:
 
 * direct: the Gauss series at z, summed in doubles;
-* connection: for real z above the connection threshold (and c-a-b not an
+* connection: for real z above 1/2 (and c-a-b not an
   integer), the z -> 1-z formula DLMF 15.8.4 with two series at 1-z;
 * continuation: whenever one of those series measures a ratio above
   _CANCEL_RETRY between its largest term and its sum, or overflows, F is
@@ -22,15 +23,17 @@ Accuracy contract: 1e-13 relative for log_gamma over |z| <= 1e7 (away from
 poles), series summation to the requested relative tolerance (up to
 _CANCEL_RETRY of cancellation), continuation with an estimated rounding
 amplification of at most _AMPLIFY_LIMIT (NonConvergence beyond it), and
-half-integer Bessel orders evaluated through exact trigonometric seeds.
+J_p for half-integer p by one of two routes: the ascending series for
+x <= max(8, |p| + 2), exact trigonometric seeds plus order recurrence
+beyond it (any other order raises ValueError).
 
 References
 ----------
 .. [1] M. Abramowitz, I. A. Stegun, "Handbook of Mathematical Functions",
        chapters 6, 9, 15.
 .. [2] NIST Digital Library of Mathematical Functions, https://dlmf.nist.gov/,
-       sections 5.11 (Stirling), 10.17 (Bessel asymptotics), 15.8
-       (hypergeometric connection formulas).
+       sections 5.11 (Stirling), 10.49 (half-integer Bessel functions),
+       15.8 (hypergeometric connection formulas).
 .. [3] J. W. Pearson, S. Olver, M. A. Porter, "Numerical methods for the
        computation of the confluent and Gauss hypergeometric functions",
        Numer. Algorithms 74 (2017), arXiv:1407.7786 (the Taylor series
@@ -251,6 +254,8 @@ _STEP_PHASE = 1.5
 # The continuation refuses a path on which a partner solution outgrows F by
 # more than this: its rounding error could then exceed ~1e-10 relative.
 _AMPLIFY_LIMIT = 1e5
+# Real z above this takes the z -> 1-z connection formula.
+_CONNECTION_THRESHOLD = 0.5
 
 
 def _series_sum(
@@ -441,14 +446,13 @@ def hyp2f1(
     c: complex,
     z: complex,
     ctl: SeriesControl | None = None,
-    connection_threshold: float = 0.5,
 ) -> complex:
     """Gauss hypergeometric function F(a, b; c; z) on |z| < 1.
 
     Routes, all in double precision:
 
     * direct: the power series at z.
-    * connection: for real z above ``connection_threshold`` the z -> 1-z
+    * connection: for real z above 1/2 (_CONNECTION_THRESHOLD) the z -> 1-z
       formula (DLMF 15.8.4), which keeps the series arguments small near
       z = 1.  It requires c-a-b to be non-integer; when it is an integer the
       direct series is attempted anyway (it converges, slowly, for |z| < 1).
@@ -490,7 +494,7 @@ def hyp2f1(
     s = c - a - b
     use_connection = (
         z.imag == 0.0
-        and connection_threshold < z.real < 1.0
+        and _CONNECTION_THRESHOLD < z.real < 1.0
         and not (s.imag == 0.0 and s.real == math.floor(s.real))
     )
     if use_connection:
@@ -513,10 +517,9 @@ _SERIES_X_MAX = 8.0
 def _bessel_series(p: float, x: float, terms: int = 200) -> float:
     # (x/2)^p / Gamma(p+1) * sum_n (-x^2/4)^n / (n! (p+1)_n)
     lead = math.exp(p * math.log(0.5 * x) - log_gamma(complex(p + 1.0)).real)
-    if (p + 1.0) < 0.0 and (p + 1.0) != math.floor(p + 1.0):
+    if p + 1.0 < 0.0 and math.floor(p + 1.0) % 2 != 0:
         # Gamma is negative on alternating intervals of the negative axis.
-        if math.floor(p + 1.0) % 2 != 0:
-            lead = -lead
+        lead = -lead
     q = -0.25 * x * x
     term = 1.0
     total = 1.0
@@ -556,121 +559,57 @@ def _bessel_half_integer(p: float, x: float) -> float:
     return cur
 
 
-def _bessel_asymptotic(p: float, x: float) -> float:
-    # Hankel's expansion, DLMF 10.17.3: J_p = sqrt(2/(pi x)) (P cos chi - Q sin chi)
-    chi = x - (0.5 * p + 0.25) * math.pi
-    mu = 4.0 * p * p
-    P = 1.0
-    Q = 0.0
-    term = 1.0
-    k = 0
-    while True:
-        # odd-index term -> Q, even -> P
-        term *= (mu - (2 * k + 1) ** 2) / (8.0 * x * (k + 1.0))
-        if k % 2 == 0:
-            Q += term if (k // 2) % 2 == 0 else -term
-        else:
-            P += -term if (k // 2) % 2 == 0 else term
-        k += 1
-        if k > 30 or abs(term) < 1e-17:
-            break
-    return math.sqrt(2.0 / (math.pi * x)) * (P * math.cos(chi) - Q * math.sin(chi))
-
-
-def _bessel_miller(p: float, x: float) -> float:
-    # Normalized downward recurrence; requires p >= 0.
-    n_extra = int(x) + 30
-    orders = [p + n_extra - i for i in range(n_extra + 1)]  # descending to p
-    y_hi = 0.0
-    y_cur = 1e-30
-    values = [y_hi, y_cur]
-    for nu in orders[:-1]:
-        y_hi, y_cur = y_cur, (2.0 * nu / x) * y_cur - y_hi
-        values.append(y_cur)
-        if abs(y_cur) > 1e250:
-            values = [v / 1e250 for v in values]
-            y_hi /= 1e250
-            y_cur /= 1e250
-    # values[k] ~ J_{p + n_extra + 1 - k}; collect J_{p+2m} for normalization
-    # with (x/2)^p = sum_m w_m J_{p+2m},  w_m = (p+2m) Gamma(p+m) / m!.
-    j_at = {}
-    for k, v in enumerate(values):
-        j_at[n_extra + 1 - k] = v
-    w = math.exp(log_gamma(complex(p + 1.0)).real)  # w_0 = Gamma(p+1) = p Gamma(p)
-    norm = 0.0
-    m = 0
-    while 2 * m <= n_extra:
-        norm += w * j_at[2 * m]
-        if p == 0.0:
-            w = 2.0  # Neumann weights: J_0 + 2 J_2 + 2 J_4 + ... = 1
-        else:
-            w *= (p + 2.0 * m + 2.0) * (p + m) / ((p + 2.0 * m) * (m + 1.0))
-        m += 1
-    scale = (0.5 * x) ** p / norm
-    return scale * j_at[0]
+def _is_half_integer(p: float) -> bool:
+    # 2p is an odd integer; nan and inf fail the comparison
+    return (2.0 * p) % 2.0 == 1.0
 
 
 def bessel_j(p: float, x: float) -> float:
-    """Bessel function of the first kind J_p(x) for real order and x >= 0.
+    """Bessel function of the first kind J_p(x) for half-integer p and x >= 0.
 
-    Dispatch: ascending power series for x <= 8 (or whenever x <= |p|+2),
-    exact trigonometric seeds plus stable order recurrence for half-integer
-    p, Hankel's large-x asymptotic expansion for x >= max(18, p^2), and a
-    normalized (Miller-type) downward recurrence for the remaining
-    non-negative orders.  Negative non-half-integer orders are supported on
-    the series range only.
+    The package needs only the orders p = +/-(j + 1/2), which take one of two
+    routes: the ascending power series for x <= max(8, |p| + 2), and beyond
+    that the exact trigonometric seeds J_{1/2}, J_{-1/2} carried to p by the
+    order recurrence (upward for p > 0, downward for p < 0), which is stable
+    there because x exceeds the order.
+
+    Raises
+    ------
+    ValueError
+        If p is not a half-integer, x < 0, or x = 0 with negative order.
     """
+    if not _is_half_integer(p):
+        raise ValueError(f"bessel_j: order p={p} is not a half-integer")
     if x < 0.0:
         raise ValueError("bessel_j requires x >= 0")
     if x == 0.0:
         if p > 0.0:
             return 0.0
-        if p == 0.0:
-            return 1.0
         raise ValueError("bessel_j at x=0 diverges for negative order")
-    if p == math.floor(p) and p < 0.0:
-        # J_{-n} = (-1)^n J_n
-        sign = -1.0 if int(-p) % 2 else 1.0
-        return sign * bessel_j(-p, x)
     if x <= _SERIES_X_MAX or x <= abs(p) + 2.0:
         return _bessel_series(p, x)
-    two_p = 2.0 * p
-    if two_p == math.floor(two_p) and int(two_p) % 2 != 0:
-        return _bessel_half_integer(p, x)
-    if p >= 0.0 and x >= max(18.0, p * p):
-        return _bessel_asymptotic(p, x)
-    if p >= 0.0:
-        return _bessel_miller(p, x)
-    raise ValueError(
-        f"bessel_j: negative non-half-integer order p={p} outside series range x<=8"
-    )
+    return _bessel_half_integer(p, x)
 
 
 def hankel1(p: float, x: float) -> complex:
-    """Hankel function of the first kind H^(1)_p(x) for non-integer real order.
+    """Hankel function of the first kind H^(1)_p(x) for half-integer p, x > 0.
 
-    Uses the standard identity
-    H^(1)_p = i (e^{-i pi p} J_p - J_{-p}) / sin(pi p),
-    which for p = 1/2 reduces to -i sqrt(2/(pi x)) e^{ix}.  Integer p makes
-    sin(pi p) vanish and is rejected.
+    H^(1)_p = i (e^{-i pi p} J_p - J_{-p}) / sin(pi p), where for half-integer
+    p both sin(pi p) = (-1)^(p - 1/2) and e^{-i pi p} = -i (-1)^(p - 1/2) are
+    exact; J_{+/-p} take the routes of bessel_j.  For p = 1/2 this reduces to
+    -i sqrt(2/(pi x)) e^{ix}.
 
     Raises
     ------
-    PoleError
-        If p is an integer.
+    ValueError
+        If p is not a half-integer or x <= 0.
     """
-    if p == math.floor(p):
-        raise PoleError(f"hankel1: sin(p pi) = 0 at integer order p={p}")
+    if not _is_half_integer(p):
+        raise ValueError(f"hankel1: order p={p} is not a half-integer")
     if x <= 0.0:
         raise ValueError("hankel1 requires x > 0")
     jp = bessel_j(p, x)
     jm = bessel_j(-p, x)
-    two_p = 2.0 * p
-    if two_p == math.floor(two_p):
-        # half-integer order: sin(pi p) = (-1)^(p - 1/2) exactly
-        s = -1.0 if int(p - 0.5) % 2 else 1.0
-        phase = complex(0.0, -1.0) * s  # e^{-i pi p} = -i * (-1)^(p-1/2)
-    else:
-        s = math.sin(math.pi * p)
-        phase = cmath.exp(-1j * math.pi * p)
+    s = -1.0 if int(p - 0.5) % 2 else 1.0
+    phase = complex(0.0, -1.0) * s
     return 1j * (phase * jp - jm) / s

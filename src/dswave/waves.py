@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import DomainError, HorizonUnitsParams, ModelParams
-from .special import SeriesControl, hankel1, hyp2f1, log_gamma, log_gamma_diff
+from .special import hankel1, hyp2f1, log_gamma, log_gamma_diff
 
 __all__ = [
     "UnsupportedMass",
@@ -116,9 +116,7 @@ def _horizon_exponent(sigma: complex, z: float) -> complex:
     return cmath.exp(sigma * math.log1p(-z))
 
 
-def eval_standing(
-    ans: WaveAnsatz, r: float, ctl: SeriesControl | None = None
-) -> complex:
+def eval_standing(ans: WaveAnsatz, r: float) -> complex:
     """Standing wave at radius r: z^kappa (1-z)^sigma F(a, b; c; z), z = r^2."""
     if not 0.0 <= r < 1.0:
         raise DomainError(f"eval_standing: r={r} outside [0, 1)")
@@ -128,13 +126,11 @@ def eval_standing(
         return complex(1.0) if ans.kappa == 0.0 else complex(0.0)
     z = r * r
     return (z ** ans.kappa) * _horizon_exponent(ans.sigma, z) * hyp2f1(
-        ans.a, ans.b, ans.c, z, ctl
+        ans.a, ans.b, ans.c, z
     )
 
 
-def eval_running(
-    ans: WaveAnsatz, direction: str, r: float, ctl: SeriesControl | None = None
-) -> complex:
+def eval_running(ans: WaveAnsatz, direction: str, r: float) -> complex:
     """Running wave at radius r (direction 'out' or 'in').
 
     Both ansatz families evaluate to the *same* running waves (an Euler
@@ -150,11 +146,11 @@ def eval_running(
     w = 1.0 - z
     if direction == "out":
         third = ans.a + ans.b - ans.c + 1.0
-        series = hyp2f1(ans.a, ans.b, third, w, ctl)
+        series = hyp2f1(ans.a, ans.b, third, w)
         return (z ** ans.kappa) * _horizon_exponent(ans.sigma, z) * series
     if direction == "in":
         third = ans.c - ans.a - ans.b + 1.0
-        series = hyp2f1(ans.c - ans.a, ans.c - ans.b, third, w, ctl)
+        series = hyp2f1(ans.c - ans.a, ans.c - ans.b, third, w)
         return (z ** ans.kappa) * _horizon_exponent(-ans.sigma, z) * series
     raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 
 import mpmath as mp
 import pytest
@@ -185,12 +186,12 @@ def test_reflect_exit_codes_for_regime(capsys):
 
 
 def test_reflect_numerics_failure_exit_code(capsys, monkeypatch):
-    import dswave.cli as cli_mod
+    import dswave.reflection as reflection_mod
 
     def boom(*a, **k):
         raise NonConvergence("synthetic")
 
-    monkeypatch.setattr(cli_mod, "far_field_coefficients", boom)
+    monkeypatch.setattr(reflection_mod, "far_field_coefficients", boom)
     rc, _, err = run(capsys, "reflect", "--epsilon", "20", "--m", "10", "--j", "1")
     assert rc == 4 and "synthetic" in err
 
@@ -367,3 +368,66 @@ def test_json_output_has_sorted_keys(capsys):
     doc = json.loads(out)
     assert list(doc) == sorted(doc)
     assert list(doc["report"]) == sorted(doc["report"])
+
+
+# --- input validation and bounded work ----------------------------------------
+
+
+def one_error_line(err: str) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("potential", "--m=nan", "--j=1"), "m"),
+        (("potential", "--m=inf", "--j=1"), "m"),
+        (("potential", "--m=1e300", "--j=1"), "m"),
+        (("reflect", "--epsilon=nan", "--m=5", "--j=1", "--no-flux"), "epsilon"),
+        (("reflect", "--epsilon=20", "--m=-10", "--j=1", "--no-flux"), "m"),
+        (("wave", "--epsilon=inf", "--m=5", "--j=1", "--kind=f"), "epsilon"),
+        (("expand", "--mu=nan", "--X=1e-3", "--j=0"), "mu"),
+        (("expand", "--mu=2", "--X=nan", "--j=0"), "X"),
+        (("flat-limit", "--mu=inf", "--j=1"), "mu"),
+        (("reflect", "--units=physical", "--R=nan", "--lam=1", "--mu=2", "--j=1"), "R"),
+        (("reflect", "--units=physical", "--R=10", "--lam=-1", "--mu=2", "--j=1"), "lam"),
+    ],
+)
+def test_non_finite_or_negative_parameters_exit_2_naming_them(capsys, argv, name):
+    rc, out, err = run(capsys, *argv)
+    line = one_error_line(err)
+    assert rc == 2 and out == ""
+    assert re.search(rf"\b{name}( must|=)", line), line
+
+
+@pytest.mark.parametrize("epsilon, m", [("1e20", "5"), ("1e160", "5"), ("1e200", "1e199")])
+def test_far_field_overflow_is_a_numerics_failure(capsys, epsilon, m):
+    # the Gamma factors lose every digit (1e20), eps^2 overflows (1e160), or
+    # eps^2 - m^2 is inf - inf (1e200): no nan, invariant or traceback leaks
+    rc, out, err = run(
+        capsys, "reflect", f"--epsilon={epsilon}", f"--m={m}", "--j=1", "--no-flux"
+    )
+    assert rc == 4 and out == ""
+    assert one_error_line(err).startswith("error: far-field amplitudes overflow")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reflect", "--m=10", "--j=1", "--no-flux", "--sweep", "epsilon=20:1e9:1e-9"),
+        ("reflect", "--m=10", "--j=1", "--no-flux", "--sweep", "epsilon=20:nan:1"),
+        ("wave", "--epsilon=20", "--m=10", "--j=1", "--kind=f", "--grid", str(10**12)),
+        ("potential", "--m=5", "--j=1", "--grid", "10001"),
+    ],
+)
+def test_long_or_non_finite_lists_are_refused_before_they_are_built(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    one_error_line(err)
+
+
+def test_grid_at_the_point_limit_is_accepted(capsys):
+    rc, out, _ = run(capsys, "potential", "--m=5", "--j=1", "--grid", "10000")
+    assert rc == 0 and len(out.splitlines()) == 10_001

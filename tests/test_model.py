@@ -32,8 +32,6 @@ def test_param_validation():
         ModelParams(R=-1.0, lam=1.0, mu=2.0, j=0)
     with pytest.raises(ValueError):
         ModelParams(R=1.0, lam=1.0, mu=2.0, j=-1)
-    with pytest.raises(ValueError):
-        HorizonUnitsParams(epsilon=10.0, m=5.0, j=1, p=2.0)  # p must be j + 1/2
 
 
 def test_units_round_trip_exact():

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import dswave
+from dswave.oracle import extended_series
 from dswave.special import (
     NonConvergence,
     PoleError,
@@ -269,7 +270,6 @@ def test_series_control_validation():
 BESSEL_CASES = [
     (0.5, 2.0, 0.5130161365618278),
     (2.5, 7.3, -0.3008494315874998),
-    (0.0, 1.5, 0.5118276717359181),
     (3.5, 0.5, 0.0006623785681459423),
     (1.5, 40.0, 0.08648867973613376),
     (7.5, 3.0, 0.0011399140728703852),
@@ -280,6 +280,25 @@ BESSEL_CASES = [
 @pytest.mark.parametrize("p, x, expected", BESSEL_CASES)
 def test_bessel_frozen_values(p, x, expected):
     assert abs(bessel_j(p, x) - expected) < 1e-13 * max(1.0, abs(expected))
+
+
+def test_bessel_half_integer_orders_against_oracle():
+    # both routes (series up to x = max(8, |p|+2), seeds plus recurrence
+    # beyond) over p = +/-(j + 1/2), against the big-float series oracle
+    for j in range(8):
+        for p in (j + 0.5, -(j + 0.5)):
+            for x in (0.3, 2.0, 7.9, 8.1, 12.0, 15.0, 40.0, 90.0):
+                ref = complex(extended_series("bessel", [p, x])).real
+                scale = max(abs(ref), math.sqrt(2.0 / (math.pi * x)))
+                assert abs(bessel_j(p, x) - ref) < 1e-13 * scale, (p, x)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -2.0, 0.3, 2.25, math.nan, math.inf])
+def test_bessel_and_hankel_take_half_integer_orders_only(p):
+    with pytest.raises(ValueError, match="half-integer"):
+        bessel_j(p, 1.5)
+    with pytest.raises(ValueError, match="half-integer"):
+        hankel1(p, 1.5)
 
 
 def test_bessel_half_integer_closed_form():
