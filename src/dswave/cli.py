@@ -70,7 +70,7 @@ from .oracle import StepFailure, classify_singularities
 from .rational_ode import UnfactoredInput
 from .reflection import RegimeError, far_field_reflection, horizon_flux_balance
 from .special import NonConvergence, PoleError
-from .waves import EvanescentMode, UnsupportedMass, connection_residual, evaluate_profile, flat_limit_convergence, make_ansatz
+from .waves import EvanescentMode, UnsupportedMass, connection_residual, eval_running, eval_standing, flat_limit_convergence, make_ansatz
 
 __all__ = ["main", "build_parser", "ConfigError"]
 
@@ -289,29 +289,26 @@ def cmd_potential(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> i
     return EXIT_OK
 
 
-_KIND_MAP = {
-    "f": "StandingRegular",
-    "g": "StandingSingular",
-    "out": "RunningOut",
-    "in": "RunningIn",
-}
+_WAVE_KINDS = ("f", "g", "out", "in")
 
 
 def cmd_wave(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> int:
     hp, echo = _physics_params(args, file_cfg, cfg)
     kind = _resolve(args, file_cfg, "kind")
-    if kind not in _KIND_MAP:
-        raise ConfigError(f"--kind must be one of {sorted(_KIND_MAP)}, got {kind!r}")
-    grid = _r_grid(args, file_cfg, 0.05, 0.95, 19)
-    profile = evaluate_profile(hp, _KIND_MAP[kind], [float(r) for r in grid])
+    if kind not in _WAVE_KINDS:
+        raise ConfigError(f"--kind must be one of {sorted(_WAVE_KINDS)}, got {kind!r}")
+    grid = [float(r) for r in _r_grid(args, file_cfg, 0.05, 0.95, 19)]
+    ans = make_ansatz(hp, "singular" if kind == "g" else "regular")
+    if kind in ("f", "g"):
+        values = [eval_standing(ans, r) for r in grid]
+    else:
+        values = [eval_running(ans, kind, r) for r in grid]
     header = ["r", "re_u", "im_u"]
-    rows = [[float(r), v.real, v.imag] for r, v in zip(profile.r, profile.value)]
+    rows = [[r, v.real, v.imag] for r, v in zip(grid, values)]
     if args.residuals:
-        family = "singular" if kind == "g" else "regular"
-        ans = make_ansatz(hp, family)
         header.append("connection_residual")
-        for row, r in zip(rows, profile.r):
-            row.append(connection_residual(ans, float(r)))
+        for row, r in zip(rows, grid):
+            row.append(connection_residual(ans, r))
     _emit_table(cfg, {**echo, "kind": kind}, header, rows)
     return EXIT_OK
 
@@ -451,28 +448,25 @@ def cmd_expand(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> int:
         raise ConfigError(
             f"r_max * X = {grid[-1] * X} >= 1: outside the series' reach"
         )
-    ep = ExpansionParams.from_scale(mu, X, j)
-    dec = decompose_hypergeometric(ep, j, grid)
+    ep = ExpansionParams(mu, X, j)
+    dec = decompose_hypergeometric(ep, grid)
 
     # closed-form vs term-by-term first order, relative to the leading order
     scale = float(np.max(np.abs(dec.F0)))
     identity_err = max(
-        abs(first_order_series(ep, j, float(r), "regular") - f1) / scale
+        abs(first_order_series(ep, float(r), "regular") - f1) / scale
         for r, f1 in zip(grid, dec.F1)
     )
 
     # second-order remainder must shrink like X^2: slope over a decade ladder
     ladder = [X, X / 10.0, X / 100.0]
-    remainders = []
-    for x_val in ladder:
-        ep_x = ExpansionParams.from_scale(mu, x_val, j)
-        d = decompose_hypergeometric(ep_x, j, grid)
-        remainders.append(float(np.max(np.abs(d.F2_residual))) * x_val * x_val)
+    decs = [dec] + [decompose_hypergeometric(ExpansionParams(mu, x, j), grid) for x in ladder[1:]]
+    remainders = [float(np.max(np.abs(d.F2_residual))) * x * x for d, x in zip(decs, ladder)]
     slope = float(
         np.polyfit(np.log10(ladder), np.log10(remainders), 1)[0]
     )
 
-    audit = first_order_correction_audit(ep, j)
+    audit = first_order_correction_audit(ep)
     doc = {
         "inputs": {"mu": mu, "X": X, "j": j, "r_min": float(grid[0]), "r_max": float(grid[-1]), "grid": int(grid.size), "tol": cfg.tol},
         "first_order_identity_error": identity_err,
@@ -587,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wave = sub.add_parser("wave", help="tabulate a standing or running wave")
     _add_common(p_wave)
     _add_physics(p_wave)
-    p_wave.add_argument("--kind", choices=tuple(_KIND_MAP), help="f | g | out | in")
+    p_wave.add_argument("--kind", choices=_WAVE_KINDS, help="f | g | out | in")
     p_wave.add_argument(
         "--residuals",
         action="store_true",

@@ -2,9 +2,11 @@
 
 Everything here works in Compton units (lam = 1), with X = 1/R the small
 parameter, Y = R/2 its large partner, and k = sqrt(mu^2 - 1) the flat wave
-number.  The Gauss-series factor of the regular standing wave, evaluated at
-z = (r X)^2 with the exact complex parameters, collapses order by order in
-X onto Bessel profiles:
+number.  ExpansionParams holds the three independent inputs mu, X and j;
+k, Y and the Bessel order p = j + 1/2 are derived from them, and every
+function here reads j from its params.  The Gauss-series factor of the
+regular standing wave, evaluated at z = (r X)^2 with the exact complex
+parameters, collapses order by order in X onto Bessel profiles:
 
     Fbar(r; X) = F0(r) + X F1(r) + X^2 F2(r) + ...
     F0(r) = Gamma(1+p) (kr/2)^(-p) J_p(kr)
@@ -28,12 +30,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .model import HorizonUnitsParams
+from .model import HorizonUnitsParams, _check_j
 from .special import bessel_j, log_gamma
 from .waves import make_ansatz
 
@@ -61,64 +63,41 @@ class ValidityError(ValueError):
 
 @dataclass(frozen=True)
 class ExpansionParams:
-    """Scales of the expansion: X = 1/R small, Y = R/2 large, in lam = 1 units.
-
-    X*Y = 1/2 holds exactly in rational arithmetic by construction; the
-    float fields are the rounded views of the exact pair.
+    """Mass ratio mu > 1, small parameter X = lam/R in (0, 0.1] and orbital
+    index j, in lam = 1 units; every other scale is derived from these three.
     """
 
-    X: float
-    Y: float
-    k: float
     mu: float
-    p: float
-    X_exact: Fraction = field(repr=False, default=None)
-    Y_exact: Fraction = field(repr=False, default=None)
+    X: float
+    j: int
 
     def __post_init__(self) -> None:
+        for name, value in (("mu", self.mu), ("X", self.X)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 0.0 < self.X <= 0.1:
             raise ValidityError(f"X={self.X} outside supported range (0, 0.1]")
         if self.mu <= 1.0:
             raise ValueError(f"mu={self.mu} <= 1: no propagating flat wave")
-        if abs(self.k * self.k - (self.mu * self.mu - 1.0)) > 1e-12 * self.mu * self.mu:
-            raise ValueError("k^2 must equal mu^2 - 1")
-        two_p = 2.0 * self.p
-        if two_p != math.floor(two_p) or int(two_p) % 2 == 0 or self.p < 0.5:
-            raise ValueError(f"p={self.p} is not a positive half-integer")
-        if self.X_exact is None:
-            object.__setattr__(self, "X_exact", Fraction(self.X))
-        if self.Y_exact is None:
-            object.__setattr__(self, "Y_exact", 1 / (2 * self.X_exact))
-        if self.X_exact * self.Y_exact != Fraction(1, 2):
-            raise ValueError("X*Y must equal 1/2 exactly")
-        if self.Y != float(self.Y_exact):
-            raise ValueError("Y must be the rounding of the exact 1/(2X)")
-
-    @classmethod
-    def from_scale(cls, mu: float, X: float, j: int) -> "ExpansionParams":
-        """Build params for orbital index j at curvature ratio X = lam/R."""
-        for name, value in (("mu", mu), ("X", X)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        x_exact = Fraction(X)
-        return cls(
-            X=X,
-            Y=float(1 / (2 * x_exact)),
-            k=math.sqrt(mu * mu - 1.0),
-            mu=mu,
-            p=j + 0.5,
-            X_exact=x_exact,
-            Y_exact=1 / (2 * x_exact),
-        )
+        _check_j(self.j)
 
     @property
-    def xy_product_exact(self) -> Fraction:
-        return self.X_exact * self.Y_exact
+    def k(self) -> float:
+        """Flat wave number sqrt(mu^2 - 1)."""
+        return math.sqrt(self.mu * self.mu - 1.0)
 
-    def horizon_params(self, j: int) -> HorizonUnitsParams:
-        if self.p != j + 0.5:
-            raise ValueError(f"params built for p={self.p}, got j={j}")
-        return HorizonUnitsParams(epsilon=self.mu / self.X, m=1.0 / self.X, j=j)
+    @property
+    def Y(self) -> float:
+        """The large scale R/2 = 1/(2X), correctly rounded (0.5 is a power of 2)."""
+        return 0.5 / self.X
+
+    @property
+    def p(self) -> float:
+        """Bessel order j + 1/2."""
+        return self.j + 0.5
+
+    def horizon_params(self) -> HorizonUnitsParams:
+        return HorizonUnitsParams(epsilon=self.mu / self.X, m=1.0 / self.X, j=self.j)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,15 +188,13 @@ def exponential_factor_expansion(mu: float, X: float, r: float) -> complex:
     )
 
 
-def truncated_wave_parameter(ep: ExpansionParams, j: int) -> complex:
+def truncated_wave_parameter(ep: ExpansionParams) -> complex:
     """Two-scale truncation of the first ansatz parameter.
 
     (3/4 + j/2) - i (mu-1) Y - i X/16; the remainder against the exact
     parameter is -i X^3/256 + O(X^5).
     """
-    if ep.p != j + 0.5:
-        raise ValueError(f"params built for p={ep.p}, got j={j}")
-    return complex(0.75 + 0.5 * j, -(ep.mu - 1.0) * ep.Y - ep.X / 16.0)
+    return complex(0.75 + 0.5 * ep.j, -(ep.mu - 1.0) * ep.Y - ep.X / 16.0)
 
 
 def _bessel_limit(k: float, p: float, r: float) -> float:
@@ -228,17 +205,13 @@ def _bessel_limit(k: float, p: float, r: float) -> float:
     return math.gamma(1.0 + p) * (0.5 * x) ** (-p) * bessel_j(p, x)
 
 
-def first_order_series(
-    ep: ExpansionParams, j: int, r: float, family: str = "regular"
-) -> complex:
+def first_order_series(ep: ExpansionParams, r: float, family: str = "regular") -> complex:
     """Series-summed first-order profile (the route through the sum identity).
 
     Sums (2 i mu/k^2) * sum_n T0_n n(n +/- p) term by term, where T0_n are
     the terms of the Bessel-limit series; the closed form it must equal is
     (-k^2 r^2/4)(2 i mu/(mu^2-1)) times the order-0 profile.
     """
-    if ep.p != j + 0.5:
-        raise ValueError(f"params built for p={ep.p}, got j={j}")
     if family == "regular":
         p_eff = ep.p
     elif family == "singular":
@@ -258,9 +231,12 @@ def first_order_series(
     return 2j * ep.mu / (ep.k * ep.k) * acc
 
 
-def decompose_hypergeometric(
-    ep: ExpansionParams, j: int, r_grid
-) -> ExpansionDecomposition:
+def _order1_weight(ep: ExpansionParams, rs: np.ndarray) -> np.ndarray:
+    # F1/F0 = G1/G0 = (-k^2 r^2/4) (2 i mu/(mu^2-1))
+    return (-(ep.k * rs) ** 2 / 4.0) * (2j * ep.mu / (ep.mu * ep.mu - 1.0))
+
+
+def decompose_hypergeometric(ep: ExpansionParams, r_grid) -> ExpansionDecomposition:
     """Split both Gauss factors into order-0/1 profiles plus X^2 residuals.
 
     The exact factors are evaluated at z = (rX)^2 with the exact complex
@@ -269,7 +245,7 @@ def decompose_hypergeometric(
     """
     from .special import hyp2f1  # local to keep module import light
 
-    hp = ep.horizon_params(j)
+    hp = ep.horizon_params()
     reg = make_ansatz(hp, "regular")
     sng = make_ansatz(hp, "singular")
     rs = np.asarray(r_grid, dtype=float)
@@ -278,28 +254,29 @@ def decompose_hypergeometric(
     if np.any(rs < 0.0) or np.any((rs * ep.X) >= 1.0):
         raise ValidityError("r_grid must lie inside [0, R)")
     n = rs.size
+    k, p, X = ep.k, ep.p, ep.X
     F0 = np.empty(n)
     G0 = np.empty(n)
     Fe = np.empty(n, dtype=complex)
     Ge = np.empty(n, dtype=complex)
     for i, r in enumerate(rs):
-        F0[i] = _bessel_limit(ep.k, ep.p, r)
-        G0[i] = _bessel_limit(ep.k, -ep.p, r)
-        z = complex((r * ep.X) ** 2)
+        F0[i] = _bessel_limit(k, p, r)
+        G0[i] = _bessel_limit(k, -p, r)
+        z = complex((r * X) ** 2)
         Fe[i] = hyp2f1(reg.a, reg.b, reg.c, z)
         Ge[i] = hyp2f1(sng.a, sng.b, sng.c, z)
-    order1_weight = (-(ep.k * rs) ** 2 / 4.0) * (2j * ep.mu / (ep.mu * ep.mu - 1.0))
+    order1_weight = _order1_weight(ep, rs)
     F1 = order1_weight * F0
     G1 = order1_weight * G0
-    inv_x2 = 1.0 / (ep.X * ep.X)
+    inv_x2 = 1.0 / (X * X)
     return ExpansionDecomposition(
         r_grid=rs,
         F0=F0,
         F1=F1,
-        F2_residual=(Fe - F0 - ep.X * F1) * inv_x2,
+        F2_residual=(Fe - F0 - X * F1) * inv_x2,
         G0=G0,
         G1=G1,
-        G2_residual=(Ge - G0 - ep.X * G1) * inv_x2,
+        G2_residual=(Ge - G0 - X * G1) * inv_x2,
     )
 
 
@@ -310,7 +287,29 @@ def _first_order_factor(ep: ExpansionParams) -> complex:
     )
 
 
-def normalization_factor(ep: ExpansionParams, j: int) -> NormalizationFactor:
+def _leading_channel_coefficients(p: float, half_k: float) -> tuple[complex, complex]:
+    """alpha'0 and beta'0 with (kR/2) replaced by half_k.
+
+        alpha'0 = -(pi/sin p pi) half_k^(p-1/2) e^(-i pi(p/2-1/4)) / Gamma(1+p)
+        beta'0  = +(pi/sin p pi) half_k^(-p-1/2) e^(+i pi(p/2+1/4)) / Gamma(1-p)
+    """
+    sin_p = math.sin(math.pi * p)  # (-1)^j exactly for half-integer p
+    alpha0 = (
+        -(math.pi / sin_p)
+        / math.gamma(1.0 + p)
+        * half_k ** (p - 0.5)
+        * cmath.exp(-1j * math.pi * (0.5 * p - 0.25))
+    )
+    beta0 = (
+        (math.pi / sin_p)
+        / math.gamma(1.0 - p)
+        * half_k ** (-p - 0.5)
+        * cmath.exp(1j * math.pi * (0.5 * p + 0.25))
+    )
+    return alpha0, beta0
+
+
+def normalization_factor(ep: ExpansionParams) -> NormalizationFactor:
     """Exact overall factor A plus asymptotic channel coefficients.
 
     A = Gamma(a-q) Gamma(b-q) / Gamma(a+b-c+1) with q = p/2 + 1/4 — the
@@ -324,35 +323,21 @@ def normalization_factor(ep: ExpansionParams, j: int) -> NormalizationFactor:
     times the shared first-order factor 1 - i(4p^2-1) mu X/(8(mu^2-1));
     they agree with the exact ratios to O(X^2).
     """
-    hp = ep.horizon_params(j)
-    ans = make_ansatz(hp, "regular")
+    ans = make_ansatz(ep.horizon_params(), "regular")
     q = 0.5 * ep.p + 0.25
     a_factor = cmath.exp(
         log_gamma(ans.a - q)
         + log_gamma(ans.b - q)
         - log_gamma(ans.a + ans.b - ans.c + 1.0)
     )
-    sin_p = math.sin(math.pi * ep.p)  # (-1)^j exactly for half-integer p
-    half_kR = 0.5 * ep.k / ep.X
+    alpha0, beta0 = _leading_channel_coefficients(ep.p, 0.5 * ep.k / ep.X)
     corr = _first_order_factor(ep)
-    alpha0 = (
-        -(math.pi / sin_p)
-        / math.gamma(1.0 + ep.p)
-        * half_kR ** (ep.p - 0.5)
-        * cmath.exp(-1j * math.pi * (0.5 * ep.p - 0.25))
-    )
-    beta0 = (
-        (math.pi / sin_p)
-        / math.gamma(1.0 - ep.p)
-        * half_kR ** (-ep.p - 0.5)
-        * cmath.exp(1j * math.pi * (0.5 * ep.p + 0.25))
-    )
     return NormalizationFactor(
         A=a_factor, alpha_prime=alpha0 * corr, beta_prime=beta0 * corr
     )
 
 
-def normalized_out_wave_zero_order(ep: ExpansionParams, j: int, r_grid) -> np.ndarray:
+def normalized_out_wave_zero_order(ep: ExpansionParams, r_grid) -> np.ndarray:
     """Order-0 normalized outgoing wave on the grid.
 
     Assembles alpha'0 * (rX)^j * F0 + beta'0 * (rX)^(-j-1) * G0 with the
@@ -360,34 +345,20 @@ def normalized_out_wave_zero_order(ep: ExpansionParams, j: int, r_grid) -> np.nd
     p = j + 1/2), so the result is finite for arbitrarily small X.
     Equals -pi i^j sqrt(2/(kr)) H1_p(kr) identically.
     """
-    if ep.p != j + 0.5:
-        raise ValueError(f"params built for p={ep.p}, got j={j}")
     rs = np.asarray(r_grid, dtype=float)
     if np.any(rs <= 0.0):
         raise ValueError("grid radii must be positive for the outgoing wave")
-    sin_p = math.sin(math.pi * ep.p)
-    half_k = 0.5 * ep.k
-    coef_f = (
-        -(math.pi / sin_p)
-        / math.gamma(1.0 + ep.p)
-        * half_k ** (ep.p - 0.5)
-        * cmath.exp(-1j * math.pi * (0.5 * ep.p - 0.25))
-    )
-    coef_g = (
-        (math.pi / sin_p)
-        / math.gamma(1.0 - ep.p)
-        * half_k ** (-ep.p - 0.5)
-        * cmath.exp(1j * math.pi * (0.5 * ep.p + 0.25))
-    )
+    j, k, p = ep.j, ep.k, ep.p
+    coef_f, coef_g = _leading_channel_coefficients(p, 0.5 * k)
     out = np.empty(rs.size, dtype=complex)
     for i, r in enumerate(rs):
-        out[i] = coef_f * r**j * _bessel_limit(ep.k, ep.p, r) + coef_g * r ** (
+        out[i] = coef_f * r**j * _bessel_limit(k, p, r) + coef_g * r ** (
             -j - 1
-        ) * _bessel_limit(ep.k, -ep.p, r)
+        ) * _bessel_limit(k, -p, r)
     return out
 
 
-def first_order_correction_audit(ep: ExpansionParams, j: int) -> CorrectionAudit:
+def first_order_correction_audit(ep: ExpansionParams) -> CorrectionAudit:
     """Fit the order-0 and order-1 components against {e^(+ikr)/r, e^(-ikr)/r}.
 
     The order-0 wave is an elementary outgoing spherical wave at j=0 and
@@ -404,7 +375,7 @@ def first_order_correction_audit(ep: ExpansionParams, j: int) -> CorrectionAudit
     lo_kr, hi_kr = 6.0, 16.0
     n_pts = 64
     rs = np.linspace(lo_kr / ep.k, hi_kr / ep.k, n_pts)
-    psi0 = normalized_out_wave_zero_order(ep, j, rs)
+    psi0 = normalized_out_wave_zero_order(ep, rs)
     basis = np.column_stack(
         [np.exp(1j * ep.k * rs) / rs, np.exp(-1j * ep.k * rs) / rs]
     )
@@ -413,15 +384,14 @@ def first_order_correction_audit(ep: ExpansionParams, j: int) -> CorrectionAudit
         coef, _, _, _ = np.linalg.lstsq(basis, y, rcond=None)
         return float(np.linalg.norm(basis @ coef - y) / np.linalg.norm(y))
 
-    order1 = (-(ep.k * rs) ** 2 / 4.0) * (2j * ep.mu / (ep.mu * ep.mu - 1.0)) * psi0
+    order1 = _order1_weight(ep, rs) * psi0
 
     slopes_x = (1e-2, 1e-3, 1e-4)
     sub = rs[:: n_pts // 8]
     devs = []
     for x in slopes_x:
-        epx = ExpansionParams.from_scale(ep.mu, x, j)
-        hp = epx.horizon_params(j)
-        reg = make_ansatz(hp, "regular")
+        epx = ExpansionParams(ep.mu, x, ep.j)
+        reg = make_ansatz(epx.horizon_params(), "regular")
         dev = 0.0
         for r in sub:
             f_exact = hyp2f1(reg.a, reg.b, reg.c, complex((r * x) ** 2))

@@ -15,7 +15,8 @@ divided out (documented, since the source convention mixes the two).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,7 +32,6 @@ __all__ = [
     "RadialCoefficients",
     "phi",
     "to_horizon_units",
-    "to_physical",
     "tortoise",
     "tortoise_inverse",
     "effective_potential",
@@ -58,8 +58,12 @@ def _check_finite(name: str, value: float, *, positive: bool) -> None:
 
 
 def _check_j(j: int) -> None:
+    """Raise ValueError naming j unless it is a non-negative integer whose
+    centrifugal weight j(j+1) is a finite double."""
     if j < 0 or j != int(j):
         raise ValueError("j must be a non-negative integer")
+    if j * (j + 1) > sys.float_info.max:  # exact comparison, even for huge ints
+        raise ValueError("j must be below 1.3e154 so that j(j+1) is a finite double")
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,6 @@ class HorizonUnitsParams:
     epsilon: float
     m: float
     j: int
-    _source: "ModelParams | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_finite("m", self.m, positive=False)  # first: epsilon may default to m
@@ -109,19 +112,7 @@ class HorizonUnitsParams:
 
 def to_horizon_units(p: ModelParams) -> HorizonUnitsParams:
     m = p.R / p.lam
-    return HorizonUnitsParams(epsilon=p.mu * m, m=m, j=p.j, _source=p)
-
-
-def to_physical(hp: HorizonUnitsParams) -> ModelParams:
-    """Inverse of to_horizon_units.
-
-    The horizon-units description fixes only the ratio R/lam; when the
-    parameters came from to_horizon_units the original lengths are restored
-    exactly, otherwise lam = 1 is chosen as the length unit.
-    """
-    if hp._source is not None:
-        return hp._source
-    return ModelParams(R=hp.m, lam=1.0, mu=hp.epsilon / hp.m, j=hp.j)
+    return HorizonUnitsParams(epsilon=p.mu * m, m=m, j=p.j)
 
 
 def tortoise(r: float) -> float:

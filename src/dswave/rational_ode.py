@@ -159,13 +159,13 @@ class FactoredRational:
             )
         num = _trim([_as_fraction(c) for c in obj["numerator"]])
         den = obj.get("denominator", {"const": 1, "roots": []})
-        if not isinstance(den, dict) or "roots" not in den and "const" not in den:
-            raise UnfactoredInput(
-                "denominator must be factored: {'const': c, 'roots': [[root, mult], ...]}"
-            )
         if isinstance(den, (list, tuple)):
             raise UnfactoredInput(
                 "denominator given as a coefficient list; supply factored form instead"
+            )
+        if not isinstance(den, dict) or "roots" not in den and "const" not in den:
+            raise UnfactoredInput(
+                "denominator must be factored: {'const': c, 'roots': [[root, mult], ...]}"
             )
         const = _as_fraction(den.get("const", 1))
         roots = []

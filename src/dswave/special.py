@@ -20,8 +20,9 @@ the float series measures:
   ODE [3], from a point on the ray where the series is still benign.
 
 Accuracy contract: 1e-13 relative for log_gamma over |z| <= 1e7 (away from
-poles), series summation to the requested relative tolerance (up to
-_CANCEL_RETRY of cancellation), continuation with an estimated rounding
+poles), series summation to a fixed relative tolerance of 1e-15
+(_REL_TOL) within a budget of 10 000 terms (_MAX_TERMS), up to
+_CANCEL_RETRY of cancellation, continuation with an estimated rounding
 amplification of at most _AMPLIFY_LIMIT (NonConvergence beyond it), and
 J_p for half-integer p by one of two routes: the ascending series for
 x <= max(8, |p| + 2), exact trigonometric seeds plus order recurrence
@@ -43,10 +44,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "SeriesControl",
     "PoleError",
     "NonConvergence",
     "log_gamma",
@@ -91,29 +90,7 @@ class PoleError(ValueError):
 
 
 class NonConvergence(RuntimeError):
-    """A series failed to reach the requested tolerance within max_terms."""
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Convergence policy for direct series summation.
-
-    Attributes
-    ----------
-    rel_tol : float
-        Target relative tolerance of the partial sums.
-    max_terms : int
-        Hard cap on the number of summed terms before NonConvergence.
-    """
-
-    rel_tol: float = 1e-15
-    max_terms: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
+    """A series or continuation failed to converge within its term budget."""
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
@@ -256,11 +233,14 @@ _STEP_PHASE = 1.5
 _AMPLIFY_LIMIT = 1e5
 # Real z above this takes the z -> 1-z connection formula.
 _CONNECTION_THRESHOLD = 0.5
+# A series stops after two consecutive terms below this fraction of its sum ...
+_REL_TOL = 1e-15
+# ... and raises NonConvergence after this many terms; the continuation also
+# caps its Taylor steps, and each step's terms, at this count.
+_MAX_TERMS = 10_000
 
 
-def _series_sum(
-    a: complex, b: complex, c: complex, z: complex, ctl: SeriesControl
-) -> tuple[complex, float]:
+def _series_sum(a: complex, b: complex, c: complex, z: complex) -> tuple[complex, float]:
     """Float Gauss series and its cancellation, peak |term| / |sum|.
 
     The cancellation is inf when a term or the sum overflows or the sum is
@@ -271,7 +251,7 @@ def _series_sum(
     peak = 1.0
     small_streak = 0
     try:
-        for n in range(ctl.max_terms):
+        for n in range(_MAX_TERMS):
             term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
             total += term
             mag = abs(term)
@@ -281,7 +261,7 @@ def _series_sum(
                 peak = mag
             if term == 0.0:
                 break
-            if mag <= ctl.rel_tol * abs(total):
+            if mag <= _REL_TOL * abs(total):
                 small_streak += 1
                 if small_streak >= 2:
                     break
@@ -289,7 +269,7 @@ def _series_sum(
                 small_streak = 0
         else:
             raise NonConvergence(
-                f"2F1 series: no convergence after {ctl.max_terms} terms "
+                f"2F1 series: no convergence after {_MAX_TERMS} terms "
                 f"(|z|={abs(z):.3g}, last |term|={abs(term):.3g})"
             )
         size = abs(total)
@@ -300,16 +280,14 @@ def _series_sum(
     return total, peak / size
 
 
-def _gauss_series(a: complex, b: complex, c: complex, z: complex, ctl: SeriesControl) -> complex:
-    total, cancel = _series_sum(a, b, c, z, ctl)
+def _gauss_series(a: complex, b: complex, c: complex, z: complex) -> complex:
+    total, cancel = _series_sum(a, b, c, z)
     if cancel <= _CANCEL_RETRY:
         return total
-    return _ode_continuation(a, b, c, z, ctl, cancel)
+    return _ode_continuation(a, b, c, z, cancel)
 
 
-def _ode_continuation(
-    a: complex, b: complex, c: complex, z: complex, ctl: SeriesControl, cancel: float
-) -> complex:
+def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: float) -> complex:
     """F(a, b; c; z) by Taylor steps along z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0.
 
     Start.  The float series at z lost log10(cancel) digits, and that loss
@@ -339,7 +317,7 @@ def _ode_continuation(
     amplitude of F.  When it grows by more than _AMPLIFY_LIMIT over its
     smallest value on the path so far, the continuation raises
     NonConvergence instead of returning a value it cannot vouch for.  Every
-    step and every step's series counts against ctl.max_terms.
+    step and every step's series counts against _MAX_TERMS.
 
     Pearson, Olver & Porter, arXiv:1407.7786 (Taylor series method);
     Michel & Stoitsov, arXiv:0708.0116.
@@ -348,8 +326,8 @@ def _ode_continuation(
     while True:
         lost = math.log10(cancel) if cancel < math.inf else 308.0
         q *= min(0.5, 1.0 / lost)
-        f, cancel_f = _series_sum(a, b, c, q * z, ctl)
-        df, cancel_df = _series_sum(a + 1.0, b + 1.0, c + 1.0, q * z, ctl)
+        f, cancel_f = _series_sum(a, b, c, q * z)
+        df, cancel_df = _series_sum(a + 1.0, b + 1.0, c + 1.0, q * z)
         cancel = max(cancel_f, cancel_df)
         if cancel <= _CANCEL_START:
             break
@@ -365,7 +343,7 @@ def _ode_continuation(
     t = q * z
     cap = math.inf  # span limit after a rejected step, relaxed as steps succeed
     growth_min = math.inf
-    for _step in range(ctl.max_terms):
+    for _step in range(_MAX_TERMS):
         a0 = t * (1.0 - t)
         freq = math.sqrt(abs(ab / a0))
         # log |W| / (A^2 freq): the partner's size against F, up to a constant
@@ -399,9 +377,9 @@ def _ode_continuation(
         m0 = abs(e0)
         m1 = abs(e1)
         peak = max(m0, m1)
-        small = ctl.rel_tol * (m0 + m1)
+        small = _REL_TOL * (m0 + m1)
         small_streak = 0
-        for k in range(ctl.max_terms):
+        for k in range(_MAX_TERMS):
             try:
                 p = coef[k]
             except IndexError:
@@ -422,7 +400,7 @@ def _ode_continuation(
             e0, e1 = e1, e2
         else:
             raise NonConvergence(
-                f"2F1 continuation: Taylor step did not converge in {ctl.max_terms} terms"
+                f"2F1 continuation: Taylor step did not converge in {_MAX_TERMS} terms"
             )
         scale = abs(fs) + abs(ds)
         if not scale < math.inf:
@@ -436,17 +414,11 @@ def _ode_continuation(
         pos += span
         t = z * (pos / length)
     raise NonConvergence(
-        f"2F1 continuation: {ctl.max_terms} Taylor steps did not reach |z|={length:.3g}"
+        f"2F1 continuation: {_MAX_TERMS} Taylor steps did not reach |z|={length:.3g}"
     )
 
 
-def hyp2f1(
-    a: complex,
-    b: complex,
-    c: complex,
-    z: complex,
-    ctl: SeriesControl | None = None,
-) -> complex:
+def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     """Gauss hypergeometric function F(a, b; c; z) on |z| < 1.
 
     Routes, all in double precision:
@@ -466,23 +438,24 @@ def hyp2f1(
       route at interior z.
 
     The route follows from the arguments and from the cancellation the float
-    series measures; there is no setting that selects it.
+    series measures; there is no setting that selects it.  Every series
+    stops at a fixed relative tolerance of 1e-15 (_REL_TOL) and may sum at
+    most 10 000 terms (_MAX_TERMS); the continuation takes at most as many
+    Taylor steps.
 
     Raises
     ------
     PoleError
         If c is a non-positive integer.
     NonConvergence
-        If a series or a continuation step does not meet the tolerance
-        within max_terms, the continuation needs more than max_terms steps,
-        or it estimates its rounding amplification above 1e5
+        If a series or a continuation step does not meet the 1e-15
+        tolerance within 10 000 terms, the continuation needs more than
+        10 000 steps, or it estimates its rounding amplification above 1e5
         (_AMPLIFY_LIMIT).
     ValueError
         For |z| >= 1 (analytic continuation beyond the unit disc is not
         provided).
     """
-    if ctl is None:
-        ctl = SeriesControl()
     a = complex(a)
     b = complex(b)
     c = complex(c)
@@ -499,13 +472,13 @@ def hyp2f1(
     )
     if use_connection:
         w = 1.0 - z.real
-        f1 = _gauss_series(a, b, 1.0 - s, w, ctl)
-        f2 = _gauss_series(c - a, c - b, 1.0 + s, w, ctl)
+        f1 = _gauss_series(a, b, 1.0 - s, w)
+        f2 = _gauss_series(c - a, c - b, 1.0 + s, w)
         g1 = cmath.exp(log_gamma(c) + log_gamma(s) - log_gamma(c - a) - log_gamma(c - b))
         g2 = cmath.exp(log_gamma(c) + log_gamma(-s) - log_gamma(a) - log_gamma(b))
         return g1 * f1 + g2 * (w ** s) * f2
     if abs(z) < 1.0:
-        return _gauss_series(a, b, c, z, ctl)
+        return _gauss_series(a, b, c, z)
     raise ValueError(f"hyp2f1: |z| >= 1 not supported (z={z})")
 
 

@@ -20,30 +20,23 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .model import DomainError, HorizonUnitsParams, ModelParams
-from .special import hankel1, hyp2f1, log_gamma, log_gamma_diff
+from .special import NonConvergence, hankel1, hyp2f1, log_gamma, log_gamma_diff
 
 __all__ = [
     "UnsupportedMass",
     "EvanescentMode",
     "WaveAnsatz",
     "ConnectionCoefficients",
-    "WaveProfile",
-    "WAVE_KINDS",
     "make_ansatz",
     "eval_standing",
     "eval_running",
     "connect",
     "connection_residual",
-    "evaluate_profile",
     "flat_limit_reference",
     "normalized_out_wave",
     "flat_limit_convergence",
 ]
-
-WAVE_KINDS = ("StandingRegular", "StandingSingular", "RunningOut", "RunningIn")
 
 
 class UnsupportedMass(ValueError):
@@ -116,6 +109,18 @@ def _horizon_exponent(sigma: complex, z: float) -> complex:
     return cmath.exp(sigma * math.log1p(-z))
 
 
+def _origin_power(ans: WaveAnsatz, r: float) -> float:
+    """z^kappa at z = r^2; NonConvergence naming j and r where it overflows
+    (or where z underflows to 0 under a negative kappa)."""
+    try:
+        return (r * r) ** ans.kappa
+    except (OverflowError, ZeroDivisionError):
+        j = 2.0 * ans.kappa if ans.kappa >= 0.0 else -2.0 * ans.kappa - 1.0
+        raise NonConvergence(
+            f"wave with j={j:.0f} overflows double precision at r={r}"
+        ) from None
+
+
 def eval_standing(ans: WaveAnsatz, r: float) -> complex:
     """Standing wave at radius r: z^kappa (1-z)^sigma F(a, b; c; z), z = r^2."""
     if not 0.0 <= r < 1.0:
@@ -125,7 +130,7 @@ def eval_standing(ans: WaveAnsatz, r: float) -> complex:
             raise DomainError("singular standing wave diverges at r=0")
         return complex(1.0) if ans.kappa == 0.0 else complex(0.0)
     z = r * r
-    return (z ** ans.kappa) * _horizon_exponent(ans.sigma, z) * hyp2f1(
+    return _origin_power(ans, r) * _horizon_exponent(ans.sigma, z) * hyp2f1(
         ans.a, ans.b, ans.c, z
     )
 
@@ -147,11 +152,11 @@ def eval_running(ans: WaveAnsatz, direction: str, r: float) -> complex:
     if direction == "out":
         third = ans.a + ans.b - ans.c + 1.0
         series = hyp2f1(ans.a, ans.b, third, w)
-        return (z ** ans.kappa) * _horizon_exponent(ans.sigma, z) * series
+        return _origin_power(ans, r) * _horizon_exponent(ans.sigma, z) * series
     if direction == "in":
         third = ans.c - ans.a - ans.b + 1.0
         series = hyp2f1(ans.c - ans.a, ans.c - ans.b, third, w)
-        return (z ** ans.kappa) * _horizon_exponent(-ans.sigma, z) * series
+        return _origin_power(ans, r) * _horizon_exponent(-ans.sigma, z) * series
     raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
 
 
@@ -184,43 +189,6 @@ def connection_residual(ans: WaveAnsatz, r: float) -> float:
     if scale == 0.0:
         return abs(standing - combo)
     return abs(standing - combo) / scale
-
-
-@dataclass(frozen=True)
-class WaveProfile:
-    r: np.ndarray
-    value: np.ndarray
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in WAVE_KINDS:
-            raise ValueError(f"kind must be one of {WAVE_KINDS}")
-        if len(self.r) != len(self.value):
-            raise ValueError("grid and value lengths differ")
-
-
-def evaluate_profile(
-    hp: HorizonUnitsParams, kind: str, r_grid: Sequence[float]
-) -> WaveProfile:
-    if kind == "StandingRegular":
-        ans = make_ansatz(hp, "regular")
-        values = [eval_standing(ans, r) for r in r_grid]
-    elif kind == "StandingSingular":
-        ans = make_ansatz(hp, "singular")
-        values = [eval_standing(ans, r) for r in r_grid]
-    elif kind == "RunningOut":
-        ans = make_ansatz(hp, "regular")
-        values = [eval_running(ans, "out", r) for r in r_grid]
-    elif kind == "RunningIn":
-        ans = make_ansatz(hp, "regular")
-        values = [eval_running(ans, "in", r) for r in r_grid]
-    else:
-        raise ValueError(f"kind must be one of {WAVE_KINDS}")
-    return WaveProfile(
-        r=np.asarray(r_grid, dtype=float),
-        value=np.asarray(values, dtype=complex),
-        kind=kind,
-    )
 
 
 def flat_limit_reference(hp: HorizonUnitsParams, k: float, r: float) -> complex:

@@ -151,25 +151,25 @@ def test_criterion_06_expansion_identities():
     # first-order closed form vs term-by-term series
     rs = np.linspace(0.5, 4.0, 8)
     for j in (0, 1, 2):
-        ep = ExpansionParams.from_scale(2.0, 1e-3, j)
-        dec = decompose_hypergeometric(ep, j, rs)
-        f1 = np.array([first_order_series(ep, j, r) for r in rs])
-        g1 = np.array([first_order_series(ep, j, r, family="singular") for r in rs])
+        ep = ExpansionParams(2.0, 1e-3, j)
+        dec = decompose_hypergeometric(ep, rs)
+        f1 = np.array([first_order_series(ep, r) for r in rs])
+        g1 = np.array([first_order_series(ep, r, family="singular") for r in rs])
         assert np.max(np.abs(f1 - dec.F1) / np.abs(dec.F1)) < 1e-10
         assert np.max(np.abs(g1 - dec.G1) / np.abs(dec.G1)) < 1e-10
     # second-order residual scaling
     devs = []
     ladder = (1e-2, 1e-3, 1e-4)
     for X in ladder:
-        ep = ExpansionParams.from_scale(2.0, X, 0)
-        dec = decompose_hypergeometric(ep, 0, rs)
+        ep = ExpansionParams(2.0, X, 0)
+        dec = decompose_hypergeometric(ep, rs)
         devs.append(np.max(np.abs(dec.F2_residual)) * X * X)
     slope = np.polyfit(np.log10(ladder), np.log10(devs), 1)[0]
     assert abs(slope - 2.0) < 0.1, slope
     # assembled first-order approximants are real
     for mu, X, j in [(2.0, 1e-2, 0), (1.5, 1e-3, 1), (3.0, 1e-2, 2)]:
-        ep = ExpansionParams.from_scale(mu, X, j)
-        dec = decompose_hypergeometric(ep, j, rs)
+        ep = ExpansionParams(mu, X, j)
+        dec = decompose_hypergeometric(ep, rs)
         w = 1.0 + 0.5j * mu * rs**2 * X
         for z0, z1 in ((dec.F0, dec.F1), (dec.G0, dec.G1)):
             v = w * (z0 + X * z1)
@@ -179,8 +179,8 @@ def test_criterion_06_expansion_identities():
 def test_criterion_07_zero_order_hankel_recovery():
     rs = np.linspace(3.0, 9.0, 21)
     for j in (0, 1, 2):
-        ep = ExpansionParams.from_scale(2.0, 1e-3, j)
-        psi0 = normalized_out_wave_zero_order(ep, j, rs)
+        ep = ExpansionParams(2.0, 1e-3, j)
+        psi0 = normalized_out_wave_zero_order(ep, rs)
         ref = np.array(
             [math.sqrt(2.0 / (ep.k * r)) * hankel1(j + 0.5, ep.k * r) for r in rs]
         )
@@ -191,7 +191,7 @@ def test_criterion_07_zero_order_hankel_recovery():
 
 
 def test_criterion_08_first_order_not_two_exponentials():
-    aud = first_order_correction_audit(ExpansionParams.from_scale(2.0, 1e-3, 0), 0)
+    aud = first_order_correction_audit(ExpansionParams(2.0, 1e-3, 0))
     assert aud.order0_fit_residual < 1e-8
     assert aud.order1_fit_residual > 1e-2
 

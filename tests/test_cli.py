@@ -393,6 +393,8 @@ def one_error_line(err: str) -> str:
         (("flat-limit", "--mu=inf", "--j=1"), "mu"),
         (("reflect", "--units=physical", "--R=nan", "--lam=1", "--mu=2", "--j=1"), "R"),
         (("reflect", "--units=physical", "--R=10", "--lam=-1", "--mu=2", "--j=1"), "lam"),
+        (("expand", "--mu=2", "--X=1e-3", "--j=-1"), "j"),
+        (("potential", "--m=5", f"--j={10**200}", "--grid=3"), "j"),
     ],
 )
 def test_non_finite_or_negative_parameters_exit_2_naming_them(capsys, argv, name):
@@ -411,6 +413,23 @@ def test_far_field_overflow_is_a_numerics_failure(capsys, epsilon, m):
     )
     assert rc == 4 and out == ""
     assert one_error_line(err).startswith("error: far-field amplitudes overflow")
+
+
+@pytest.mark.parametrize(
+    "argv, r",
+    [
+        (("wave", "--epsilon=2000", "--m=1000", "--j=1000", "--kind=g", "--grid=3"), "0.05"),
+        (("wave", "--epsilon=20", "--m=10", "--j=1000", "--kind=g", "--grid=3"), "0.05"),
+        (("wave", "--epsilon=20", "--m=10", "--j=0", "--kind=g", "--r-min=1e-200", "--grid=3"), "1e-200"),
+    ],
+)
+def test_wave_beyond_double_range_is_a_numerics_failure_naming_j_and_r(capsys, argv, r):
+    # r^-(j+1) overflows, or r^2 underflows to 0 under the singular exponent
+    rc, out, err = run(capsys, *argv)
+    assert rc == 4 and out == ""
+    line = one_error_line(err)
+    j = argv[3].partition("=")[2]
+    assert f"j={j}" in line and f"r={r}" in line, line
 
 
 @pytest.mark.parametrize(

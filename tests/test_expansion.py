@@ -24,32 +24,31 @@ from dswave.expansion import (
 from dswave.special import hankel1, log_gamma
 from dswave.waves import make_ansatz
 
-EP = ExpansionParams.from_scale(2.0, 1e-3, 1)
+EP = ExpansionParams(2.0, 1e-3, 1)
 
 
 def test_params_validation():
     with pytest.raises(ValidityError):
-        ExpansionParams.from_scale(2.0, 0.2, 0)
+        ExpansionParams(2.0, 0.2, 0)
     with pytest.raises(ValidityError):
-        ExpansionParams.from_scale(2.0, -0.01, 0)
-    with pytest.raises(ValueError):
-        ExpansionParams.from_scale(0.9, 1e-3, 0)
-    with pytest.raises(ValueError):
-        ExpansionParams(X=1e-3, Y=500.0, k=1.0, mu=2.0, p=1.5)  # k^2 != mu^2-1
-    with pytest.raises(ValueError):
-        ExpansionParams(X=1e-3, Y=500.0, k=math.sqrt(3.0), mu=2.0, p=1.0)
+        ExpansionParams(2.0, -0.01, 0)
+    with pytest.raises(ValueError, match="mu=0.9 <= 1"):
+        ExpansionParams(0.9, 1e-3, 0)
+    with pytest.raises(ValueError, match="j must be a non-negative integer"):
+        ExpansionParams(2.0, 1e-3, -1)
 
 
 def test_params_exact_scale_pairing():
-    assert EP.xy_product_exact == Fraction(1, 2)
     assert EP.Y == 500.0
     assert EP.p == 1.5
-    odd = ExpansionParams.from_scale(2.0, 0.07, 0)
-    assert odd.xy_product_exact == Fraction(1, 2)  # exact even when 0.07 is not
-    hp = EP.horizon_params(1)
+    assert EP.k == math.sqrt(3.0)
+    # Y is the correctly rounded 1/(2X), also where X = 0.07 is not exact
+    rng = np.random.default_rng(7)
+    for X in (1e-3, 0.07, 0.1, 3e-7, 1.0 / 30.0, *(0.1 * rng.random(1000))):
+        X = float(X)
+        assert ExpansionParams(2.0, X, 0).Y == float(1 / (2 * Fraction(X)))
+    hp = EP.horizon_params()
     assert hp.epsilon == 2000.0 and hp.m == 1000.0 and hp.j == 1
-    with pytest.raises(ValueError):
-        EP.horizon_params(2)
 
 
 def test_sum_identity_exact():
@@ -64,11 +63,11 @@ def test_sum_identity_exact():
 
 
 def test_exponential_factor_is_pure_phase():
-    v = exponential_factor_exact(2.0, 1e-3, 5.0)
-    assert abs(abs(v) - 1.0) < 1e-14
+    for X, r in ((1e-3, 5.0), (1e-2, 10.0)):  # rX = 0.1 is still inside
+        v = exponential_factor_exact(2.0, X, r)
+        assert abs(abs(v) - 1.0) < 1e-14
     with pytest.raises(ValidityError):
-        exponential_factor_exact(2.0, 1e-2, 10.0)  # rX = 0.1, (rX)^2... fine
-        exponential_factor_exact(2.0, 0.1, 10.0)
+        exponential_factor_exact(2.0, 0.1, 10.0)  # rX = 1: the horizon
 
 
 def test_exponential_factor_truncation_is_cubic():
@@ -88,49 +87,45 @@ def test_exponential_factor_truncation_is_cubic():
 def test_truncated_wave_parameter_remainder():
     # remainder against the exact ansatz parameter is -i X^3/256 + O(X^5)
     X = 1e-2
-    ep = ExpansionParams.from_scale(2.0, X, 1)
-    rem = make_ansatz(ep.horizon_params(1), "regular").a - truncated_wave_parameter(ep, 1)
+    ep = ExpansionParams(2.0, X, 1)
+    rem = make_ansatz(ep.horizon_params(), "regular").a - truncated_wave_parameter(ep)
     assert abs(rem / X**3 - complex(0.0, -1.0 / 256.0)) < 1e-6
-    with pytest.raises(ValueError):
-        truncated_wave_parameter(ep, 2)
 
 
 def test_first_order_series_matches_closed_form():
     rs = np.linspace(0.5, 4.0, 8)
     for j in (0, 1, 2):
-        ep = ExpansionParams.from_scale(2.0, 1e-3, j)
-        dec = decompose_hypergeometric(ep, j, rs)
-        f1 = np.array([first_order_series(ep, j, r) for r in rs])
-        g1 = np.array([first_order_series(ep, j, r, family="singular") for r in rs])
+        ep = ExpansionParams(2.0, 1e-3, j)
+        dec = decompose_hypergeometric(ep, rs)
+        f1 = np.array([first_order_series(ep, r) for r in rs])
+        g1 = np.array([first_order_series(ep, r, family="singular") for r in rs])
         assert np.max(np.abs(f1 - dec.F1) / np.abs(dec.F1)) < 1e-12
         assert np.max(np.abs(g1 - dec.G1) / np.abs(dec.G1)) < 1e-12
     with pytest.raises(ValueError):
-        first_order_series(EP, 1, 1.0, family="bogus")
-    with pytest.raises(ValueError):
-        first_order_series(EP, 2, 1.0)
+        first_order_series(EP, 1.0, family="bogus")
 
 
 def test_decomposition_structure():
     rs = np.linspace(0.0, 4.0, 9)
-    dec = decompose_hypergeometric(EP, 1, rs)
+    dec = decompose_hypergeometric(EP, rs)
     assert dec.F0[0] == 1.0 and dec.G0[0] == 1.0
     assert np.all(np.isreal(dec.F0)) and np.all(np.isreal(dec.G0))
     assert dec.F1[0] == 0.0  # first-order weight vanishes at r = 0
     # Richardson residual is a finite O(1) profile, not noise
     assert np.all(np.abs(dec.F2_residual) < 1e3)
     with pytest.raises(ValueError):
-        decompose_hypergeometric(EP, 1, [])
+        decompose_hypergeometric(EP, [])
     with pytest.raises(ValidityError):
-        decompose_hypergeometric(EP, 1, [2000.0])
+        decompose_hypergeometric(EP, [2000.0])
 
 
 def test_assembled_order_one_is_real():
     # (1 + i mu r^2 X/2) (Z0 + X Z1) is real for both families: the phase of
     # the truncated horizon factor cancels the first-order imaginary part
     for mu, X, j in [(2.0, 1e-2, 0), (1.5, 1e-3, 1), (3.0, 1e-2, 2)]:
-        ep = ExpansionParams.from_scale(mu, X, j)
+        ep = ExpansionParams(mu, X, j)
         rs = np.linspace(0.5, 4.0, 9)
-        dec = decompose_hypergeometric(ep, j, rs)
+        dec = decompose_hypergeometric(ep, rs)
         w = 1.0 + 0.5j * mu * rs**2 * X
         for z0, z1 in ((dec.F0, dec.F1), (dec.G0, dec.G1)):
             v = w * (z0 + X * z1)
@@ -141,8 +136,8 @@ def test_second_order_residual_scales_quadratically():
     rs = np.linspace(0.5, 4.0, 8)
     devs = []
     for X in (1e-2, 1e-3, 1e-4):
-        ep = ExpansionParams.from_scale(2.0, X, 0)
-        dec = decompose_hypergeometric(ep, 0, rs)
+        ep = ExpansionParams(2.0, X, 0)
+        dec = decompose_hypergeometric(ep, rs)
         devs.append(np.max(np.abs(dec.F2_residual)) * X * X)
     slope = np.polyfit(np.log10([1e-2, 1e-3, 1e-4]), np.log10(devs), 1)[0]
     assert abs(slope - 2.0) < 0.1
@@ -154,9 +149,9 @@ def test_normalization_factor_against_exact_gamma_route():
     for j in (0, 1, 2):
         errs = []
         for X in (1e-2, 1e-3):
-            ep = ExpansionParams.from_scale(2.0, X, j)
-            nf = normalization_factor(ep, j)
-            ans = make_ansatz(ep.horizon_params(j), "regular")
+            ep = ExpansionParams(2.0, X, j)
+            nf = normalization_factor(ep)
+            ans = make_ansatz(ep.horizon_params(), "regular")
             q = 0.5 * ep.p + 0.25
             alpha_exact = cmath.exp(
                 log_gamma(complex(1.0 - ans.c))
@@ -188,8 +183,8 @@ def test_normalization_factor_against_exact_gamma_route():
 def test_zero_order_wave_is_outgoing_hankel():
     rs = np.linspace(3.0, 9.0, 21)
     for j in (0, 1, 2):
-        ep = ExpansionParams.from_scale(2.0, 1e-3, j)
-        psi0 = normalized_out_wave_zero_order(ep, j, rs)
+        ep = ExpansionParams(2.0, 1e-3, j)
+        psi0 = normalized_out_wave_zero_order(ep, rs)
         ref = np.array(
             [math.sqrt(2.0 / (ep.k * r)) * hankel1(j + 0.5, ep.k * r) for r in rs]
         )
@@ -198,11 +193,11 @@ def test_zero_order_wave_is_outgoing_hankel():
         assert np.max(np.abs(ratio - mean)) < 1e-12 * abs(mean)
         assert abs(mean - (-math.pi) * 1j**j) < 1e-12 * math.pi
     with pytest.raises(ValueError):
-        normalized_out_wave_zero_order(EP, 1, [0.0, 1.0])
+        normalized_out_wave_zero_order(EP, [0.0, 1.0])
 
 
 def test_first_order_audit():
-    aud = first_order_correction_audit(ExpansionParams.from_scale(2.0, 1e-3, 0), 0)
+    aud = first_order_correction_audit(ExpansionParams(2.0, 1e-3, 0))
     assert aud.order0_fit_residual < 1e-10
     assert 0.45 < aud.order1_fit_residual < 0.60
     assert 0.9 < aud.first_order_slope < 1.1

@@ -88,7 +88,7 @@ def test_from_json_accepts_fraction_strings():
 
 
 def test_unfactored_denominator_rejected():
-    with pytest.raises(UnfactoredInput):
+    with pytest.raises(UnfactoredInput, match="coefficient list"):
         FactoredRational.from_json({"numerator": [1], "denominator": [1, 2, 1]})
     with pytest.raises(UnfactoredInput):
         FactoredRational.from_json([1, 2, 3])

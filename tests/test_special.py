@@ -15,11 +15,11 @@ from pathlib import Path
 import pytest
 
 import dswave
+from dswave import special
 from dswave.oracle import extended_series
 from dswave.special import (
     NonConvergence,
     PoleError,
-    SeriesControl,
     bessel_j,
     gamma_ratio_asymptotic,
     hankel1,
@@ -218,15 +218,16 @@ def test_hyp2f1_continuation_is_right_or_refuses():
     assert rel(got, expected) < 1e-10
 
 
-def test_hyp2f1_continuation_honours_term_budget():
+def test_hyp2f1_continuation_honours_term_budget(monkeypatch):
     # epsilon=1000, m=500, j=1 outgoing-wave series at 0.4: the float pass
     # converges within 300 terms but cancels, and the continuation needs more
     # than 300 Taylor steps
     s = math.sqrt(500.0**2 - 0.25)
     a = complex(1.25, 0.5 * (s - 1000.0))
     b = complex(1.25, 0.5 * (-s - 1000.0))
+    monkeypatch.setattr(special, "_MAX_TERMS", 300)
     with pytest.raises(NonConvergence, match="continuation"):
-        hyp2f1(a, b, a + b - 1.5, 0.4, SeriesControl(max_terms=300))
+        hyp2f1(a, b, a + b - 1.5, 0.4)
 
 
 def test_runtime_path_does_not_import_mpmath():
@@ -253,16 +254,10 @@ def test_hyp2f1_pole_and_domain_errors():
         hyp2f1(0.5, 0.5, 1.5, 1.2)
 
 
-def test_hyp2f1_nonconvergence_with_tiny_budget():
+def test_hyp2f1_nonconvergence_with_tiny_budget(monkeypatch):
+    monkeypatch.setattr(special, "_MAX_TERMS", 4)
     with pytest.raises(NonConvergence):
-        hyp2f1(0.5 + 2j, 0.5 - 2j, 1.5, 0.45, SeriesControl(max_terms=4))
-
-
-def test_series_control_validation():
-    with pytest.raises(ValueError):
-        SeriesControl(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        SeriesControl(max_terms=0)
+        hyp2f1(0.5 + 2j, 0.5 - 2j, 1.5, 0.45)
 
 
 # -------------------------------------------------------------------- bessel

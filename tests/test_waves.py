@@ -10,15 +10,14 @@ import pytest
 
 from dswave.model import DomainError, HorizonUnitsParams, ModelParams, phi
 from dswave.oracle import extended_series
+from dswave.special import NonConvergence
 from dswave.waves import (
     EvanescentMode,
     UnsupportedMass,
-    WAVE_KINDS,
     connect,
     connection_residual,
     eval_running,
     eval_standing,
-    evaluate_profile,
     flat_limit_convergence,
     flat_limit_reference,
     make_ansatz,
@@ -200,14 +199,15 @@ def test_wronskian_of_standing_pair():
         assert np.max(np.abs(ws - np.mean(ws))) < 1e-9 * abs(target)
 
 
-def test_evaluate_profile_kinds():
-    grid = [0.1, 0.5, 0.9]
-    for kind in WAVE_KINDS:
-        prof = evaluate_profile(HP, kind, grid)
-        assert prof.kind == kind
-        assert prof.value.shape == (3,)
-    with pytest.raises(ValueError):
-        evaluate_profile(HP, "Bogus", grid)
+def test_origin_power_beyond_double_range_names_j_and_r():
+    # r^-(j+1) overflows at j = 1000 near the origin, for standing and
+    # running waves alike; nothing else may escape as OverflowError
+    sng = make_ansatz(HorizonUnitsParams(epsilon=20.0, m=10.0, j=1000), "singular")
+    with pytest.raises(NonConvergence, match=r"j=1000 .* r=0\.05$"):
+        eval_standing(sng, 0.05)
+    for direction in ("out", "in"):
+        with pytest.raises(NonConvergence, match=r"j=1000 .* r=0\.05$"):
+            eval_running(sng, direction, 0.05)
 
 
 def test_flat_limit_reference_half_integer_form():
