@@ -17,9 +17,11 @@ Conventions
   All tabulated radii are dimensionless (r in units of R), so results are
   invariant under converting a parameter set between the two systems.
 * ``--config FILE`` loads defaults from a JSON object whose keys are the
-  long flag names (without dashes); explicit command-line flags win.
+  long flag names (without dashes); explicit command-line flags win.  Each
+  value must have its flag's type (``j`` and ``grid`` whole numbers, which
+  may be written 2.0); ``null`` counts as absent.
 * Working tolerance: ``--tol`` beats the ``DSW_TOL`` environment variable,
-  which beats the built-in default 1e-10.
+  which beats the built-in default 1e-10; it must be finite and positive.
 * CSV output: one header row, 17 significant digits, complex values as
   re_*/im_* column pairs.  JSON output: sorted keys, an ``"inputs"`` block
   echoing the resolved parameters, complex values as [re, im] pairs.
@@ -30,9 +32,9 @@ Exit codes
 ----------
 0  success
 2  configuration / input errors (bad flags, malformed config or fixture
-   files, non-finite or negative parameters, a potential beyond double
-   range, grids or sweeps longer than MAX_POINTS, out-of-domain radii,
-   expansion validity violations)
+   files, an unwritable --output, non-finite or negative parameters, a
+   potential beyond double range, grids or sweeps longer than MAX_POINTS,
+   out-of-domain radii, expansion validity violations)
 3  regime / physical-validity errors (evanescent mode, far-field regime
    guard, unsupported mass, non-positive barrier factor)
 4  numerical non-convergence (series or integrator failure, far-field
@@ -42,6 +44,7 @@ Exit codes
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -99,8 +102,11 @@ def _write_text(cfg: "RunConfig", text: str) -> None:
     if cfg.output is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
 def _csv(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
@@ -168,13 +174,40 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+# Config-file keys whose flags take text or whole numbers; every other key's
+# flag takes a float.
+_TEXT_KEYS = frozenset({"units", "format", "output", "sweep", "kind", "scales"})
+_INT_KEYS = frozenset({"j", "grid"})
+
+
+def _config_value(key: str, value: Any) -> Any:
+    """A config-file value as the type its flag parses to, or ConfigError naming the key."""
+    if key in _TEXT_KEYS:
+        if isinstance(value, str):
+            return value
+        want = "a string"
+    elif key in _INT_KEYS:
+        want = "an integer"
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            with contextlib.suppress(ValueError):
+                return int(value)
+    else:
+        want = "a number"
+        if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+            with contextlib.suppress(ValueError, OverflowError):
+                return float(value)
+    raise ConfigError(f"config key {key!r} must be {want}, got {json.dumps(value)}")
+
+
 def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, default: Any = None):
-    """Flag value if given, else config-file value, else default."""
+    """Flag value if given, else config-file value (null counts as absent), else default."""
     cli_val = getattr(args, key, None)
     if cli_val is not None:
         return cli_val
-    if key in file_cfg:
-        return file_cfg[key]
+    if file_cfg.get(key) is not None:
+        return _config_value(key, file_cfg[key])
     return default
 
 
@@ -186,18 +219,18 @@ def _require(value: Any, flag: str):
 
 def _resolve_tol(args: argparse.Namespace, file_cfg: dict) -> float:
     tol = _resolve(args, file_cfg, "tol")
+    source = "--tol"
     if tol is None:
         env = os.environ.get("DSW_TOL")
-        if env is not None:
-            try:
-                tol = float(env)
-            except ValueError as exc:
-                raise ConfigError(f"DSW_TOL is not a number: {env!r}") from exc
-        else:
-            tol = DEFAULT_TOL
-    tol = float(tol)
-    if not tol > 0.0:
-        raise ConfigError(f"tolerance must be positive, got {tol}")
+        if env is None:
+            return DEFAULT_TOL
+        source = "DSW_TOL"
+        try:
+            tol = float(env)
+        except ValueError as exc:
+            raise ConfigError(f"DSW_TOL is not a number: {env!r}") from exc
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"{source} must be a finite positive tolerance, got {tol}")
     return tol
 
 
@@ -224,20 +257,20 @@ def _physics_params(
     need_epsilon: bool = True,
 ) -> tuple[HorizonUnitsParams, dict]:
     """Horizon-units parameters plus the inputs-echo block, per unit system."""
-    j = int(_require(_resolve(args, file_cfg, "j"), "j"))
+    j = _require(_resolve(args, file_cfg, "j"), "j")
     try:
         if cfg.units == "horizon":
-            m = float(_require(_resolve(args, file_cfg, "m"), "m"))
+            m = _require(_resolve(args, file_cfg, "m"), "m")
             if need_epsilon:
-                epsilon = float(_require(_resolve(args, file_cfg, "epsilon"), "epsilon"))
+                epsilon = _require(_resolve(args, file_cfg, "epsilon"), "epsilon")
             else:
-                epsilon = float(_resolve(args, file_cfg, "epsilon", m))
+                epsilon = _resolve(args, file_cfg, "epsilon", m)
             hp = HorizonUnitsParams(epsilon=epsilon, m=m, j=j)
             echo = {"units": "horizon", "epsilon": epsilon, "m": m, "j": j}
         else:
-            R = float(_require(_resolve(args, file_cfg, "R"), "R"))
-            lam = float(_require(_resolve(args, file_cfg, "lam"), "lam"))
-            mu = float(_require(_resolve(args, file_cfg, "mu"), "mu"))
+            R = _require(_resolve(args, file_cfg, "R"), "R")
+            lam = _require(_resolve(args, file_cfg, "lam"), "lam")
+            mu = _require(_resolve(args, file_cfg, "mu"), "mu")
             hp = to_horizon_units(ModelParams(R=R, lam=lam, mu=mu, j=j))
             echo = {"units": "physical", "R": R, "lam": lam, "mu": mu, "j": j}
     except ValueError as exc:
@@ -248,9 +281,9 @@ def _physics_params(
 
 
 def _r_grid(args: argparse.Namespace, file_cfg: dict, lo: float, hi: float, n: int) -> np.ndarray:
-    r_min = float(_resolve(args, file_cfg, "r_min", lo))
-    r_max = float(_resolve(args, file_cfg, "r_max", hi))
-    count = int(_resolve(args, file_cfg, "grid", n))
+    r_min = _resolve(args, file_cfg, "r_min", lo)
+    r_max = _resolve(args, file_cfg, "r_max", hi)
+    count = _resolve(args, file_cfg, "grid", n)
     if count <= 0:
         raise ConfigError(f"--grid must be a positive point count, got {count}")
     if count > MAX_POINTS:
@@ -412,15 +445,13 @@ def _sweep_row(name: str | None, value: float | None, point: dict) -> tuple[list
 
 
 def cmd_flat_limit(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> int:
-    mu = float(_require(_resolve(args, file_cfg, "mu"), "mu"))
-    j = int(_require(_resolve(args, file_cfg, "j"), "j"))
-    kr = float(_resolve(args, file_cfg, "kr", 0.5))
+    mu = _require(_resolve(args, file_cfg, "mu"), "mu")
+    j = _require(_resolve(args, file_cfg, "j"), "j")
+    kr = _resolve(args, file_cfg, "kr", 0.5)
     fixed_kappa = _resolve(args, file_cfg, "fixed_kappa")
-    if fixed_kappa is not None:
-        fixed_kappa = float(fixed_kappa)
     scales_text = _resolve(args, file_cfg, "scales", "1e3,1e4,1e5,1e6")
     try:
-        scales = [float(s) for s in str(scales_text).split(",") if s.strip()]
+        scales = [float(s) for s in scales_text.split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --scales list: {scales_text!r}") from exc
     if not scales:
@@ -438,9 +469,9 @@ def cmd_flat_limit(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> 
 
 
 def cmd_expand(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> int:
-    mu = float(_require(_resolve(args, file_cfg, "mu"), "mu"))
-    X = float(_require(_resolve(args, file_cfg, "X"), "X"))
-    j = int(_require(_resolve(args, file_cfg, "j"), "j"))
+    mu = _require(_resolve(args, file_cfg, "mu"), "mu")
+    X = _require(_resolve(args, file_cfg, "X"), "X")
+    j = _require(_resolve(args, file_cfg, "j"), "j")
     grid = _r_grid(args, file_cfg, 0.5, 4.0, 15)
     if grid[0] <= 0.0:
         raise ConfigError("expansion radii must be positive")

@@ -21,14 +21,7 @@ from typing import Any, Callable, Sequence
 import mpmath as mp
 import numpy as np
 
-from .rational_ode import (
-    Coeffs,
-    FactoredRational,
-    UnfactoredInput,
-    indicial_roots,
-    poly_add,
-    poly_scale,
-)
+from .rational_ode import FactoredRational, UnfactoredInput, indicial_roots
 from .special import NonConvergence, PoleError
 
 __all__ = [
@@ -417,66 +410,15 @@ def _coerce_coefficients(coeffs: Any) -> tuple[FactoredRational, FactoredRationa
     return p, q
 
 
-def _poly_val_at_zero(coeffs: Coeffs) -> int:
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            return i
-    return 10**9
-
-
-def _pole_and_limits(num: Coeffs, den: Coeffs, k_for_limit: int) -> tuple[int, Fraction]:
-    """Pole order at t=0 of num/den, and the limit of t^k_for_limit * num/den."""
-    vn = _poly_val_at_zero(num)
-    vd = _poly_val_at_zero(den)
-    pole = vd - vn
-    net = k_for_limit + vn - vd
-    if net > 0:
-        lim = Fraction(0)
-    elif net == 0:
-        lim = num[vn] / den[vd]
-    else:
-        raise ValueError("limit does not exist (residual pole)")
-    return pole, lim
-
-
-def _at_infinity(p: FactoredRational, q: FactoredRational):
-    """Transformed coefficients at t = 1/z: pole orders and indicial data."""
-    # P~(t) = 2/t - P(1/t)/t^2 ; Q~(t) = Q(1/t)/t^4
-    pn, pd, pe = p.compose_inverse_over_power(2)
-    # bring P(1/t)/t^2 to num/den form in t
-    if pe >= 0:
-        p_num = poly_scale((Fraction(0),) * pe + tuple(pn), Fraction(1))
-        p_den = pd
-    else:
-        p_num = pn
-        p_den = (Fraction(0),) * (-pe) + tuple(pd)
-    # P~ = (2 p_den - t p_num) / (t p_den)
-    two_den = poly_scale(p_den, Fraction(2))
-    t_num = (Fraction(0),) + tuple(p_num)
-    pt_num = poly_add(two_den, poly_scale(t_num, Fraction(-1)))
-    pt_den = (Fraction(0),) + tuple(p_den)
-
-    qn, qd, qe = q.compose_inverse_over_power(4)
-    if qe >= 0:
-        q_num = (Fraction(0),) * qe + tuple(qn)
-        q_den = qd
-    else:
-        q_num = qn
-        q_den = (Fraction(0),) * (-qe) + tuple(qd)
-
-    pole_p = _poly_val_at_zero(pt_den) - _poly_val_at_zero(pt_num)
-    pole_q = _poly_val_at_zero(q_den) - _poly_val_at_zero(q_num)
-    singular = pole_p >= 1 or pole_q >= 1
-    regular = pole_p <= 1 and pole_q <= 2
-    if not singular:
-        return None
-    if not regular:
-        return SingularPoint(location="infinity", kind="irregular", exponents=None)
-    _, a_lim = _pole_and_limits(pt_num, pt_den, 1)
-    _, b_lim = _pole_and_limits(q_num, q_den, 2)
-    return SingularPoint(
-        location="infinity", kind="regular", exponents=indicial_roots(a_lim, b_lim)
-    )
+def _fuchs_point(
+    location: Any, pole_p: float, pole_q: float, limits: Callable[[], tuple[Fraction, Fraction]]
+) -> SingularPoint | None:
+    """Fuchs test from the pole orders of p and q; limits() gives the indicial A, B."""
+    if pole_p < 1 and pole_q < 1:
+        return None  # ordinary point, or the numerator cancels the factor
+    if pole_p <= 1 and pole_q <= 2:
+        return SingularPoint(location=location, kind="regular", exponents=indicial_roots(*limits()))
+    return SingularPoint(location=location, kind="irregular", exponents=None)
 
 
 def classify_singularities(coeffs: Any) -> SingularityReport:
@@ -486,7 +428,11 @@ def classify_singularities(coeffs: Any) -> SingularityReport:
     with the Fuchs criterion (pole of p at most simple, pole of q at most
     double) and, when regular, gets exact indicial exponents from
     s(s-1) + A s + B = 0 with A = lim (x-x0) p, B = lim (x-x0)^2 q.
-    The point at infinity goes through the standard t = 1/z substitution.
+    The point at infinity is read from the leading terms P ~ a x^gp and
+    Q ~ b x^gq (gap g = numerator degree - denominator degree): it is
+    ordinary iff gp = -1, a = 2 and gq <= -4; irregular iff gp >= 0 or
+    gq >= -1; otherwise regular with A = 2 - (a if gp = -1 else 0) and
+    B = (b if gq = -2 else 0).  A zero P or Q has gap -infinity.
     Classification: hypergeometric_class(3) / heun_class(4) for all-regular
     equations with that many singular points, other(n) otherwise.
     """
@@ -494,26 +440,26 @@ def classify_singularities(coeffs: Any) -> SingularityReport:
     candidates = sorted(
         {root for root, _ in p.roots} | {root for root, _ in q.roots}
     )
-    points: list[SingularPoint] = []
-    for x0 in candidates:
-        pole_p = p.pole_order(x0)
-        pole_q = q.pole_order(x0)
-        if pole_p < 1 and pole_q < 1:
-            continue  # removable: numerator cancels the factor
-        if pole_p <= 1 and pole_q <= 2:
-            a_lim = p.shifted_limit(x0, 1)
-            b_lim = q.shifted_limit(x0, 2)
-            points.append(
-                SingularPoint(
-                    location=x0, kind="regular", exponents=indicial_roots(a_lim, b_lim)
-                )
-            )
-        else:
-            points.append(SingularPoint(location=x0, kind="irregular", exponents=None))
-    inf_point = _at_infinity(p, q)
-    includes_infinity = inf_point is not None
-    if inf_point is not None:
-        points.append(inf_point)
+    points = [
+        _fuchs_point(
+            x0,
+            p.pole_order(x0),
+            q.pole_order(x0),
+            lambda x0=x0: (p.shifted_limit(x0, 1), q.shifted_limit(x0, 2)),
+        )
+        for x0 in candidates
+    ]
+    # x = infinity: with t = 1/x the coefficients become 2/t - P(1/t)/t^2 and
+    # Q(1/t)/t^4, whose pole orders at t = 0 follow from the leading terms
+    gp, a = p.leading_term() or (-math.inf, Fraction(0))
+    gq, b = q.leading_term() or (-math.inf, Fraction(0))
+    inf_point = _fuchs_point(
+        "infinity",
+        0 if gp == -1 and a == 2 else max(gp + 2, 1),
+        gq + 4,
+        lambda: (2 - a if gp == -1 else Fraction(2), b if gq == -2 else Fraction(0)),
+    )
+    points = [pt for pt in points + [inf_point] if pt is not None]
     n = len(points)
     if all(pt.kind == "regular" for pt in points) and n == 3:
         classification = "hypergeometric_class(3)"
@@ -523,6 +469,6 @@ def classify_singularities(coeffs: Any) -> SingularityReport:
         classification = f"other({n})"
     return SingularityReport(
         points=tuple(points),
-        includes_infinity=includes_infinity,
+        includes_infinity=inf_point is not None,
         classification=classification,
     )

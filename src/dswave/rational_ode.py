@@ -7,13 +7,15 @@ Second-order equations are handled in the normalized form
 with P and Q supplied as polynomial ratios whose denominators are given in
 *factored* form (leading constant plus a root/multiplicity list).  Keeping
 the factorization explicit lets the singularity classifier work entirely in
-rational arithmetic — no root finding, no floating-point fuzz.
+rational arithmetic — no root finding, no floating-point fuzz: finite points
+by synthetic division (:func:`poly_deflate`), infinity by the leading terms.
 
 All polynomial coefficient sequences are ascending-order tuples of
 :class:`fractions.Fraction`.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,10 +27,7 @@ __all__ = [
     "UnfactoredInput",
     "FactoredRational",
     "poly_eval",
-    "poly_mul",
-    "poly_add",
-    "poly_scale",
-    "poly_valuation",
+    "poly_deflate",
     "rational_sqrt",
     "indicial_roots",
 ]
@@ -75,55 +74,24 @@ def poly_eval_complex(coeffs: Sequence[Fraction], x: complex) -> complex:
     return acc
 
 
-def poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Coeffs:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
+def poly_deflate(coeffs: Sequence[Fraction], x0: Fraction) -> tuple[int, Coeffs]:
+    """Order of the zero at x0 and the quotient by (x - x0)**order.
 
-
-def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Coeffs:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for k, cb in enumerate(b):
-            out[i + k] += ca * cb
-    return _trim(out)
-
-
-def poly_scale(a: Sequence[Fraction], s: Fraction) -> Coeffs:
-    return _trim([c * s for c in a])
-
-
-def poly_valuation(coeffs: Sequence[Fraction], x0: Fraction) -> int:
-    """Order of the zero of the polynomial at x0 (0 if p(x0) != 0).
-
-    A zero polynomial is treated as having infinite valuation, returned as a
-    large sentinel (the degree bound makes any value above len(coeffs) safe).
+    The zero polynomial has infinite order, returned as a large sentinel (the
+    degree bound makes any value above len(coeffs) safe), with itself as the
+    quotient.
     """
     cs = _trim(coeffs)
     if all(c == 0 for c in cs):
-        return 10**9
+        return 10**9, cs
     order = 0
-    while poly_eval(cs, x0) == 0:
-        # synthetic division by (x - x0)
-        out = []
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * x0 + c
-            out.append(acc)
-        # out holds remainders; quotient coefficients are out[:-1] reversed
-        cs = _trim(list(reversed(out[:-1]))) or (Fraction(0),)
-        order += 1
-    return order
-
-
-def _reversed_padded(coeffs: Coeffs) -> Coeffs:
-    return _trim(list(reversed(coeffs)))
+    while True:
+        # synthetic division by (x - x0): the running Horner sums are the
+        # quotient's coefficients, highest first, then the remainder p(x0)
+        *quotient, remainder = itertools.accumulate(reversed(cs), lambda acc, c: acc * x0 + c)
+        if remainder != 0:
+            return order, cs
+        cs, order = _trim(quotient[::-1]), order + 1
 
 
 @dataclass(frozen=True)
@@ -185,23 +153,15 @@ class FactoredRational:
 
     # -- structure ----------------------------------------------------------
 
-    def denominator_coeffs(self) -> Coeffs:
-        out: Coeffs = (self.const,)
-        for root, mult in self.roots:
-            factor = (-root, Fraction(1))
-            for _ in range(mult):
-                out = poly_mul(out, factor)
-        return out
+    def _multiplicity(self, x0: Fraction) -> int:
+        return sum(m for root, m in self.roots if root == x0)
 
     def pole_order(self, x0: Fraction) -> int:
         """Pole order at x0 after numerator/denominator cancellation (<= 0: regular)."""
-        mult = 0
-        for root, m in self.roots:
-            if root == x0:
-                mult += m
+        mult = self._multiplicity(x0)
         if mult == 0:
             return 0
-        return mult - poly_valuation(self.numerator, x0)
+        return mult - poly_deflate(self.numerator, x0)[0]
 
     def shifted_limit(self, x0: Fraction, k: int) -> Fraction:
         """Exact limit of (x - x0)**k * self at x -> x0.
@@ -209,29 +169,25 @@ class FactoredRational:
         Requires k >= pole_order(x0); the result is 0 when the shifted
         function still vanishes at x0.
         """
-        num = list(self.numerator)
-        v = min(poly_valuation(num, x0), k + sum(m for r, m in self.roots if r == x0))
-        mult = sum(m for r, m in self.roots if r == x0)
-        net = k + v - mult  # order of zero of (x-x0)^k * num / (x-x0)^mult at x0
+        order, quotient = poly_deflate(self.numerator, x0)
+        net = k + order - self._multiplicity(x0)  # order of the zero at x0
         if net < 0:
             raise ValueError(f"(x-{x0})^{k} * f still has a pole at {x0}")
         if net > 0:
             return Fraction(0)
-        # deflate numerator v times
-        cs: Sequence[Fraction] = _trim(num)
-        for _ in range(v):
-            out = []
-            acc = Fraction(0)
-            for c in reversed(cs):
-                acc = acc * x0 + c
-                out.append(acc)
-            cs = _trim(list(reversed(out[:-1]))) or (Fraction(0),)
-        value = poly_eval(cs, x0)
         rest = self.const
         for root, m in self.roots:
             if root != x0:
                 rest *= (x0 - root) ** m
-        return value / rest
+        return poly_eval(quotient, x0) / rest
+
+    def leading_term(self) -> tuple[int, Fraction] | None:
+        """(g, c) with self ~ c * x**g as x -> infinity; None for the zero function."""
+        num = _trim(self.numerator)
+        if all(c == 0 for c in num):
+            return None
+        gap = len(num) - 1 - sum(m for _, m in self.roots)
+        return gap, num[-1] / self.const
 
     # -- evaluation ---------------------------------------------------------
 
@@ -241,32 +197,6 @@ class FactoredRational:
         for root, mult in self.roots:
             den *= (x - float(root)) ** mult
         return num / den
-
-    # -- behavior at infinity -----------------------------------------------
-
-    def compose_inverse_over_power(self, k: int) -> tuple[Coeffs, Coeffs, int]:
-        """Represent f(1/t) / t**k as num(t)/den(t) * t**e with num(0), den(0) != 0.
-
-        Returns (num, den, e) where e may be negative (net pole at t=0).
-        """
-        num = _trim(self.numerator)
-        den = self.denominator_coeffs()
-        dn = len(num) - 1
-        dd = len(den) - 1
-        rnum = _reversed_padded(num)
-        rden = _reversed_padded(den)
-        # f(1/t)/t^k = t^(dd-dn-k) * rnum(t)/rden(t); rnum/rden may still have
-        # factors of t if the original polynomials had zero leading terms
-        # (trimmed away) or zero trailing terms.
-        e = dd - dn - k
-        vt_num = next(i for i, c in enumerate(rnum) if c != 0) if any(rnum) else 0
-        vt_den = next(i for i, c in enumerate(rden) if c != 0)
-        e += vt_num - vt_den
-        return (
-            _trim(rnum[vt_num:]) if any(rnum) else (Fraction(0),),
-            _trim(rden[vt_den:]),
-            e,
-        )
 
 
 def rational_sqrt(f: Fraction) -> Fraction | None:

@@ -335,6 +335,58 @@ def test_tol_env_and_flag_precedence(capsys, monkeypatch):
     assert rc == 0 and json.loads(out)["inputs"]["tol"] == 1e-10
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0"])
+@pytest.mark.parametrize("command", [
+    ("reflect", "--epsilon", "20", "--m", "10", "--j", "1", "--no-flux", "--format", "json"),
+    ("expand", "--mu", "2", "--X", "1e-3", "--j", "0", "--format", "json"),
+])
+def test_tol_env_must_be_finite_and_positive(capsys, monkeypatch, command, value):
+    monkeypatch.setenv("DSW_TOL", value)
+    rc, out, err = run(capsys, *command)
+    assert rc == 2 and out == ""
+    assert one_error_line(err).startswith("error: DSW_TOL must be"), err
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"j": 1.5, "m": 5}, "j"),
+        ({"j": True, "m": 5}, "j"),
+        ({"j": 1, "m": 5, "grid": 2.5}, "grid"),
+        ({"j": float("inf"), "m": 5}, "j"),
+        ({"j": 1, "m": [5]}, "m"),
+        ({"j": [1], "m": 5}, "j"),
+        ({"j": 1, "m": {"a": 1}}, "m"),
+        ({"j": "one", "m": 5}, "j"),
+        ({"j": 1, "m": 5, "output": 99}, "output"),
+        ({"j": 1, "m": 5, "output": ["a"]}, "output"),
+    ],
+)
+def test_config_values_of_the_wrong_type_exit_2_naming_the_key(capsys, tmp_path, config, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    rc, out, err = run(capsys, "potential", "--config", str(cfg))
+    assert rc == 2 and out == ""
+    assert one_error_line(err).startswith(f"error: config key '{key}' must be"), err
+
+
+def test_config_values_that_convert_exactly_keep_working(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"j": 2.0, "m": "5", "grid": 3, "epsilon": None, "format": "json"}))
+    rc, out, _ = run(capsys, "potential", "--config", str(cfg))
+    assert rc == 0
+    assert json.loads(out)["inputs"] == {"units": "horizon", "epsilon": 5.0, "m": 5.0, "j": 2}
+
+
+@pytest.mark.parametrize("target", ["missing-dir/out.csv", ""])  # no parent; a directory
+def test_unwritable_output_exits_2_naming_the_path(capsys, tmp_path, target):
+    path = str(tmp_path / target)
+    rc, out, err = run(capsys, "potential", "--m", "5", "--j", "1", "--grid", "3", "--output", path)
+    assert rc == 2 and out == ""
+    line = one_error_line(err)
+    assert line.startswith("error: cannot write output file") and path in line, line
+
+
 def test_units_round_trip_identical_output(capsys):
     # physical parameters that map exactly onto the horizon-units run
     _, horizon, _ = run(
@@ -395,6 +447,8 @@ def one_error_line(err: str) -> str:
         (("reflect", "--units=physical", "--R=10", "--lam=-1", "--mu=2", "--j=1"), "lam"),
         (("expand", "--mu=2", "--X=1e-3", "--j=-1"), "j"),
         (("potential", "--m=5", f"--j={10**200}", "--grid=3"), "j"),
+        (("reflect", "--epsilon=20", "--m=10", "--j=1", "--no-flux", "--format=json", "--tol=inf"), "tol"),
+        (("expand", "--mu=2", "--X=1e-3", "--j=0", "--tol=nan"), "tol"),
     ],
 )
 def test_non_finite_or_negative_parameters_exit_2_naming_them(capsys, argv, name):

@@ -234,6 +234,60 @@ def test_classify_invariant_under_relabeling():
     assert classify_singularities(scaled).to_json() == ref
 
 
+def rational(numerator, const=1, roots=()):
+    return {"numerator": numerator, "denominator": {"const": const, "roots": list(roots)}}
+
+
+def exponents_at(rep, location):
+    return next(pt.exponents for pt in rep.points if str(pt.location) == location)
+
+
+def test_classify_gauss_equation_exponents():
+    # x(1-x)u'' + [c - (a+b+1)x]u' - ab u = 0 has exponents {0, 1-c} at 0,
+    # {0, c-a-b} at 1 and {a, b} at infinity
+    a, b, c = Fraction(1, 3), Fraction(-1, 2), Fraction(3, 4)
+    rep = classify_singularities({
+        "p": rational([str(c), str(-(a + b + 1))], -1, [[0, 1], [1, 1]]),
+        "q": rational([str(a * b)], 1, [[0, 1], [1, 1]]),
+    })
+    assert rep.classification == "hypergeometric_class(3)"
+    assert rep.includes_infinity
+    assert set(exponents_at(rep, "0")) == {0, 1 - c} == {0, Fraction(1, 4)}
+    assert set(exponents_at(rep, "1")) == {0, c - a - b} == {0, Fraction(11, 12)}
+    assert set(exponents_at(rep, "infinity")) == {a, b}
+    assert all(isinstance(e, Fraction) for pt in rep.points for e in pt.exponents)
+
+
+def test_classify_legendre_infinity_is_singular_although_x_p_tends_to_2():
+    # (1-x^2)u'' - 2x u' + nu(nu+1)u = 0 with nu = 2: P = 2x/((x-1)(x+1)),
+    # so x P -> 2, but Q ~ -6/x^2 keeps infinity regular singular: {nu+1, -nu}
+    rep = classify_singularities({
+        "p": rational([0, 2], 1, [[1, 1], [-1, 1]]),
+        "q": rational([-6], 1, [[1, 1], [-1, 1]]),
+    })
+    assert rep.classification == "hypergeometric_class(3)"
+    assert exponents_at(rep, "1") == exponents_at(rep, "-1") == (0, 0)
+    assert set(exponents_at(rep, "infinity")) == {3, -2}
+
+
+def test_classify_hermite_equation_only_irregular_infinity():
+    # u'' - 2x u' + 6u = 0: no finite singular point; P = -2x alone makes
+    # infinity irregular, with or without the Q term
+    for q in ([6], [0]):
+        rep = classify_singularities({"p": rational([0, -2]), "q": rational(q)})
+        assert rep.classification == "other(1)"
+        assert [(pt.location, pt.kind) for pt in rep.points] == [("infinity", "irregular")]
+
+
+def test_classify_ordinary_infinity():
+    # u'' + (2/x) u' = 0 (solutions 1 and 1/x): infinity is an ordinary point
+    rep = classify_singularities({"p": rational([2], 1, [[0, 1]]), "q": rational([0])})
+    assert not rep.includes_infinity
+    assert rep.classification == "other(1)"
+    assert [str(pt.location) for pt in rep.points] == ["0"]
+    assert set(exponents_at(rep, "0")) == {0, -1}
+
+
 def test_report_json_is_serializable():
     rep = classify_singularities(load_fixture("de_sitter_radial"))
     doc = rep.to_json()

@@ -9,20 +9,48 @@ from dswave.rational_ode import (
     FactoredRational,
     UnfactoredInput,
     indicial_roots,
-    poly_add,
     poly_eval,
-    poly_mul,
+    poly_deflate,
     rational_sqrt,
 )
 
 
-def test_poly_arithmetic_exact():
-    a = (Fraction(1), Fraction(2))          # 1 + 2x
-    b = (Fraction(3), Fraction(0), Fraction(1))  # 3 + x^2
-    assert poly_add(a, b) == (Fraction(4), Fraction(2), Fraction(1))
-    assert poly_mul(a, b) == (Fraction(3), Fraction(6), Fraction(1), Fraction(2))
+def test_poly_eval_and_deflation_exact():
+    prod = (Fraction(3), Fraction(6), Fraction(1), Fraction(2))  # (1 + 2x)(3 + x^2)
     x = Fraction(1, 2)
-    assert poly_eval(poly_mul(a, b), x) == (1 + 2 * x) * (3 + x * x)
+    assert poly_eval(prod, x) == (1 + 2 * x) * (3 + x * x)
+    # (x - 1/2)^2 (x + 3) = x^3 + 2x^2 - 11/4 x + 3/4
+    cubic = (Fraction(3, 4), Fraction(-11, 4), Fraction(2), Fraction(1))
+    assert poly_deflate(cubic, Fraction(1, 2)) == (2, (Fraction(3), Fraction(1)))
+    assert poly_deflate(cubic, Fraction(-3)) == (1, (Fraction(1, 4), Fraction(-1), Fraction(1)))
+    assert poly_deflate(cubic, Fraction(1)) == (0, cubic)
+    assert poly_deflate((Fraction(0), Fraction(0)), Fraction(1))[0] > 2  # zero polynomial
+
+
+def test_shifted_limit_deflates_the_cancelled_factor():
+    # (x - 1/2)^2 (x + 3) / (2 (x - 1/2)^3 x): simple pole at 1/2, residue 7/2
+    fr = FactoredRational(
+        numerator=(Fraction(3, 4), Fraction(-11, 4), Fraction(2), Fraction(1)),
+        const=Fraction(2),
+        roots=((Fraction(1, 2), 3), (Fraction(0), 1)),
+    )
+    assert fr.pole_order(Fraction(1, 2)) == 1
+    assert fr.shifted_limit(Fraction(1, 2), 1) == Fraction(7, 2)
+    assert fr.shifted_limit(Fraction(1, 2), 2) == 0
+    with pytest.raises(ValueError):
+        fr.shifted_limit(Fraction(0), 0)
+
+
+def test_leading_term_at_infinity():
+    # 3x^2 / (2 x^3 (x - 1)^2) ~ (3/2) x^-3; trailing zero coefficients are ignored
+    fr = FactoredRational(
+        numerator=(Fraction(0), Fraction(0), Fraction(3), Fraction(0)),
+        const=Fraction(2),
+        roots=((Fraction(0), 3), (Fraction(1), 2)),
+    )
+    assert fr.leading_term() == (-3, Fraction(3, 2))
+    zero = FactoredRational(numerator=(Fraction(0),), const=Fraction(1), roots=())
+    assert zero.leading_term() is None
 
 
 def test_rational_sqrt():
