@@ -17,11 +17,14 @@ Conventions
   All tabulated radii are dimensionless (r in units of R), so results are
   invariant under converting a parameter set between the two systems.
 * ``--config FILE`` loads defaults from a JSON object whose keys are the
-  long flag names (without dashes); explicit command-line flags win.  Each
-  value must have its flag's type (``j`` and ``grid`` whole numbers, which
-  may be written 2.0); ``null`` counts as absent.
-* Working tolerance: ``--tol`` beats the ``DSW_TOL`` environment variable,
-  which beats the built-in default 1e-10; it must be finite and positive.
+  long flag names (without dashes); explicit command-line flags win.  Every
+  key whose flag the subcommand declares must have that flag's type (``j``
+  and ``grid`` whole numbers, which may be written 2.0), whether or not the
+  run reads it; ``null`` counts as absent, and other keys are ignored.
+* Tolerance: ``--tol`` beats the ``DSW_TOL`` environment variable, which
+  beats the built-in default 1e-10; it must be finite and positive.  It sets
+  only ``reflect``'s flux cross-check, as min(tol, 1e-11); ``reflect`` and
+  ``expand`` echo it in their JSON inputs block.
 * CSV output: one header row, 17 significant digits, complex values as
   re_*/im_* column pairs.  JSON output: sorted keys, an ``"inputs"`` block
   echoing the resolved parameters, complex values as [re, im] pairs.
@@ -49,20 +52,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from .expansion import (
     ExpansionParams,
-    ValidityError,
     decompose_hypergeometric,
     first_order_correction_audit,
     first_order_series,
 )
 from .model import (
-    DomainError,
     HorizonUnitsParams,
     ModelParams,
     effective_potential,
@@ -70,9 +70,8 @@ from .model import (
     tortoise,
 )
 from .oracle import StepFailure, classify_singularities
-from .rational_ode import UnfactoredInput
 from .reflection import RegimeError, far_field_reflection, horizon_flux_balance
-from .special import NonConvergence, PoleError
+from .special import NonConvergence
 from .waves import EvanescentMode, UnsupportedMass, connection_residual, eval_running, eval_standing, flat_limit_convergence, make_ansatz
 
 __all__ = ["main", "build_parser", "ConfigError"]
@@ -98,12 +97,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_text(cfg: "RunConfig", text: str) -> None:
-    if cfg.output is None:
+def _write_text(args: argparse.Namespace, text: str) -> None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
         try:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ConfigError(f"cannot write output file: {exc}") from exc
@@ -116,18 +115,32 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _columns(named: Sequence[tuple[str, Any]]) -> tuple[list[str], list[float]]:
+    """Header and row of named values; a complex value becomes re_name, im_name."""
+    header: list[str] = []
+    row: list[float] = []
+    for name, value in named:
+        if isinstance(value, complex):
+            header += [f"re_{name}", f"im_{name}"]
+            row += [value.real, value.imag]
+        else:
+            header.append(name)
+            row.append(value)
+    return header, row
+
+
 def _emit_table(
-    cfg: "RunConfig", echo: dict, header: Sequence[str], rows: Sequence[Sequence[float]]
+    args: argparse.Namespace, echo: dict, header: Sequence[str], rows: Sequence[Sequence[float]]
 ) -> None:
     """Write a table as CSV (default) or as a JSON document with inputs echo."""
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = {
             "inputs": echo,
             "table": {"header": list(header), "rows": [list(map(float, r)) for r in rows]},
         }
-        _write_text(cfg, _json_doc(doc))
+        _write_text(args, _json_doc(doc))
     else:
-        _write_text(cfg, _csv(header, rows))
+        _write_text(args, _csv(header, rows))
 
 
 def _json_ready(obj: Any) -> Any:
@@ -149,29 +162,14 @@ def _json_doc(obj: dict) -> str:
 # -------------------------------------------------------------- configuration
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved per-run settings shared by all subcommands."""
-
-    units: str
-    tol: float
-    output: str | None
-    fmt: str
-
-
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _read_json(path: str, what: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+        raise ConfigError(f"cannot read {what} file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return data
+        raise ConfigError(f"{what} file is not valid JSON: {exc}") from exc
 
 
 # Config-file keys whose flags take text or whole numbers; every other key's
@@ -201,14 +199,38 @@ def _config_value(key: str, value: Any) -> Any:
     raise ConfigError(f"config key {key!r} must be {want}, got {json.dumps(value)}")
 
 
-def _resolve(args: argparse.Namespace, file_cfg: dict, key: str, default: Any = None):
-    """Flag value if given, else config-file value (null counts as absent), else default."""
-    cli_val = getattr(args, key, None)
-    if cli_val is not None:
-        return cli_val
-    if file_cfg.get(key) is not None:
-        return _config_value(key, file_cfg[key])
-    return default
+def _merge_config(args: argparse.Namespace) -> None:
+    """Fill each flag left unset with its --config value, then check units, format and tol.
+
+    Only keys whose flag the subcommand declares are taken (and type-checked);
+    a null value counts as absent.
+    """
+    if args.config is not None:
+        data = _read_json(args.config, "config")
+        if not isinstance(data, dict):
+            raise ConfigError("config file must hold a JSON object")
+        for key, value in data.items():
+            if value is not None and getattr(args, key, False) is None:
+                setattr(args, key, _config_value(key, value))
+    if args.units is None:
+        args.units = "horizon"
+    if args.units not in ("horizon", "physical"):
+        raise ConfigError(f"--units must be 'horizon' or 'physical', got {args.units!r}")
+    if args.format not in (None, "csv", "json"):
+        raise ConfigError(f"--format must be 'csv' or 'json', got {args.format!r}")
+    source = "--tol"
+    if args.tol is None:
+        env = os.environ.get("DSW_TOL")
+        if env is None:
+            args.tol = DEFAULT_TOL
+            return
+        source = "DSW_TOL"
+        try:
+            args.tol = float(env)
+        except ValueError as exc:
+            raise ConfigError(f"DSW_TOL is not a number: {env!r}") from exc
+    if not 0.0 < args.tol < math.inf:
+        raise ConfigError(f"{source} must be a finite positive tolerance, got {args.tol}")
 
 
 def _require(value: Any, flag: str):
@@ -217,73 +239,32 @@ def _require(value: Any, flag: str):
     return value
 
 
-def _resolve_tol(args: argparse.Namespace, file_cfg: dict) -> float:
-    tol = _resolve(args, file_cfg, "tol")
-    source = "--tol"
-    if tol is None:
-        env = os.environ.get("DSW_TOL")
-        if env is None:
-            return DEFAULT_TOL
-        source = "DSW_TOL"
-        try:
-            tol = float(env)
-        except ValueError as exc:
-            raise ConfigError(f"DSW_TOL is not a number: {env!r}") from exc
-    if not 0.0 < tol < math.inf:
-        raise ConfigError(f"{source} must be a finite positive tolerance, got {tol}")
-    return tol
-
-
-def _run_config(args: argparse.Namespace, file_cfg: dict) -> RunConfig:
-    units = _resolve(args, file_cfg, "units", "horizon")
-    if units not in ("horizon", "physical"):
-        raise ConfigError(f"--units must be 'horizon' or 'physical', got {units!r}")
-    fmt = _resolve(args, file_cfg, "format", "default")
-    if fmt not in ("default", "csv", "json"):
-        raise ConfigError(f"--format must be 'csv' or 'json', got {fmt!r}")
-    return RunConfig(
-        units=units,
-        tol=_resolve_tol(args, file_cfg),
-        output=_resolve(args, file_cfg, "output"),
-        fmt=fmt,
-    )
-
-
 def _physics_params(
-    args: argparse.Namespace,
-    file_cfg: dict,
-    cfg: RunConfig,
-    *,
-    need_epsilon: bool = True,
+    args: argparse.Namespace, *, need_epsilon: bool = True
 ) -> tuple[HorizonUnitsParams, dict]:
     """Horizon-units parameters plus the inputs-echo block, per unit system."""
-    j = _require(_resolve(args, file_cfg, "j"), "j")
-    try:
-        if cfg.units == "horizon":
-            m = _require(_resolve(args, file_cfg, "m"), "m")
-            if need_epsilon:
-                epsilon = _require(_resolve(args, file_cfg, "epsilon"), "epsilon")
-            else:
-                epsilon = _resolve(args, file_cfg, "epsilon", m)
-            hp = HorizonUnitsParams(epsilon=epsilon, m=m, j=j)
-            echo = {"units": "horizon", "epsilon": epsilon, "m": m, "j": j}
+    j = _require(args.j, "j")
+    if args.units == "horizon":
+        m = _require(args.m, "m")
+        if need_epsilon:
+            epsilon = _require(args.epsilon, "epsilon")
         else:
-            R = _require(_resolve(args, file_cfg, "R"), "R")
-            lam = _require(_resolve(args, file_cfg, "lam"), "lam")
-            mu = _require(_resolve(args, file_cfg, "mu"), "mu")
-            hp = to_horizon_units(ModelParams(R=R, lam=lam, mu=mu, j=j))
-            echo = {"units": "physical", "R": R, "lam": lam, "mu": mu, "j": j}
-    except ValueError as exc:
-        if isinstance(exc, (ConfigError, DomainError)):
-            raise
-        raise ConfigError(str(exc)) from exc
+            epsilon = m if args.epsilon is None else args.epsilon
+        hp = HorizonUnitsParams(epsilon=epsilon, m=m, j=j)
+        echo = {"units": "horizon", "epsilon": epsilon, "m": m, "j": j}
+    else:
+        R = _require(args.R, "R")
+        lam = _require(args.lam, "lam")
+        mu = _require(args.mu, "mu")
+        hp = to_horizon_units(ModelParams(R=R, lam=lam, mu=mu, j=j))
+        echo = {"units": "physical", "R": R, "lam": lam, "mu": mu, "j": j}
     return hp, echo
 
 
-def _r_grid(args: argparse.Namespace, file_cfg: dict, lo: float, hi: float, n: int) -> np.ndarray:
-    r_min = _resolve(args, file_cfg, "r_min", lo)
-    r_max = _resolve(args, file_cfg, "r_max", hi)
-    count = _resolve(args, file_cfg, "grid", n)
+def _r_grid(args: argparse.Namespace, lo: float, hi: float, n: int) -> np.ndarray:
+    r_min = lo if args.r_min is None else args.r_min
+    r_max = hi if args.r_max is None else args.r_max
+    count = n if args.grid is None else args.grid
     if count <= 0:
         raise ConfigError(f"--grid must be a positive point count, got {count}")
     if count > MAX_POINTS:
@@ -298,9 +279,9 @@ def _r_grid(args: argparse.Namespace, file_cfg: dict, lo: float, hi: float, n: i
 # -------------------------------------------------------------- sub-commands
 
 
-def cmd_potential(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> int:
-    hp, echo = _physics_params(args, file_cfg, cfg, need_epsilon=False)
-    grid = _r_grid(args, file_cfg, 1e-6, 1.0 - 1e-6, 1000)
+def cmd_potential(args: argparse.Namespace) -> int:
+    hp, echo = _physics_params(args, need_epsilon=False)
+    grid = _r_grid(args, 1e-6, 1.0 - 1e-6, 1000)
     if grid[0] <= 0.0 or grid[-1] >= 1.0:
         raise ConfigError("potential grid must stay strictly inside 0 < r < 1")
     rows = []
@@ -315,7 +296,7 @@ def cmd_potential(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> i
         rows.append((float(r), tortoise(float(r)), u_val, f_val))
         if f_val <= 0.0:
             barrier_ok = False
-    _emit_table(cfg, echo, ("r", "r_star", "U", "F"), rows)
+    _emit_table(args, echo, ("r", "r_star", "U", "F"), rows)
     if not barrier_ok:
         print("error: barrier factor F <= 0 on the grid", file=sys.stderr)
         return EXIT_REGIME
@@ -325,24 +306,25 @@ def cmd_potential(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> i
 _WAVE_KINDS = ("f", "g", "out", "in")
 
 
-def cmd_wave(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> int:
-    hp, echo = _physics_params(args, file_cfg, cfg)
-    kind = _resolve(args, file_cfg, "kind")
+def cmd_wave(args: argparse.Namespace) -> int:
+    hp, echo = _physics_params(args)
+    kind = args.kind
     if kind not in _WAVE_KINDS:
         raise ConfigError(f"--kind must be one of {sorted(_WAVE_KINDS)}, got {kind!r}")
-    grid = [float(r) for r in _r_grid(args, file_cfg, 0.05, 0.95, 19)]
+    grid = [float(r) for r in _r_grid(args, 0.05, 0.95, 19)]
     ans = make_ansatz(hp, "singular" if kind == "g" else "regular")
     if kind in ("f", "g"):
         values = [eval_standing(ans, r) for r in grid]
     else:
         values = [eval_running(ans, kind, r) for r in grid]
-    header = ["r", "re_u", "im_u"]
-    rows = [[r, v.real, v.imag] for r, v in zip(grid, values)]
-    if args.residuals:
-        header.append("connection_residual")
-        for row, r in zip(rows, grid):
-            row.append(connection_residual(ans, r))
-    _emit_table(cfg, {**echo, "kind": kind}, header, rows)
+    rows = []
+    for r, v in zip(grid, values):
+        named = [("r", r), ("u", v)]
+        if args.residuals:
+            named.append(("connection_residual", connection_residual(ans, r)))
+        header, row = _columns(named)
+        rows.append(row)
+    _emit_table(args, {**echo, "kind": kind}, header, rows)
     return EXIT_OK
 
 
@@ -394,85 +376,73 @@ def _reflect_point(hp: HorizonUnitsParams, tol: float, with_flux: bool) -> dict:
     return point
 
 
-def cmd_reflect(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> int:
-    sweep = _resolve(args, file_cfg, "sweep")
+def cmd_reflect(args: argparse.Namespace) -> int:
+    sweep = args.sweep
     with_flux = not args.no_flux
     if sweep is None:
-        hp, echo = _physics_params(args, file_cfg, cfg)
-        point = _reflect_point(hp, cfg.tol, with_flux)
-        doc = {"inputs": {**echo, "tol": cfg.tol}, "report": point}
-        if cfg.fmt == "csv":
-            header, row = _sweep_row(None, None, point)
-            _write_text(cfg, _csv(header, [row]))
+        hp, echo = _physics_params(args)
+        point = _reflect_point(hp, args.tol, with_flux)
+        doc = {"inputs": {**echo, "tol": args.tol}, "report": point}
+        if args.format == "csv":
+            header, row = _sweep_row([], point)
+            _write_text(args, _csv(header, [row]))
         else:
-            _write_text(cfg, _json_doc(doc))
+            _write_text(args, _json_doc(doc))
         return EXIT_OK
 
-    name, values = _parse_sweep(sweep, cfg.units)
+    name, values = _parse_sweep(sweep, args.units)
     rows = []
-    header: list[str] | None = None
-    echo: dict = {}
     for v in values:
         setattr(args, name, v)
-        hp, echo = _physics_params(args, file_cfg, cfg)
-        point = _reflect_point(hp, cfg.tol, with_flux)
-        header, row = _sweep_row(name, v, point)
+        hp, echo = _physics_params(args)
+        point = _reflect_point(hp, args.tol, with_flux)
+        header, row = _sweep_row([(name, v)], point)
         rows.append(row)
     echo.pop(name, None)
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = {
-            "inputs": {**echo, "sweep": sweep, "tol": cfg.tol},
+            "inputs": {**echo, "sweep": sweep, "tol": args.tol},
             "rows": [dict(zip(header, row)) for row in rows],
         }
-        _write_text(cfg, _json_doc(doc))
+        _write_text(args, _json_doc(doc))
     else:
-        _write_text(cfg, _csv(header, rows))
+        _write_text(args, _csv(header, rows))
     return EXIT_OK
 
 
-def _sweep_row(name: str | None, value: float | None, point: dict) -> tuple[list[str], list[float]]:
-    header: list[str] = [] if name is None else [name]
-    row: list[float] = [] if value is None else [value]
-    for key in ("C1", "C2", "A_plus", "A_minus"):
-        header += [f"re_{key}", f"im_{key}"]
-        row += [point[key].real, point[key].imag]
-    header += ["ratio", "coefficient", "regime_ok"]
-    row += [point["ratio"], point["coefficient"], float(point["regime_ok"])]
+def _sweep_row(swept: list[tuple[str, float]], point: dict) -> tuple[list[str], list[float]]:
+    named = swept + [(key, point[key]) for key in ("C1", "C2", "A_plus", "A_minus", "ratio", "coefficient")]
+    named.append(("regime_ok", float(point["regime_ok"])))
     if "flux_ratio" in point:
-        header.append("flux_ratio")
-        row.append(point["flux_ratio"])
-    return header, row
+        named.append(("flux_ratio", point["flux_ratio"]))
+    return _columns(named)
 
 
-def cmd_flat_limit(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> int:
-    mu = _require(_resolve(args, file_cfg, "mu"), "mu")
-    j = _require(_resolve(args, file_cfg, "j"), "j")
-    kr = _resolve(args, file_cfg, "kr", 0.5)
-    fixed_kappa = _resolve(args, file_cfg, "fixed_kappa")
-    scales_text = _resolve(args, file_cfg, "scales", "1e3,1e4,1e5,1e6")
+def cmd_flat_limit(args: argparse.Namespace) -> int:
+    mu = _require(args.mu, "mu")
+    j = _require(args.j, "j")
+    kr = 0.5 if args.kr is None else args.kr
+    scales_text = "1e3,1e4,1e5,1e6" if args.scales is None else args.scales
     try:
         scales = [float(s) for s in scales_text.split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --scales list: {scales_text!r}") from exc
     if not scales:
         raise ConfigError("--scales must name at least one R/lam value")
-    try:
-        p = ModelParams(R=1.0, lam=1.0, mu=mu, j=j)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    rows = flat_limit_convergence(p, scales, kr, fixed_kappa=fixed_kappa)
+    p = ModelParams(R=1.0, lam=1.0, mu=mu, j=j)
+    rows = flat_limit_convergence(p, scales, kr, fixed_kappa=args.fixed_kappa)
     echo = {"mu": mu, "j": j, "kr": kr, "scales": scales}
-    if fixed_kappa is not None:
-        echo["fixed_kappa"] = fixed_kappa
-    _emit_table(cfg, echo, ("R_over_lambda", "deviation"), rows)
+    if args.fixed_kappa is not None:
+        echo["fixed_kappa"] = args.fixed_kappa
+    _emit_table(args, echo, ("R_over_lambda", "deviation"), rows)
     return EXIT_OK
 
 
-def cmd_expand(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> int:
-    mu = _require(_resolve(args, file_cfg, "mu"), "mu")
-    X = _require(_resolve(args, file_cfg, "X"), "X")
-    j = _require(_resolve(args, file_cfg, "j"), "j")
-    grid = _r_grid(args, file_cfg, 0.5, 4.0, 15)
+def cmd_expand(args: argparse.Namespace) -> int:
+    mu = _require(args.mu, "mu")
+    X = _require(args.X, "X")
+    j = _require(args.j, "j")
+    grid = _r_grid(args, 0.5, 4.0, 15)
     if grid[0] <= 0.0:
         raise ConfigError("expansion radii must be positive")
     if grid[-1] * X >= 1.0:
@@ -499,7 +469,7 @@ def cmd_expand(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> int:
 
     audit = first_order_correction_audit(ep)
     doc = {
-        "inputs": {"mu": mu, "X": X, "j": j, "r_min": float(grid[0]), "r_max": float(grid[-1]), "grid": int(grid.size), "tol": cfg.tol},
+        "inputs": {"mu": mu, "X": X, "j": j, "r_min": float(grid[0]), "r_max": float(grid[-1]), "grid": int(grid.size), "tol": args.tol},
         "first_order_identity_error": identity_err,
         "remainder": {
             "X_ladder": ladder,
@@ -516,55 +486,31 @@ def cmd_expand(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> int:
             "n_points": audit.n_points,
         },
     }
-    header = (
-        "r",
-        "F0",
-        "re_F1",
-        "im_F1",
-        "re_F2_residual",
-        "im_F2_residual",
-        "G0",
-        "re_G1",
-        "im_G1",
-        "re_G2_residual",
-        "im_G2_residual",
-    )
-    rows = [
-        (
-            float(r),
-            float(dec.F0[i].real),
-            dec.F1[i].real,
-            dec.F1[i].imag,
-            dec.F2_residual[i].real,
-            dec.F2_residual[i].imag,
-            float(dec.G0[i].real),
-            dec.G1[i].real,
-            dec.G1[i].imag,
-            dec.G2_residual[i].real,
-            dec.G2_residual[i].imag,
-        )
-        for i, r in enumerate(grid)
-    ]
-    if cfg.fmt == "csv":
-        _write_text(cfg, _csv(header, rows))
+    rows = []
+    for i, r in enumerate(grid):
+        header, row = _columns([
+            ("r", float(r)),
+            ("F0", float(dec.F0[i])),
+            ("F1", dec.F1[i]),
+            ("F2_residual", dec.F2_residual[i]),
+            ("G0", float(dec.G0[i])),
+            ("G1", dec.G1[i]),
+            ("G2_residual", dec.G2_residual[i]),
+        ])
+        rows.append(row)
+    if args.format == "csv":
+        _write_text(args, _csv(header, rows))
     else:
-        doc["table"] = {"header": list(header), "rows": [list(row) for row in rows]}
-        _write_text(cfg, _json_doc(doc))
+        doc["table"] = {"header": header, "rows": rows}
+        _write_text(args, _json_doc(doc))
     return EXIT_OK
 
 
-def cmd_classify(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> int:
-    try:
-        with open(args.coefficients, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read coefficient file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"coefficient file is not valid JSON: {exc}") from exc
-    report = classify_singularities(data)
+def cmd_classify(args: argparse.Namespace) -> int:
+    report = classify_singularities(_read_json(args.coefficients, "coefficient"))
     doc = {"inputs": {"coefficients": os.path.basename(args.coefficients)}}
     doc.update(report.to_json())
-    _write_text(cfg, _json_doc(doc))
+    _write_text(args, _json_doc(doc))
     return EXIT_OK
 
 
@@ -574,7 +520,9 @@ def cmd_classify(args: argparse.Namespace, file_cfg: dict, cfg: RunConfig) -> in
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file with default parameter values")
     sub.add_argument("--units", choices=("horizon", "physical"))
-    sub.add_argument("--tol", type=float, help="working tolerance (beats DSW_TOL)")
+    sub.add_argument(
+        "--tol", type=float, help="reflect's flux-check tolerance, capped at 1e-11 (beats DSW_TOL)"
+    )
     sub.add_argument("--output", help="write to this file instead of stdout")
     sub.add_argument("--format", dest="format", choices=("csv", "json"))
 
@@ -671,12 +619,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    func: Callable[[argparse.Namespace, dict, RunConfig], int] = args.func
+    args = build_parser().parse_args(argv)
     try:
-        file_cfg = _load_config_file(args.config)
-        return func(args, file_cfg, _run_config(args, file_cfg))
+        _merge_config(args)
+        return args.func(args)
     except (NonConvergence, StepFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
@@ -686,7 +632,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (RegimeError, EvanescentMode, UnsupportedMass) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except (ConfigError, UnfactoredInput, DomainError, ValidityError, PoleError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

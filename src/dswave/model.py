@@ -158,15 +158,12 @@ def effective_potential(hp: HorizonUnitsParams, r: float) -> tuple[float, float]
 class PotentialProfile:
     """Tabulated potential along the tortoise axis.
 
-    G_convention records that the Schrodinger-form unknown is G(r*) with
-    G'' + (eps^2 - U) G = 0; it is carried so emitted tables are
-    self-describing.
+    The Schrodinger-form unknown is G(r*), with G'' + (eps^2 - U) G = 0.
     """
 
     r_star: np.ndarray
     U: np.ndarray
     F: np.ndarray
-    G_convention: str = "G''(r*) + (epsilon^2 - U(r*)) G(r*) = 0"
 
     def __post_init__(self) -> None:
         if not (len(self.r_star) == len(self.U) == len(self.F)):

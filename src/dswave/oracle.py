@@ -417,7 +417,13 @@ def _fuchs_point(
     if pole_p < 1 and pole_q < 1:
         return None  # ordinary point, or the numerator cancels the factor
     if pole_p <= 1 and pole_q <= 2:
-        return SingularPoint(location=location, kind="regular", exponents=indicial_roots(*limits()))
+        try:
+            exponents = indicial_roots(*limits())
+        except OverflowError as exc:
+            raise OverflowError(
+                f"the indicial exponents at x = {location} are beyond double range"
+            ) from exc
+        return SingularPoint(location=location, kind="regular", exponents=exponents)
     return SingularPoint(location=location, kind="irregular", exponents=None)
 
 

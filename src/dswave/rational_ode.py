@@ -15,6 +15,7 @@ All polynomial coefficient sequences are ascending-order tuples of
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from typing import Any, Sequence
 Coeffs = tuple[Fraction, ...]
 
 __all__ = [
+    "MAX_MULTIPLICITY",
     "UnfactoredInput",
     "FactoredRational",
     "poly_eval",
@@ -35,6 +37,12 @@ __all__ = [
 
 class UnfactoredInput(ValueError):
     """A denominator was not supplied in factored (const + roots) form."""
+
+
+# Largest root multiplicity from_json accepts.  The classifier raises each
+# other root to its multiplicity exactly, so the bound caps the size of those
+# powers: roots written with up to 20 digits classify in well under 1 s.
+MAX_MULTIPLICITY = 1000
 
 
 def _as_fraction(value: Any) -> Fraction:
@@ -51,6 +59,22 @@ def _as_fraction(value: Any) -> Fraction:
             raise ValueError(f"non-finite coefficient {value!r}")
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _as_multiplicity(root: Any, mult: Any) -> int:
+    """A whole-number multiplicity in [1, MAX_MULTIPLICITY], or UnfactoredInput naming the root."""
+    value = None
+    if isinstance(mult, float) and mult.is_integer():
+        value = int(mult)
+    elif isinstance(mult, (int, str)) and not isinstance(mult, bool):
+        with contextlib.suppress(ValueError):
+            value = int(mult)
+    if value is None or not 1 <= value <= MAX_MULTIPLICITY:
+        raise UnfactoredInput(
+            f"root {root!r} needs a whole-number multiplicity from 1 to "
+            f"{MAX_MULTIPLICITY}, got {mult!r}"
+        )
+    return value
 
 
 def _trim(coeffs: Sequence[Fraction]) -> Coeffs:
@@ -104,8 +128,10 @@ class FactoredRational:
          "denominator": {"const": "-4", "roots": [["0", 1], ["1", 1]]}}
 
     Numbers may be integers, rational strings like "3/4", or floats (floats
-    are converted to their exact binary value).  A denominator given as a
-    flat coefficient list is rejected with UnfactoredInput.
+    are converted to their exact binary value).  A multiplicity must be a
+    whole number from 1 to MAX_MULTIPLICITY (2.0 and "2" count as 2).  A
+    denominator given as a flat coefficient list, or a malformed root entry,
+    is rejected with UnfactoredInput.
     """
 
     numerator: Coeffs
@@ -138,8 +164,12 @@ class FactoredRational:
         const = _as_fraction(den.get("const", 1))
         roots = []
         for entry in den.get("roots", []):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise UnfactoredInput(
+                    f"a denominator root must be a [root, multiplicity] pair, got {entry!r}"
+                )
             root, mult = entry
-            roots.append((_as_fraction(root), int(mult)))
+            roots.append((_as_fraction(root), _as_multiplicity(root, mult)))
         return cls(numerator=num, const=const, roots=tuple(roots))
 
     def to_json(self) -> dict:

@@ -77,6 +77,11 @@ class ReflectionResult:
             raise ValueError("coefficient must equal ratio**2 exactly")
 
 
+# The hard validity floor: far_field_coefficients refuses parameters that
+# fail check_regime at this margin.
+_HARD_FLOOR = 1.0
+
+
 def check_regime(hp: HorizonUnitsParams, margin: float = 100.0) -> bool:
     """True iff eps^2 - m^2 exceeds margin * j^2 (constraint eps R >> j).
 
@@ -88,9 +93,7 @@ def check_regime(hp: HorizonUnitsParams, margin: float = 100.0) -> bool:
     return (hp.epsilon * hp.epsilon - hp.m * hp.m) > margin * hp.j * hp.j
 
 
-def far_field_coefficients(
-    ans: WaveAnsatz, hp: HorizonUnitsParams, margin: float = 1.0
-) -> FarFieldAmplitudes:
+def far_field_coefficients(ans: WaveAnsatz, hp: HorizonUnitsParams) -> FarFieldAmplitudes:
     """Channel constants C1, C2 and far-field amplitudes A_plus, A_minus.
 
     With w = -i(eps-m)/2, v = -i(eps+m)/2, kappa = sqrt(eps^2 - m^2),
@@ -107,8 +110,8 @@ def far_field_coefficients(
         A_plus  = C1 e^(-i pi (p+1/2)/2) + C2 e^(-i pi (-p+1/2)/2)
         A_minus = C1 e^(+i pi (p+1/2)/2) + C2 e^(+i pi (-p+1/2)/2).
 
-    Raises RegimeError below the hard validity floor (margin = 1), where
-    the algorithm's defining substitution has no asymptotic backing, and
+    Raises RegimeError below the hard validity floor (margin _HARD_FLOOR = 1),
+    where the algorithm's defining substitution has no asymptotic backing, and
     NonConvergence when eps^2 - m^2 or an amplitude is not a finite double
     (or the outgoing amplitude underflows to zero): the Gamma factors at
     |Im| ~ eps lose every digit long before eps^2 itself overflows.
@@ -121,7 +124,7 @@ def far_field_coefficients(
         raise NonConvergence(
             f"far-field amplitudes overflow: eps^2 - m^2 = {gap} at eps={eps:.6g}, m={m:.6g}"
         )
-    if not check_regime(hp, margin):
+    if not check_regime(hp, _HARD_FLOOR):
         raise RegimeError(
             f"far-field algorithm needs eps^2 - m^2 >> j^2 "
             f"(have {gap:.6g} vs j^2 = {j * j}); "

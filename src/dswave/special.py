@@ -485,9 +485,11 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
 # --- Bessel functions -------------------------------------------------------
 
 _SERIES_X_MAX = 8.0
+# Term budget of the power series used for x <= _SERIES_X_MAX.
+_SERIES_TERMS = 200
 
 
-def _bessel_series(p: float, x: float, terms: int = 200) -> float:
+def _bessel_series(p: float, x: float) -> float:
     # (x/2)^p / Gamma(p+1) * sum_n (-x^2/4)^n / (n! (p+1)_n)
     lead = math.exp(p * math.log(0.5 * x) - log_gamma(complex(p + 1.0)).real)
     if p + 1.0 < 0.0 and math.floor(p + 1.0) % 2 != 0:
@@ -496,7 +498,7 @@ def _bessel_series(p: float, x: float, terms: int = 200) -> float:
     q = -0.25 * x * x
     term = 1.0
     total = 1.0
-    for n in range(terms):
+    for n in range(_SERIES_TERMS):
         term *= q / ((n + 1.0) * (p + 1.0 + n))
         total += term
         if abs(term) <= 1e-17 * abs(total):

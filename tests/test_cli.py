@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import pathlib
 import re
+import time
 
 import mpmath as mp
 import pytest
@@ -280,6 +281,33 @@ def test_classify_bad_inputs(capsys, tmp_path):
     assert rc == 2 and "factored" in err
 
 
+def _classify_p_roots(tmp_path, roots):
+    path = tmp_path / "p_roots.json"
+    path.write_text(json.dumps({
+        "p": {"numerator": [1], "denominator": {"const": 1, "roots": roots}},
+        "q": {"numerator": [1], "denominator": {"const": 1, "roots": [["0", 2]]}},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("mult", [1.5, True, "1.5", 100_000_000])
+def test_classify_refuses_multiplicities_naming_the_root(capsys, tmp_path, mult):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "classify", _classify_p_roots(tmp_path, [["0", 1], ["1/3", mult]]))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert one_error_line(err).startswith("error: root '1/3' needs a whole-number multiplicity"), err
+
+
+def test_classify_exponents_beyond_double_range_name_the_point(capsys, tmp_path):
+    # A = lim x p = 3^1000 at x = 0: the irrational exponents have no double value
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "classify", _classify_p_roots(tmp_path, [["0", 1], ["1/3", 1000]]))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 4 and out == ""
+    assert "indicial exponents at x = 0 are beyond double range" in one_error_line(err), err
+
+
 # --- config file, env, output ------------------------------------------------
 
 
@@ -312,6 +340,30 @@ def test_config_file_errors(capsys, tmp_path):
         "--config", str(bad),
     )
     assert rc == 2
+    bad.write_text(json.dumps({"format": "default"}))
+    rc, _, err = run(
+        capsys, "reflect", "--m", "10", "--j", "1", "--epsilon", "20", "--no-flux",
+        "--config", str(bad),
+    )
+    assert rc == 2 and "--format must be" in err
+
+
+def test_one_config_file_serves_several_subcommands_like_flags(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(
+        {"epsilon": 20, "m": 10, "j": 1, "kind": "out", "grid": 5, "r_min": 0.2, "format": "json"}
+    ))
+    flags = {
+        "potential": ["--epsilon", "20", "--m", "10", "--j", "1", "--grid", "5", "--r-min", "0.2"],
+        "wave": ["--epsilon", "20", "--m", "10", "--j", "1", "--kind", "out", "--grid", "5",
+                 "--r-min", "0.2"],
+        "reflect": ["--epsilon", "20", "--m", "10", "--j", "1", "--no-flux"],
+    }
+    for command, argv in flags.items():
+        extra = ["--no-flux"] if command == "reflect" else []
+        from_file = run(capsys, command, "--config", str(cfg), *extra)
+        from_flags = run(capsys, command, *argv, "--format", "json")
+        assert from_file[0] == 0 and from_file == from_flags, command
 
 
 def test_missing_required_parameter(capsys):
@@ -360,6 +412,8 @@ def test_tol_env_must_be_finite_and_positive(capsys, monkeypatch, command, value
         ({"j": "one", "m": 5}, "j"),
         ({"j": 1, "m": 5, "output": 99}, "output"),
         ({"j": 1, "m": 5, "output": ["a"]}, "output"),
+        # declared by the subcommand but not read in physical units
+        ({"units": "physical", "R": 10, "lam": 1, "mu": 2, "j": 1, "m": [5]}, "m"),
     ],
 )
 def test_config_values_of_the_wrong_type_exit_2_naming_the_key(capsys, tmp_path, config, key):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dswave.rational_ode import (
+    MAX_MULTIPLICITY,
     FactoredRational,
     UnfactoredInput,
     indicial_roots,
@@ -113,6 +114,28 @@ def test_from_json_accepts_fraction_strings():
     )
     assert fr.numerator == (Fraction(3, 4), Fraction(1))
     assert fr.roots == ((Fraction(-1, 2), 1),)
+
+
+def test_from_json_accepts_whole_number_multiplicities_up_to_the_bound():
+    fr = FactoredRational.from_json(
+        {"numerator": [1], "denominator": {"roots": [["0", 2.0], ["1", "3"], ["2", MAX_MULTIPLICITY]]}}
+    )
+    assert fr.roots == ((Fraction(0), 2), (Fraction(1), 3), (Fraction(2), MAX_MULTIPLICITY))
+
+
+@pytest.mark.parametrize(
+    "mult", [1.5, True, "1.5", 0, -1, MAX_MULTIPLICITY + 1, 10**8, None, [1], float("inf")]
+)
+def test_from_json_refuses_other_multiplicities_naming_the_root(mult):
+    den = {"const": 1, "roots": [["0", 1], ["1/3", mult]]}
+    with pytest.raises(UnfactoredInput, match=r"root '1/3' needs a whole-number multiplicity"):
+        FactoredRational.from_json({"numerator": [1], "denominator": den})
+
+
+@pytest.mark.parametrize("entry", [5, ["0"], ["0", 1, 2], "01"])
+def test_from_json_refuses_root_entries_that_are_not_pairs(entry):
+    with pytest.raises(UnfactoredInput, match=r"\[root, multiplicity\] pair"):
+        FactoredRational.from_json({"numerator": [1], "denominator": {"roots": [entry]}})
 
 
 def test_unfactored_denominator_rejected():
