@@ -129,14 +129,19 @@ def tortoise_inverse(r_star: float) -> float:
     return math.tanh(r_star)
 
 
-def effective_potential(hp: HorizonUnitsParams, r: float) -> tuple[float, float]:
+def effective_potential(
+    hp: HorizonUnitsParams, r: float | np.ndarray
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Potential U and force F = -dU/dr* of the Schrodinger-form equation.
 
     U(r) = (1 - r^2) [4(1-r) + r/(1+r) + m^2 + j(j+1)/r^2]   (units 1/R^2)
 
     and F is the exact closed-form derivative -Phi dU/dr (units 1/R^3).
     r = 0 is allowed only for j = 0, where the centrifugal term is absent.
+    A float ndarray r gives arrays U and F of its shape, by the same formulas.
     """
+    if isinstance(r, np.ndarray):
+        return _effective_potential_array(hp, r)
     if not 0.0 <= r < 1.0:
         raise DomainError(f"effective_potential: r={r} outside [0, 1)")
     j = hp.j
@@ -152,6 +157,22 @@ def effective_potential(hp: HorizonUnitsParams, r: float) -> tuple[float, float]
     dw = 4.0 - 1.0 / ((1.0 + r) ** 2) + 2.0 * cent / (r ** 3)
     force = f * (2.0 * r * w + f * dw)
     return u, force
+
+
+def _effective_potential_array(hp: HorizonUnitsParams, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    outside = ~((0.0 <= r) & (r < 1.0))
+    if outside.any():
+        raise DomainError(f"effective_potential: r={r[outside][0]} outside [0, 1)")
+    cent = hp.j * (hp.j + 1)
+    f = 1.0 - r * r
+    w = 4.0 * (1.0 - r) + r / (1.0 + r) + hp.m * hp.m
+    dw = 4.0 - 1.0 / ((1.0 + r) ** 2)
+    if cent:  # without the centrifugal terms r = 0 needs no special case
+        if (r == 0.0).any():
+            raise DomainError("effective_potential: r=0 is singular for j > 0")
+        w = w + cent / (r * r)
+        dw = dw + 2.0 * cent / (r ** 3)
+    return f * w, f * (2.0 * r * w + f * dw)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,8 @@ __all__ = [
 
 
 class UnfactoredInput(ValueError):
-    """A denominator was not supplied in factored (const + roots) form."""
+    """Coefficient data is not an exact rational with a factored (const +
+    roots) denominator, or one of its entries is malformed."""
 
 
 # Largest root multiplicity from_json accepts.  The classifier raises each
@@ -45,20 +46,20 @@ class UnfactoredInput(ValueError):
 MAX_MULTIPLICITY = 1000
 
 
-def _as_fraction(value: Any) -> Fraction:
+def _as_fraction(value: Any, what: str) -> Fraction:
+    """The exact value of one JSON number or rational string, or
+    UnfactoredInput naming the entry (what) and the value."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise TypeError("boolean is not a polynomial coefficient")
-    if isinstance(value, int):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError, ZeroDivisionError):
+            return Fraction(value)
+    if isinstance(value, float) and math.isfinite(value):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite coefficient {value!r}")
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    raise UnfactoredInput(
+        f"{what} must be an integer, a finite float or a rational string like '3/4', "
+        f"got {value!r}"
+    )
 
 
 def _as_multiplicity(root: Any, mult: Any) -> int:
@@ -127,11 +128,12 @@ class FactoredRational:
         {"numerator": ["6", "-10"],
          "denominator": {"const": "-4", "roots": [["0", 1], ["1", 1]]}}
 
-    Numbers may be integers, rational strings like "3/4", or floats (floats
-    are converted to their exact binary value).  A multiplicity must be a
-    whole number from 1 to MAX_MULTIPLICITY (2.0 and "2" count as 2).  A
-    denominator given as a flat coefficient list, or a malformed root entry,
-    is rejected with UnfactoredInput.
+    Numbers may be integers, rational strings like "3/4", or finite floats
+    (floats are converted to their exact binary value).  A multiplicity must
+    be a whole number from 1 to MAX_MULTIPLICITY (2.0 and "2" count as 2).
+    A denominator given as a flat coefficient list, a numerator or root list
+    that is not a list, and any malformed entry are rejected with
+    UnfactoredInput naming the entry.
     """
 
     numerator: Coeffs
@@ -151,7 +153,10 @@ class FactoredRational:
             raise UnfactoredInput(
                 "expected {'numerator': [...], 'denominator': {'const': c, 'roots': [...]}}"
             )
-        num = _trim([_as_fraction(c) for c in obj["numerator"]])
+        num = obj["numerator"]
+        if not isinstance(num, (list, tuple)):
+            raise UnfactoredInput(f"numerator must be a list of coefficients, got {num!r}")
+        num = _trim([_as_fraction(c, "a numerator coefficient") for c in num])
         den = obj.get("denominator", {"const": 1, "roots": []})
         if isinstance(den, (list, tuple)):
             raise UnfactoredInput(
@@ -161,15 +166,20 @@ class FactoredRational:
             raise UnfactoredInput(
                 "denominator must be factored: {'const': c, 'roots': [[root, mult], ...]}"
             )
-        const = _as_fraction(den.get("const", 1))
+        const = _as_fraction(den.get("const", 1), "the denominator const")
+        entries = den.get("roots", [])
+        if not isinstance(entries, (list, tuple)):
+            raise UnfactoredInput(
+                f"denominator roots must be a list of [root, multiplicity] pairs, got {entries!r}"
+            )
         roots = []
-        for entry in den.get("roots", []):
+        for entry in entries:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise UnfactoredInput(
                     f"a denominator root must be a [root, multiplicity] pair, got {entry!r}"
                 )
             root, mult = entry
-            roots.append((_as_fraction(root), _as_multiplicity(root, mult)))
+            roots.append((_as_fraction(root, "a denominator root"), _as_multiplicity(root, mult)))
         return cls(numerator=num, const=const, roots=tuple(roots))
 
     def to_json(self) -> dict:

@@ -217,7 +217,7 @@ _FD_STEP = 5e-4
 
 
 def interior_wave_ratio(
-    u_of_rstar: Callable[[float], float],
+    u_of_rstar: Callable[[np.ndarray], np.ndarray | float],
     epsilon: float,
     launch_rstar: float,
     window: tuple[float, float] = (1.2, 2.2),
@@ -238,51 +238,48 @@ def interior_wave_ratio(
     measure, not a basis artifact.  Returns (|c_in/c_out|, fit residual),
     both relative, with the coefficients read at the window center.
 
+    u_of_rstar takes a float ndarray of r* and returns U as an array of that
+    shape, or a constant; the integrator and the phase quadrature each call
+    it on whole arrays.
+
     Raises ValueError if the window contains a classical turning point
     (Q <= 0); the channel split is meaningless there.
     """
     lo, hi = window
     if not 0.0 < lo < hi < launch_rstar:
         raise ValueError("window must satisfy 0 < lo < hi < launch_rstar")
+    e2 = epsilon * epsilon
 
-    def q_fn(rs: float) -> complex:
-        return complex(epsilon * epsilon - u_of_rstar(rs))
+    def q_fn(rs: np.ndarray) -> np.ndarray:
+        return e2 - np.broadcast_to(u_of_rstar(rs), rs.shape)
+
+    # WKB channels at the samples xs and at the Gauss-Legendre nodes of each
+    # sample interval, with the central-difference neighbours of the nodes
+    xs = np.linspace(hi, lo, _N_SAMPLES)
+    mid, half = 0.5 * (xs[:-1] + xs[1:]), 0.5 * (xs[1:] - xs[:-1])
+    nodes = (mid[:, None] + half[:, None] * np.array(_GL5_NODES)).ravel()
+    pts = np.concatenate((xs, nodes))
+    q_pts, qm, qp = np.split(
+        q_fn(np.concatenate((pts, nodes - _FD_STEP, nodes + _FD_STEP))),
+        (len(pts), len(pts) + len(nodes)),
+    )
+    turning = np.flatnonzero(~(q_pts > 0.0))
+    if turning.size:
+        raise ValueError(f"classical turning point at r*={pts[turning[0]]:.6g}: move the window")
+    q, qn = q_pts[: len(xs)], q_pts[len(xs):]
+    d1 = (qp - qm) / (2.0 * _FD_STEP)
+    d2 = (qp - 2.0 * qn + qm) / (_FD_STEP * _FD_STEP)
+    rate = np.sqrt(qn) - (0.125 * d2 / qn**1.5 - (5.0 / 32.0) * d1 * d1 / qn**2.5)
+    steps = half * (rate.reshape(len(half), len(_GL5_NODES)) @ np.array(_GL5_WEIGHTS))
+    phase = np.concatenate(([0.0], np.cumsum(steps)))
 
     u0 = cmath.exp(1j * epsilon * launch_rstar)
     prob = OdeProblem(
         p=None, q=q_fn, r0=launch_rstar, u0=u0, du0=1j * epsilon * u0, direction=-1
     )
-    rstars = np.linspace(hi, lo, _N_SAMPLES)
-    sol = integrate(prob, lo, tol, samples=rstars)
-    xs = sol.r
+    sol = integrate(prob, lo, tol, samples=xs)
 
-    def local_q(x: float) -> float:
-        q = epsilon * epsilon - u_of_rstar(x)
-        if q <= 0.0:
-            raise ValueError(
-                f"classical turning point at r*={x:.6g}: move the window"
-            )
-        return q
-
-    def phase_rate(x: float) -> float:
-        q = local_q(x)
-        qm = epsilon * epsilon - u_of_rstar(x - _FD_STEP)
-        qp = epsilon * epsilon - u_of_rstar(x + _FD_STEP)
-        d1 = (qp - qm) / (2.0 * _FD_STEP)
-        d2 = (qp - 2.0 * q + qm) / (_FD_STEP * _FD_STEP)
-        s2 = 0.125 * d2 / q**1.5 - (5.0 / 32.0) * d1 * d1 / q**2.5
-        return math.sqrt(q) - s2
-
-    k_loc = np.array([math.sqrt(local_q(x)) for x in xs])
-    phase = np.zeros(len(xs))
-    for i in range(1, len(xs)):
-        a, b = xs[i - 1], xs[i]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        acc = 0.0
-        for node, weight in zip(_GL5_NODES, _GL5_WEIGHTS):
-            acc += weight * phase_rate(mid + half * node)
-        phase[i] = phase[i - 1] + half * acc
-    zeta = k_loc**-0.5 * np.exp(1j * phase)
+    zeta = np.sqrt(q) ** -0.5 * np.exp(1j * phase)
     t = (2.0 * xs - (lo + hi)) / (hi - lo)  # window-normalized poly variable
     cols = [(t**d) * zeta for d in range(_POLY_DEGREE + 1)]
     cols += [(t**d) * np.conj(zeta) for d in range(_POLY_DEGREE + 1)]
@@ -316,8 +313,8 @@ def horizon_flux_balance(
     tail_amp = 4.0 * (m * m + j * (j + 1) + 1.0)
     launch = 0.5 * math.log(tail_amp / (eps * 1e-9))
 
-    def u_fn(rs: float) -> float:
-        return effective_potential(hp, math.tanh(rs))[0]
+    def u_fn(rs: np.ndarray) -> np.ndarray:
+        return effective_potential(hp, np.tanh(rs))[0]
 
     ratio, _resid = interior_wave_ratio(u_fn, eps, launch, tol=tol)
     return ratio

@@ -93,8 +93,8 @@ def test_criterion_03_standing_wave_vs_ode():
         u0 = r0**j * (1.0 + c1 * r0 * r0)
         du0 = r0 ** (j - 1) * (j + (j + 2.0) * c1 * r0 * r0)
         prob = OdeProblem(
-            p=lambda r: complex(co.p(r)),
-            q=lambda r: complex(co.q(r)),
+            p=co.p,
+            q=co.q,
             r0=r0,
             u0=u0,
             du0=du0,

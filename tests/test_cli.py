@@ -299,6 +299,32 @@ def test_classify_refuses_multiplicities_naming_the_root(capsys, tmp_path, mult)
     assert one_error_line(err).startswith("error: root '1/3' needs a whole-number multiplicity"), err
 
 
+NOT_EXACT = "must be an integer, a finite float or a rational string like '3/4', got"
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        ({"numerator": [True]}, f"a numerator coefficient {NOT_EXACT} True"),
+        ({"numerator": [1, None]}, f"a numerator coefficient {NOT_EXACT} None"),
+        ({"numerator": ["1/0"]}, f"a numerator coefficient {NOT_EXACT} '1/0'"),
+        ({"numerator": 5}, "numerator must be a list of coefficients, got 5"),
+        ({"numerator": "12"}, "numerator must be a list of coefficients, got '12'"),
+        ({"numerator": [1], "denominator": {"const": 1, "roots": 7}},
+         "denominator roots must be a list of [root, multiplicity] pairs, got 7"),
+        ({"numerator": [1], "denominator": {"const": True}}, f"the denominator const {NOT_EXACT} True"),
+    ],
+    ids=["true-coefficient", "null-coefficient", "zero-denominator-string", "numerator-number",
+         "numerator-string", "roots-number", "true-const"],
+)
+def test_classify_malformed_entries_exit_2_naming_the_entry(capsys, tmp_path, p, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"p": p, "q": {"numerator": [1]}}))
+    rc, out, err = run(capsys, "classify", str(path))
+    assert rc == 2 and out == ""
+    assert one_error_line(err) == f"error: {message}"
+
+
 def test_classify_exponents_beyond_double_range_name_the_point(capsys, tmp_path):
     # A = lim x p = 3^1000 at x = 0: the irrational exponents have no double value
     start = time.perf_counter()

@@ -81,6 +81,26 @@ def test_effective_potential_domain():
         effective_potential(hp0, 1.0)
 
 
+def test_effective_potential_arrays_match_the_float_path():
+    r = np.concatenate(([0.0], np.linspace(1e-6, 1.0 - 1e-9, 257)))
+    for j, m in ((0, 0.0), (0, 10.0), (5, 49.0)):
+        hp = HorizonUnitsParams(epsilon=1.0, m=m, j=j)
+        grid = r[1:] if j else r
+        u, f = effective_potential(hp, grid)
+        assert u.shape == f.shape == grid.shape
+        scalar = np.array([effective_potential(hp, float(x)) for x in grid])
+        # same formulas; numpy's power may differ from libm's pow by an ulp
+        np.testing.assert_allclose(u, scalar[:, 0], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(f, scalar[:, 1], rtol=1e-15, atol=0.0)
+    hp1 = HorizonUnitsParams(epsilon=1.0, m=1.0, j=1)
+    with pytest.raises(DomainError, match="r=0 is singular"):
+        effective_potential(hp1, np.array([0.5, 0.0]))
+    with pytest.raises(DomainError, match=r"r=1\.0 outside"):
+        effective_potential(hp1, np.array([0.5, 1.0, -1.0]))
+    with pytest.raises(DomainError, match="outside"):
+        effective_potential(hp1, np.array([np.nan]))
+
+
 def test_potential_vanishes_at_horizon():
     hp = HorizonUnitsParams(epsilon=1.0, m=0.0, j=0)
     u_half = effective_potential(hp, 0.5)[0]

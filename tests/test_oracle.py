@@ -4,12 +4,15 @@ from __future__ import annotations
 import json
 import math
 import pathlib
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import dswave
+import dswave.oracle
 from dswave.oracle import (
     OdeProblem,
     PoleError,
@@ -95,6 +98,78 @@ def test_integrate_validation_and_step_failure():
         )
     with pytest.raises(StepFailure):
         integrate(prob, 10.0, 1e-12, max_steps=5)
+
+
+def _rkf78_step(p, q, r, h, u, v):
+    """One RKF7(8) step, stage by stage on scalars: (u, u') after it and the
+    embedded error estimates of u and u'."""
+    table = dswave.oracle._RKF78
+    ku, kv = [], []
+    for c, row in zip(table["c"], table["a"]):
+        ui = u + h * sum(a * k for a, k in zip(row, ku))
+        vi = v + h * sum(a * k for a, k in zip(row, kv))
+        ku.append(vi)
+        kv.append(-q(r + c * h) * ui - p(r + c * h) * vi)
+    u_new = u + h * sum(b * k for b, k in zip(table["b"], ku))
+    v_new = v + h * sum(b * k for b, k in zip(table["b"], kv))
+    err = [abs(h) * 41.0 / 840.0 * abs(k[0] + k[10] - k[11] - k[12]) for k in (ku, kv)]
+    return u_new, v_new, err
+
+
+def test_block_kernel_matches_the_scalar_stage_loop():
+    # complex p and q and unequal steps; the block forms each step's 2x2
+    # propagator and error matrix and chains them by prefix products
+    p = lambda r: 1.0 / (1.0 + r) + 0.3j
+    q = lambda r: 40.0 + 10.0 * np.sin(r) - 2.0j * r
+    ends = np.array([0.05, 0.12, 0.2, 0.21, 0.3, 0.36, 0.45])
+    starts = np.concatenate(([0.0], ends[:-1]))
+    y = np.array([0.3 - 1.0j, 2.0 + 0.5j])
+    ys, errs = dswave.oracle._walk(
+        *dswave.oracle._step_matrices(p, q, starts, ends - starts), y
+    )
+    u, v = y
+    for k, (r, h) in enumerate(zip(starts, ends - starts)):
+        u, v, err = _rkf78_step(p, q, r, h, u, v)
+        assert abs(ys[0, k] - u) < 1e-14 * abs(u) and abs(ys[1, k] - v) < 1e-14 * abs(v)
+        # the estimate is a difference of slopes: below ~1e-15 |y| it is rounding
+        assert np.allclose(errs[:, k], err, rtol=1e-6, atol=1e-15), (k, errs[:, k], err)
+
+
+def test_integrate_hits_dense_samples_across_blocks():
+    # 1001 samples over ~10 blocks: every one is landed on, in order
+    prob = OdeProblem(p=None, q=lambda r: 9.0, r0=0.0, u0=0.0, du0=3.0)
+    pts = np.linspace(0.0, 10.0, 1001)
+    sol = integrate(prob, 10.0, 1e-12, samples=pts[::-1])
+    assert sol.r.tolist() == pts.tolist()
+    assert np.max(np.abs(sol.u - np.sin(3.0 * pts))) < 1e-11
+    assert np.max(np.abs(sol.du - 3.0 * np.cos(3.0 * pts))) < 5e-11
+
+
+@pytest.mark.parametrize(
+    "prob, target",
+    [
+        # into a pole of q at r = 0.5
+        (OdeProblem(p=None, q=lambda r: 1.0 / (r - 0.5) ** 3, r0=0.0, u0=1.0, du0=0.0), 1.0),
+        # toward a pole of p at the target r = 0 (u = log r)
+        (OdeProblem(p=lambda r: 1.0 / r, q=lambda r: 0.0, r0=1.0, u0=0.0, du0=1.0), 0.0),
+    ],
+    ids=["pole-of-q-inside", "pole-of-p-at-target"],
+)
+def test_integrate_into_a_pole_fails_without_warnings(prob, target):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepFailure, match="underflowed"):
+            integrate(prob, target, 1e-10)
+
+
+def test_integrate_step_counters_repeat():
+    prob = OdeProblem(p=lambda r: 1.0 / r, q=lambda r: 25.0 / r**2, r0=0.01, u0=1.0, du0=0.0)
+    first = integrate(prob, 3.0, 1e-11, samples=[0.5, 1.0, 2.0])
+    again = integrate(prob, 3.0, 1e-11, samples=[0.5, 1.0, 2.0])
+    counters = (first.n_steps, first.n_rejected, first.h_min)
+    assert counters == (again.n_steps, again.n_rejected, again.h_min)
+    assert 0 < first.n_rejected <= first.n_steps
+    assert 0.0 < first.h_min <= 0.01
 
 
 # --- big-float series oracle --------------------------------------------------

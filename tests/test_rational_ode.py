@@ -138,6 +138,28 @@ def test_from_json_refuses_root_entries_that_are_not_pairs(entry):
         FactoredRational.from_json({"numerator": [1], "denominator": {"roots": [entry]}})
 
 
+@pytest.mark.parametrize("coefficient", [True, None, "abc", "1/0", float("nan"), [1], {"a": 1}])
+def test_from_json_refuses_coefficients_that_are_not_exact_numbers(coefficient):
+    with pytest.raises(UnfactoredInput, match=r"^a numerator coefficient must be .*, got "):
+        FactoredRational.from_json({"numerator": [1, coefficient]})
+    with pytest.raises(UnfactoredInput, match=r"^the denominator const must be "):
+        FactoredRational.from_json({"numerator": [1], "denominator": {"const": coefficient}})
+    with pytest.raises(UnfactoredInput, match=r"^a denominator root must be "):
+        FactoredRational.from_json({"numerator": [1], "denominator": {"roots": [[coefficient, 1]]}})
+
+
+@pytest.mark.parametrize("numerator", [5, "12", {"a": 1}, None])
+def test_from_json_refuses_a_numerator_that_is_not_a_list(numerator):
+    with pytest.raises(UnfactoredInput, match="numerator must be a list of coefficients"):
+        FactoredRational.from_json({"numerator": numerator})
+
+
+@pytest.mark.parametrize("roots", [7, "0", {"0": 1}])
+def test_from_json_refuses_roots_that_are_not_a_list(roots):
+    with pytest.raises(UnfactoredInput, match=r"denominator roots must be a list of \[root, multiplicity\] pairs"):
+        FactoredRational.from_json({"numerator": [1], "denominator": {"const": 1, "roots": roots}})
+
+
 def test_unfactored_denominator_rejected():
     with pytest.raises(UnfactoredInput, match="coefficient list"):
         FactoredRational.from_json({"numerator": [1], "denominator": [1, 2, 1]})

@@ -4,8 +4,10 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 import pytest
 
+import dswave.reflection
 from dswave.model import HorizonUnitsParams, ModelParams
 from dswave.reflection import (
     FarFieldAmplitudes,
@@ -105,7 +107,7 @@ def test_interior_ratio_matches_barrier_closed_form():
     ch2 = math.cosh(0.5 * math.pi * math.sqrt(4.0 * U0 * a * a - 1.0)) ** 2
     exact = math.sqrt(1.0 - sh2 / (sh2 + ch2))
     ratio, resid = interior_wave_ratio(
-        lambda x: U0 / math.cosh((x - 5.0) / a) ** 2, eps, 18.20
+        lambda x: U0 / np.cosh((x - 5.0) / a) ** 2, eps, 18.20
     )
     assert resid < 1e-10
     assert abs(ratio / exact - 1.0) < 1e-4
@@ -125,7 +127,7 @@ def test_interior_ratio_turning_point_rejected():
     # barrier top inside the window exceeds eps^2: channel split undefined
     with pytest.raises(ValueError, match="turning point"):
         interior_wave_ratio(
-            lambda x: 16.0 / math.cosh(x - 1.7) ** 2, 3.0, 18.2
+            lambda x: 16.0 / np.cosh(x - 1.7) ** 2, 3.0, 18.2
         )
 
 
@@ -136,6 +138,22 @@ def test_flux_balance_agrees_with_far_field():
     hp = HorizonUnitsParams(epsilon=20.0, m=10.0, j=1)
     ratio = horizon_flux_balance(make_ansatz(hp, "regular"), hp)
     assert ratio < 1e-6  # far-field says exactly zero
+
+
+def test_flux_balance_calls_the_potential_once_per_block(monkeypatch):
+    # the integrator and the WKB phase evaluate U on whole arrays: about 13k
+    # RKF7(8) steps at eps = 240 take about 60 calls, not one per stage node
+    calls = []
+    potential = dswave.reflection.effective_potential
+
+    def counted(hp, r):
+        calls.append(np.shape(r))
+        return potential(hp, r)
+
+    monkeypatch.setattr(dswave.reflection, "effective_potential", counted)
+    hp = HorizonUnitsParams(epsilon=4.9 * 49.0, m=49.0, j=5)
+    assert horizon_flux_balance(make_ansatz(hp, "regular"), hp) < 1e-6
+    assert 0 < len(calls) <= 100
 
 
 def test_flux_balance_guards():
