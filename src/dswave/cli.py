@@ -37,11 +37,12 @@ Exit codes
 2  configuration / input errors (bad flags, malformed config or fixture
    files, an unwritable --output, non-finite or negative parameters, a
    potential beyond double range, grids or sweeps longer than MAX_POINTS,
-   out-of-domain radii, expansion validity violations)
+   out-of-domain or repeating radii, expansion validity violations)
 3  regime / physical-validity errors (evanescent mode, far-field regime
    guard, unsupported mass, non-positive barrier factor)
 4  numerical non-convergence (series or integrator failure, far-field
-   amplitudes or other intermediates beyond double range)
+   amplitudes or other intermediates beyond double range, far-field
+   amplitudes with fewer than ten digits)
 """
 
 from __future__ import annotations
@@ -65,9 +66,8 @@ from .expansion import (
 from .model import (
     HorizonUnitsParams,
     ModelParams,
-    effective_potential,
+    potential_profile,
     to_horizon_units,
-    tortoise,
 )
 from .oracle import StepFailure, classify_singularities
 from .reflection import RegimeError, far_field_reflection, horizon_flux_balance
@@ -284,20 +284,21 @@ def cmd_potential(args: argparse.Namespace) -> int:
     grid = _r_grid(args, 1e-6, 1.0 - 1e-6, 1000)
     if grid[0] <= 0.0 or grid[-1] >= 1.0:
         raise ConfigError("potential grid must stay strictly inside 0 < r < 1")
-    rows = []
-    barrier_ok = True
-    for r in grid:
-        u_val, f_val = effective_potential(hp, float(r))
-        if not (math.isfinite(u_val) and math.isfinite(f_val)):
-            raise ConfigError(
-                f"the potential overflows at r={r:.6g}: m={hp.m:.6g} (j={hp.j}) is too "
-                f"large for double precision"
-            )
-        rows.append((float(r), tortoise(float(r)), u_val, f_val))
-        if f_val <= 0.0:
-            barrier_ok = False
-    _emit_table(args, echo, ("r", "r_star", "U", "F"), rows)
-    if not barrier_ok:
+    try:
+        prof = potential_profile(hp, grid)
+    except ValueError as exc:
+        raise ConfigError(
+            f"--r-min {float(grid[0])!r} and --r-max {float(grid[-1])!r} are too close "
+            f"for --grid {len(grid)}: {exc}"
+        ) from exc
+    overflow = ~(np.isfinite(prof.U) & np.isfinite(prof.F))
+    if overflow.any():
+        raise ConfigError(
+            f"the potential overflows at r={grid[overflow.argmax()]:.6g}: m={hp.m:.6g} "
+            f"(j={hp.j}) is too large for double precision"
+        )
+    _emit_table(args, echo, ("r", "r_star", "U", "F"), list(zip(grid, prof.r_star, prof.U, prof.F)))
+    if (prof.F <= 0.0).any():
         print("error: barrier factor F <= 0 on the grid", file=sys.stderr)
         return EXIT_REGIME
     return EXIT_OK

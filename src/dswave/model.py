@@ -44,7 +44,7 @@ class DomainError(ValueError):
     """Radial argument outside the static patch (or at a singular point)."""
 
 
-def phi(r: float) -> float:
+def phi(r: float | np.ndarray) -> float | np.ndarray:
     """Metric factor Phi(r) = 1 - r^2 (horizon units, horizon at r=1)."""
     return 1.0 - r * r
 
@@ -137,42 +137,30 @@ def effective_potential(
     U(r) = (1 - r^2) [4(1-r) + r/(1+r) + m^2 + j(j+1)/r^2]   (units 1/R^2)
 
     and F is the exact closed-form derivative -Phi dU/dr (units 1/R^3).
-    r = 0 is allowed only for j = 0, where the centrifugal term is absent.
-    A float ndarray r gives arrays U and F of its shape, by the same formulas.
+    r = 0 is allowed only for j = 0, where the centrifugal term is absent
+    (U = 4 + m^2, F = 3 there).  One numpy formula serves a float r (Python
+    floats out) and a float ndarray (arrays of its shape); it raises no
+    floating-point warning, and values beyond double range come back as
+    inf or nan for the caller to refuse.
     """
-    if isinstance(r, np.ndarray):
-        return _effective_potential_array(hp, r)
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"effective_potential: r={r} outside [0, 1)")
-    j = hp.j
-    cent = j * (j + 1)
-    if r == 0.0:
-        if j > 0:
-            raise DomainError("effective_potential: r=0 is singular for j > 0")
-        w = 4.0 + hp.m * hp.m
-        return w, 3.0  # Phi=1; F = 2rW + Phi(4 - 1/(1+r)^2) -> 3 at r=0
-    f = phi(r)
-    w = 4.0 * (1.0 - r) + r / (1.0 + r) + hp.m * hp.m + cent / (r * r)
-    u = f * w
-    dw = 4.0 - 1.0 / ((1.0 + r) ** 2) + 2.0 * cent / (r ** 3)
-    force = f * (2.0 * r * w + f * dw)
-    return u, force
-
-
-def _effective_potential_array(hp: HorizonUnitsParams, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    outside = ~((0.0 <= r) & (r < 1.0))
+    x = np.asarray(r, dtype=float)
+    outside = ~((0.0 <= x) & (x < 1.0))
     if outside.any():
-        raise DomainError(f"effective_potential: r={r[outside][0]} outside [0, 1)")
+        raise DomainError(f"effective_potential: r={x[outside][0]} outside [0, 1)")
     cent = hp.j * (hp.j + 1)
-    f = 1.0 - r * r
-    w = 4.0 * (1.0 - r) + r / (1.0 + r) + hp.m * hp.m
-    dw = 4.0 - 1.0 / ((1.0 + r) ** 2)
-    if cent:  # without the centrifugal terms r = 0 needs no special case
-        if (r == 0.0).any():
-            raise DomainError("effective_potential: r=0 is singular for j > 0")
-        w = w + cent / (r * r)
-        dw = dw + 2.0 * cent / (r ** 3)
-    return f * w, f * (2.0 * r * w + f * dw)
+    with np.errstate(all="ignore"):
+        f = phi(x)
+        w = 4.0 * (1.0 - x) + x / (1.0 + x) + hp.m * hp.m
+        dw = 4.0 - 1.0 / ((1.0 + x) ** 2)
+        if cent:  # without the centrifugal terms r = 0 needs no special case
+            if (x == 0.0).any():
+                raise DomainError("effective_potential: r=0 is singular for j > 0")
+            w = w + cent / (x * x)
+            dw = dw + 2.0 * cent / (x ** 3)
+        u, force = f * w, f * (2.0 * x * w + f * dw)
+    if isinstance(r, np.ndarray):
+        return u, force
+    return float(u), float(force)
 
 
 @dataclass(frozen=True)
@@ -194,19 +182,13 @@ class PotentialProfile:
 
 
 def potential_profile(hp: HorizonUnitsParams, r_grid: Sequence[float]) -> PotentialProfile:
-    rs = []
-    us = []
-    fs = []
-    for r in r_grid:
-        u, f = effective_potential(hp, r)
-        rs.append(tortoise(r))
-        us.append(u)
-        fs.append(f)
-    return PotentialProfile(
-        r_star=np.asarray(rs, dtype=float),
-        U=np.asarray(us, dtype=float),
-        F=np.asarray(fs, dtype=float),
-    )
+    """U and F on r_grid by one effective_potential call, at r* = tortoise(r)
+    (math.atanh per point: numpy's arctanh can differ in the last bit).
+    ValueError where radii repeat or round to the same r*."""
+    r = np.asarray(r_grid, dtype=float)
+    u, f = effective_potential(hp, r)
+    r_star = np.array([tortoise(x) for x in r.tolist()], dtype=float)
+    return PotentialProfile(r_star=r_star, U=u, F=f)
 
 
 @dataclass(frozen=True)

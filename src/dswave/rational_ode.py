@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
@@ -46,11 +47,22 @@ class UnfactoredInput(ValueError):
 MAX_MULTIPLICITY = 1000
 
 
+# Most digits a rational string may expand to, its decimal exponent written
+# out: Python's int/str conversion limit, so an accepted value prints again
+# and "1e9999999" is refused before 10**9999999 is built.
+_MAX_DIGITS = 4300
+_MANTISSA_EXPONENT = re.compile(r"([^eE]*)(?:[eE]([-+]?\d+(?:_\d+)*))?")
+
+
 def _as_fraction(value: Any, what: str) -> Fraction:
     """The exact value of one JSON number or rational string, or
     UnfactoredInput naming the entry (what) and the value."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        mantissa, exponent = _MANTISSA_EXPONENT.match(value).groups()
+        if sum(map(str.isdigit, mantissa)) + abs(float(exponent or 0)) > _MAX_DIGITS:
+            raise UnfactoredInput(f"{what} {value[:24]!r} expands to more than {_MAX_DIGITS} digits")
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         with contextlib.suppress(ValueError, ZeroDivisionError):
             return Fraction(value)

@@ -114,7 +114,9 @@ def far_field_coefficients(ans: WaveAnsatz, hp: HorizonUnitsParams) -> FarFieldA
     where the algorithm's defining substitution has no asymptotic backing, and
     NonConvergence when eps^2 - m^2 or an amplitude is not a finite double
     (or the outgoing amplitude underflows to zero): the Gamma factors at
-    |Im| ~ eps lose every digit long before eps^2 itself overflows.
+    |Im| ~ eps lose every digit long before eps^2 itself overflows; and
+    from eps ~ 5e4 on, where |Im log Gamma(1 - i eps)| * 2^-52, the rounding
+    of the amplitudes' phase, exceeds 1e-10.
     """
     eps, m, p, j = hp.epsilon, hp.m, hp.p, hp.j
     if eps <= m:
@@ -144,9 +146,8 @@ def far_field_coefficients(ans: WaveAnsatz, hp: HorizonUnitsParams) -> FarFieldA
     try:
         asym_w = gamma_ratio_asymptotic(w, 0.5 * (1.0 - p), shift, order=1)
         asym_v = gamma_ratio_asymptotic(v, 0.5 * (1.0 - p), shift, order=1)
-        common = cmath.exp(
-            log_gamma(complex(1.0, -eps)) - log_gamma(w + shift) - log_gamma(v + shift)
-        )
+        lg_eps = log_gamma(complex(1.0, -eps))
+        common = cmath.exp(lg_eps - log_gamma(w + shift) - log_gamma(v + shift))
         c1 = -math.pi * g_j * common * (2.0 ** p) * kappa ** (-j) / (asym_w * asym_v)
         c2 = math.pi * g_j * common * (2.0 ** -p) * kappa ** (j + 1)
         a_plus = c1 * cmath.exp(-1j * ph_p) + c2 * cmath.exp(-1j * ph_m)
@@ -158,6 +159,14 @@ def far_field_coefficients(ans: WaveAnsatz, hp: HorizonUnitsParams) -> FarFieldA
         raise NonConvergence(
             f"far-field amplitudes overflow double precision at eps={eps:.6g}, "
             f"m={m:.6g}, j={j}"
+        )
+    # exp() turns the rounding of the phase Im log Gamma(1 - i eps) into
+    # relative error of C1, C2 and A+/-
+    phase_err = abs(lg_eps.imag) * 2.0 ** -52
+    if phase_err > 1e-10:
+        raise NonConvergence(
+            f"far-field amplitudes lose their digits at eps={eps:.6g}: the phase of "
+            f"Gamma(1 - i eps) carries ~{phase_err:.2g} of rounding, above 1e-10"
         )
     return FarFieldAmplitudes(C1=c1, C2=c2, A_plus=a_plus, A_minus=a_minus)
 

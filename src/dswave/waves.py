@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .model import DomainError, HorizonUnitsParams, ModelParams
-from .special import NonConvergence, hankel1, hyp2f1, log_gamma, log_gamma_diff
+from .special import NonConvergence, connection_gammas, hankel1, hyp2f1, log_gamma, log_gamma_diff
 
 __all__ = [
     "UnsupportedMass",
@@ -164,17 +164,13 @@ def connect(ans: WaveAnsatz) -> ConnectionCoefficients:
     """Gamma-factor coefficients carrying standing -> running waves.
 
     to_out = G(c) G(c-a-b) / (G(c-a) G(c-b)),
-    to_in  = G(c) G(a+b-c) / (G(a) G(b));
-    the same formula serves both families through their own (a, b, c).
-    For real eps these are complex conjugates (reality of standing waves).
+    to_in  = G(c) G(a+b-c) / (G(a) G(b)),
+    the DLMF 15.8.4 pair of special.connection_gammas, which hyp2f1's
+    connection route uses too; the same formula serves both families
+    through their own (a, b, c).  For real eps these are complex conjugates
+    (reality of standing waves).
     """
-    a, b, c = ans.a, ans.b, ans.c
-    to_out = cmath.exp(
-        log_gamma(c) + log_gamma(c - a - b) - log_gamma(c - a) - log_gamma(c - b)
-    )
-    to_in = cmath.exp(
-        log_gamma(c) + log_gamma(a + b - c) - log_gamma(a) - log_gamma(b)
-    )
+    to_out, to_in = connection_gammas(ans.a, ans.b, ans.c)
     return ConnectionCoefficients(to_out=to_out, to_in=to_in)
 
 

@@ -51,6 +51,16 @@ def test_potential_grid_validation(capsys):
     assert rc == 2 and err
 
 
+def test_potential_radii_that_repeat_exit_2_naming_the_range(capsys):
+    # linspace between adjacent doubles repeats a radius, so r* cannot increase
+    rc, out, err = run(capsys, "potential", "--m=5", "--j=1", "--grid=3",
+                       "--r-min=0.5", "--r-max=0.5000000000000001")
+    assert rc == 2 and out == ""
+    assert one_error_line(err).startswith(
+        "error: --r-min 0.5 and --r-max 0.5000000000000001 are too close for --grid 3"
+    ), err
+
+
 # --- wave --------------------------------------------------------------------
 
 
@@ -325,6 +335,20 @@ def test_classify_malformed_entries_exit_2_naming_the_entry(capsys, tmp_path, p,
     assert one_error_line(err) == f"error: {message}"
 
 
+@pytest.mark.parametrize("value", ["1e99999", "1e9999999"])
+def test_classify_refuses_rational_strings_beyond_4300_digits(capsys, tmp_path, value):
+    # Fraction would build 10**value exactly: 1e9999999 took over a minute
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"p": {"numerator": [value]}, "q": {"numerator": [1]}}))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "classify", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert one_error_line(err) == (
+        f"error: a numerator coefficient {value!r} expands to more than 4300 digits"
+    )
+
+
 def test_classify_exponents_beyond_double_range_name_the_point(capsys, tmp_path):
     # A = lim x p = 3^1000 at x = 0: the irrational exponents have no double value
     start = time.perf_counter()
@@ -547,6 +571,36 @@ def test_far_field_overflow_is_a_numerics_failure(capsys, epsilon, m):
     )
     assert rc == 4 and out == ""
     assert one_error_line(err).startswith("error: far-field amplitudes overflow")
+
+
+def _far_field_c2(eps: float, m: float, j: int) -> mp.mpc:
+    """C2 = pi (-1)^j Gamma(1 - i eps) / (Gamma(w+s) Gamma(v+s)) 2^-p kappa^(j+1)."""
+    with mp.workdps(40):
+        eps, m = mp.mpf(eps), mp.mpf(m)
+        p = j + mp.mpf(1) / 2
+        s = (1 + p) / 2
+        w, v = mp.mpc(0, -(eps - m) / 2), mp.mpc(0, -(eps + m) / 2)
+        common = mp.gamma(mp.mpc(1, -eps)) / (mp.gamma(w + s) * mp.gamma(v + s))
+        return mp.pi * (-1) ** j * common * 2 ** (-p) * mp.sqrt(eps**2 - m**2) ** (j + 1)
+
+
+def test_far_field_amplitudes_keep_ten_digits_at_eps_1e4(capsys):
+    rc, out, err = run(capsys, "reflect", "--epsilon=1e4", "--m=10", "--j=1", "--no-flux",
+                       "--format=json")
+    assert rc == 0 and err == ""
+    c2 = complex(*json.loads(out)["report"]["C2"])
+    want = _far_field_c2(1e4, 10.0, 1)
+    assert abs(c2 - want) < 1e-10 * abs(want)  # measured 1.0e-11
+
+
+@pytest.mark.parametrize("epsilon", ["1e6", "1e10"])
+def test_far_field_amplitudes_without_ten_digits_exit_4_naming_eps(capsys, epsilon):
+    # the rounding of the ~eps ln eps radian Gamma phase reaches 3e-9 and 5e-5
+    rc, out, err = run(capsys, "reflect", f"--epsilon={epsilon}", "--m=10", "--j=1", "--no-flux")
+    assert rc == 4 and out == ""
+    line = one_error_line(err)
+    assert line.startswith("error: far-field amplitudes lose their digits at eps="), line
+    assert f"eps={float(epsilon):.6g}" in line, line
 
 
 @pytest.mark.parametrize(

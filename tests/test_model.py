@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,17 +82,42 @@ def test_effective_potential_domain():
         effective_potential(hp0, 1.0)
 
 
-def test_effective_potential_arrays_match_the_float_path():
-    r = np.concatenate(([0.0], np.linspace(1e-6, 1.0 - 1e-9, 257)))
-    for j, m in ((0, 0.0), (0, 10.0), (5, 49.0)):
-        hp = HorizonUnitsParams(epsilon=1.0, m=m, j=j)
-        grid = r[1:] if j else r
-        u, f = effective_potential(hp, grid)
-        assert u.shape == f.shape == grid.shape
-        scalar = np.array([effective_potential(hp, float(x)) for x in grid])
-        # same formulas; numpy's power may differ from libm's pow by an ulp
-        np.testing.assert_allclose(u, scalar[:, 0], rtol=1e-15, atol=0.0)
-        np.testing.assert_allclose(f, scalar[:, 1], rtol=1e-15, atol=0.0)
+def _exact_potential(m: float, j: int, r: float) -> tuple[Fraction, Fraction]:
+    """U and F of the closed form in exact rational arithmetic at the float r."""
+    r, m2, cent = Fraction(r), Fraction(m) ** 2, j * (j + 1)
+    f = 1 - r * r
+    w = 4 * (1 - r) + r / (1 + r) + m2 + (cent / (r * r) if cent else 0)
+    dw = 4 - 1 / (1 + r) ** 2 + (2 * cent / r**3 if cent else 0)
+    return f * w, f * (2 * r * w + f * dw)
+
+
+def test_effective_potential_matches_exact_rational_arithmetic():
+    # Every term of U and F is positive, so the only ill-conditioned step is
+    # Phi = 1 - r^2: rounding r^2 costs r^2/(1 - r^2) units in Phi, twice in
+    # F.  The float formula must stay within 8 units of 2^-52 over 1 - r^2
+    # (measured: 2.0 units at worst).
+    rng = np.random.default_rng(8)
+    r = np.concatenate((
+        rng.uniform(0.0, 1.0, 200),
+        1.0 - 2.0 ** -rng.uniform(1.0, 40.0, 60),  # near the horizon
+        10.0 ** rng.uniform(-8.0, -2.0, 30),  # near the origin
+    ))
+    for j in (0, 1, 5):
+        for m in (0.0, *10.0 ** rng.uniform(-1.0, 3.0, 3), 1e3):
+            hp = HorizonUnitsParams(epsilon=1.0, m=float(m), j=j)
+            grid = np.concatenate(([0.0], r)) if j == 0 else r
+            u, f = effective_potential(hp, grid)
+            assert u.shape == f.shape == grid.shape
+            for x, ux, fx in zip(grid.tolist(), u.tolist(), f.tolist()):
+                bound = 8.0 * 2.0 ** -52 / (1.0 - x * x)
+                for got, want in zip((ux, fx), _exact_potential(float(m), j, x)):
+                    assert abs(Fraction(got) - want) <= bound * want, (j, m, x)
+    # a float in gives Python floats out, by the same formula
+    hp0 = HorizonUnitsParams(epsilon=1.0, m=3.0, j=0)
+    scalar = effective_potential(hp0, 0.3)
+    assert all(type(v) is float for v in scalar)
+    u, f = effective_potential(hp0, np.array([0.3]))
+    assert scalar == (u[0], f[0])
     hp1 = HorizonUnitsParams(epsilon=1.0, m=1.0, j=1)
     with pytest.raises(DomainError, match="r=0 is singular"):
         effective_potential(hp1, np.array([0.5, 0.0]))

@@ -110,6 +110,29 @@ def test_connection_coefficients_conjugate_pair():
     assert abs(cc.to_in - cc.to_out.conjugate()) < 1e-13 * abs(cc.to_out)
 
 
+@pytest.mark.parametrize("eps", [10.0, 50.0, 200.0, 1000.0])
+def test_connect_matches_mpmath_gamma_quotients(eps):
+    # DLMF 15.8.4 coefficients at 40 digits from the float (a, b, c).  The
+    # log-Gamma sum has size ~eps ln eps, and its rounding is the phase
+    # error of exp: the bound is 8 units of 2^-52 of 1 + eps ln eps.  At
+    # eps = 1000 the worst case measures 1.9e-12 against a bound of 1.2e-11.
+    bound = 8.0 * 2.0**-52 * (1.0 + eps * math.log(eps))
+    worst = 0.0
+    with mp.workdps(40):
+        for j in range(6):
+            for mu in (1.5, 2.0, 5.0):
+                hp = HorizonUnitsParams(epsilon=eps, m=eps / mu, j=j)
+                for fam in ("regular", "singular"):
+                    ans = make_ansatz(hp, fam)
+                    a, b, c = (mp.mpc(v.real, v.imag) for v in (ans.a, ans.b, ans.c))
+                    to_out = mp.gamma(c) * mp.gamma(c - a - b) / (mp.gamma(c - a) * mp.gamma(c - b))
+                    to_in = mp.gamma(c) * mp.gamma(a + b - c) / (mp.gamma(a) * mp.gamma(b))
+                    cc = connect(ans)
+                    for got, want in ((cc.to_out, to_out), (cc.to_in, to_in)):
+                        worst = max(worst, float(abs(got - want) / abs(want)))
+    assert worst < bound, (eps, worst)
+
+
 def test_connection_residual_small():
     for eps, m, j in [(10.0, 5.0, 0), (10.0, 5.0, 3), (25.0, 10.0, 1), (60.0, 10.0, 5)]:
         hp = HorizonUnitsParams(epsilon=eps, m=m, j=j)
