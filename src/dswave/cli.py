@@ -170,6 +170,13 @@ def _read_json(path: str, what: str) -> Any:
         raise ConfigError(f"cannot read {what} file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} file is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} file is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # int() refuses a literal past Python's digit limit
+        raise ConfigError(
+            f"{what} file holds an integer literal of more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 # Config-file keys whose flags take text or whole numbers; every other key's

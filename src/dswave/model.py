@@ -138,8 +138,9 @@ def effective_potential(
 
     and F is the exact closed-form derivative -Phi dU/dr (units 1/R^3).
     r = 0 is allowed only for j = 0, where the centrifugal term is absent
-    (U = 4 + m^2, F = 3 there).  One numpy formula serves a float r (Python
-    floats out) and a float ndarray (arrays of its shape); it raises no
+    (U = 4 + m^2, F = 3 there, also where m^2 overflows).  One numpy
+    formula serves a float r (Python floats out) and a float ndarray
+    (arrays of its shape); it raises no
     floating-point warning, and values beyond double range come back as
     inf or nan for the caller to refuse.
     """
@@ -157,7 +158,9 @@ def effective_potential(
                 raise DomainError("effective_potential: r=0 is singular for j > 0")
             w = w + cent / (x * x)
             dw = dw + 2.0 * cent / (x ** 3)
-        u, force = f * w, f * (2.0 * x * w + f * dw)
+        # 2 r W is 0 at r = 0 even where m^2 overflows W (0 * inf is nan)
+        rw = np.where(x == 0.0, 0.0, 2.0 * x * w)
+        u, force = f * w, f * (rw + f * dw)
     if isinstance(r, np.ndarray):
         return u, force
     return float(u), float(force)

@@ -4,7 +4,8 @@ Three unrelated tools share this module because they all exist to check the
 rest of the package rather than to be part of it:
 
 * an adaptive Runge-Kutta-Fehlberg 7(8) integrator for the radial equation
-  and its Schrodinger form;
+  and its Schrodinger form, and Riccati panels for the Schrodinger form
+  where q > 0, whose cost does not grow with the wave number;
 * an extended-precision series evaluator (gamma / 2F1 / Bessel) built on
   big-float arithmetic with its own algorithms — Spouge's formula and raw
   term recurrences — so it shares no code path with :mod:`dswave.special`;
@@ -13,6 +14,7 @@ rest of the package rather than to be part of it:
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +32,7 @@ __all__ = [
     "OdeProblem",
     "OdeSolution",
     "integrate",
+    "integrate_riccati",
     "extended_series",
     "SingularPoint",
     "SingularityReport",
@@ -38,7 +41,9 @@ __all__ = [
 
 
 class StepFailure(RuntimeError):
-    """Adaptive step size underflowed (typically while approaching a pole)."""
+    """An integrator cannot carry the solution: RKF7(8)'s step size underflowed
+    (typically while approaching a pole) or its step budget ran out, or the
+    Riccati panels met q <= 0 or a phase-error estimate above their budget."""
 
 
 # --- RKF 7(8) ---------------------------------------------------------------
@@ -98,8 +103,10 @@ class OdeProblem:
 class OdeSolution:
     """Values at the requested points, plus the step counters.
 
-    n_steps counts step attempts, accepted and rejected; n_rejected the
-    rejected ones; h_min is the smallest accepted |h|.
+    For integrate, n_steps counts step attempts, accepted and rejected;
+    n_rejected the rejected ones; h_min is the smallest accepted |h|.  For
+    integrate_riccati, n_steps counts panels, n_rejected is 0 and h_min is
+    the panel width.
     """
 
     r: np.ndarray
@@ -219,6 +226,30 @@ def _walk(prop: np.ndarray, err: np.ndarray, y: np.ndarray) -> tuple[np.ndarray,
     return ys, np.abs(err[0::2] * before[0] + err[1::2] * before[1])
 
 
+def _wanted(
+    prob: OdeProblem, r_target: float, tol: float, samples: Sequence[float] | None
+) -> tuple[float, list[float]]:
+    """Checked span r_target - r0 and the points to report, in the order the
+    integration reaches them (r_target last); ValueError on a bad request."""
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    span = r_target - prob.r0
+    if span == 0.0:
+        raise ValueError("r_target coincides with r0")
+    if prob.direction not in (0, -1, 1):
+        raise ValueError("direction must be -1, 0, or +1")
+    if prob.direction != 0 and prob.direction != (1 if span > 0.0 else -1):
+        raise ValueError("r_target lies opposite the declared direction")
+    if samples is None:
+        return span, [r_target]
+    wanted = sorted(set(float(s) for s in samples) | {r_target}, reverse=span < 0)
+    lo, hi = min(prob.r0, r_target), max(prob.r0, r_target)
+    for s in wanted:
+        if not lo <= s <= hi:
+            raise ValueError(f"sample {s} outside integration interval")
+    return span, wanted
+
+
 def integrate(
     prob: OdeProblem,
     r_target: float,
@@ -242,26 +273,8 @@ def integrate(
     StepFailure when h underflows |r_target - r0| * 1e-14 or after max_steps
     step attempts.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    span = r_target - prob.r0
-    if span == 0.0:
-        raise ValueError("r_target coincides with r0")
+    span, wanted = _wanted(prob, r_target, tol, samples)
     sign = 1.0 if span > 0.0 else -1.0
-    if prob.direction not in (0, -1, 1):
-        raise ValueError("direction must be -1, 0, or +1")
-    if prob.direction != 0 and prob.direction != int(sign):
-        raise ValueError("r_target lies opposite the declared direction")
-
-    if samples is None:
-        wanted = [r_target]
-    else:
-        wanted = sorted(set(float(s) for s in samples) | {r_target}, reverse=span < 0)
-        lo, hi = min(prob.r0, r_target), max(prob.r0, r_target)
-        for s in wanted:
-            if not lo <= s <= hi:
-                raise ValueError(f"sample {s} outside integration interval")
-
     r = prob.r0
     y = np.array([prob.u0, prob.du0], dtype=complex)
     scale = np.maximum(1.0, np.abs(y))  # running max of |u| and |u'|
@@ -328,6 +341,150 @@ def integrate(
         n_steps=n_steps,
         n_rejected=n_rejected,
         h_min=h_smallest,
+    )
+
+
+# --- Riccati panels ---------------------------------------------------------
+
+# Chebyshev degree of a panel, the widest panel and the fewest panels of a
+# span, and the most defect-correction sweeps.
+_CHEB_DEGREE = 16
+_PANEL_WIDTH = 1.0
+_MIN_PANELS = 12
+_RICCATI_SWEEPS = 16
+
+
+def _chebyshev_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form Chebyshev tools of degree n on [-1, 1].
+
+    Returns the nodes t_k = -cos(pi k / n) (ascending, t_0 = -1); the map
+    from values at the nodes to coefficients of T_0..T_n (the discrete
+    cosine sum with halved end terms); the differentiation matrix on the
+    nodes; and the map from coefficients of f to the n + 2 coefficients of
+    the antiderivative of f that vanishes at t = -1.
+    """
+    theta = math.pi * np.arange(n, -1, -1) / n
+    basis = np.cos(np.outer(theta, np.arange(n + 1)))  # T_j(t_k)
+    ends = np.ones(n + 1)
+    ends[[0, -1]] = 0.5
+    to_coef = (2.0 / n) * (basis * ends[:, None]).T * ends[:, None]
+    # T_j' = 2j (T_(j-1) + T_(j-3) + ...), with T_0 counted once
+    deriv = np.zeros((n + 1, n + 1))
+    for j in range(1, n + 1):
+        deriv[j - 1 :: -2, j] = 2.0 * j
+        if j % 2:
+            deriv[0, j] = j
+    # int T_0 = T_1, int T_1 = T_2 / 4, int T_j = T_(j+1)/(2(j+1)) - T_(j-1)/(2(j-1))
+    antideriv = np.zeros((n + 2, n + 1))
+    antideriv[1, 0] = 1.0
+    antideriv[2, 1] = 0.25
+    for j in range(2, n + 1):
+        antideriv[j + 1, j] = 0.5 / (j + 1)
+        antideriv[j - 1, j] = -0.5 / (j - 1)
+    antideriv[0] -= (-1.0) ** np.arange(n + 2) @ antideriv  # T_i(-1) = (-1)^i
+    return basis[:, 1], to_coef, basis @ deriv @ to_coef, antideriv
+
+
+_NODES, _TO_COEF, _DIFF, _ANTIDERIV = _chebyshev_matrices(_CHEB_DEGREE)
+
+
+def integrate_riccati(
+    prob: OdeProblem,
+    r_target: float,
+    tol: float,
+    samples: Sequence[float] | None = None,
+) -> OdeSolution:
+    """u'' + q u = 0 with real q > 0, through the Riccati equation on panels.
+
+    The log-derivative y = u'/u solves y' + y^2 + q = 0 and, where q > 0,
+    has a solution that does not oscillate (Agocs & Barnett,
+    arXiv:2212.06924), so the cost follows how fast q changes, not how large
+    it is.  The span from r0 to r_target is cut into max(_MIN_PANELS,
+    ceil(|span| / _PANEL_WIDTH)) equal panels, each carrying a Chebyshev
+    polynomial of degree _CHEB_DEGREE; q is called once, on every node of
+    every panel.  On all panels at once, y starts from i sqrt(q) and is
+    corrected by y <- y - (y' + y^2 + q) / (2y), with y' from the Chebyshev
+    differentiation matrix; each panel keeps its iterate of lowest
+    max |R| / (2|y|), R = y' + y^2 + q.  Then u1 = exp(integral y) and its
+    conjugate u2 are two solutions on each panel, and one 2x2 solve per
+    panel matches (u, u') at its start.  Values at the wanted points come
+    from the Chebyshev antiderivative of y inside their panel.
+
+    Raises StepFailure naming the cause when q is not real, when some node
+    has q <= 0 (or q is not a number), or when the phase-error estimate
+    sum over panels of width * max |R| / (2|y|) exceeds 10 tol; integrate
+    handles those problems.  The OdeSolution counts panels in n_steps;
+    n_rejected is 0 (no panel is retried) and h_min is the panel width.
+    """
+    if prob.p is not None:
+        raise ValueError("integrate_riccati solves u'' + q u = 0: p must be None")
+    span, wanted = _wanted(prob, r_target, tol, samples)
+    n = max(_MIN_PANELS, math.ceil(abs(span) / _PANEL_WIDTH))
+    edges = prob.r0 + span * np.arange(n + 1) / n
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    x = mid[:, None] + half[:, None] * _NODES
+
+    with np.errstate(all="ignore"):
+        q = np.broadcast_to(prob.q(x.ravel()), x.size).reshape(x.shape)
+        if np.iscomplexobj(q):
+            if np.any(q.imag != 0.0):
+                raise StepFailure("q is not real: the Riccati route needs a real q > 0")
+            q = q.real
+        bad = np.flatnonzero(~(q > 0.0))
+        if bad.size:
+            k = bad[0]
+            raise StepFailure(
+                f"q = {q.flat[k]:.6g} at r={x.flat[k]:.6g}: the Riccati route needs q > 0 "
+                f"(turning point or evanescent stretch)"
+            )
+        y = 1j * np.sqrt(q)
+        best, best_err = y, np.full(n, np.inf)
+        for _ in range(_RICCATI_SWEEPS):
+            resid = (y @ _DIFF.T) / half[:, None] + y * y + q
+            err = np.max(np.abs(resid) / (2.0 * np.abs(y)), axis=1)
+            better = err < best_err
+            if not better.any():
+                break
+            best = np.where(better[:, None], y, best)
+            best_err = np.where(better, err, best_err)
+            y = y - resid / (2.0 * y)
+        width = abs(span) / n
+        phase_err = width * float(np.sum(best_err))
+        if not phase_err <= 10.0 * tol:
+            raise StepFailure(
+                f"Riccati phase-error estimate {phase_err:.3g} exceeds 10 tol = {10.0 * tol:.3g} "
+                f"on panels of width {width:.3g} (q too small for its rate of change)"
+            )
+
+        coef = best @ _TO_COEF.T  # y on each panel, T_0..T_n
+        big_y = half[:, None] * (coef @ _ANTIDERIV.T)  # integral of y from the panel start
+        # (u, u') at each panel start, and the weights of u1, u2 there
+        alpha = np.empty(n, dtype=complex)
+        beta = np.empty(n, dtype=complex)
+        u, du = complex(prob.u0), complex(prob.du0)
+        for k in range(n):
+            ya, yb = complex(best[k, 0]), complex(best[k, -1])
+            gap = ya - ya.conjugate()
+            alpha[k] = a = (du - ya.conjugate() * u) / gap
+            beta[k] = b = (ya * u - du) / gap
+            grow = cmath.exp(complex(big_y[k].sum()))  # T_i(1) = 1
+            u = a * grow + b * grow.conjugate()
+            du = a * yb * grow + b * yb.conjugate() * grow.conjugate()
+
+        r = np.array(wanted)
+        panel = np.clip(((r - prob.r0) / span * n).astype(int), 0, n - 1)
+        t = np.clip((r - mid[panel]) / half[panel], -1.0, 1.0)
+        cheb = np.cos(np.outer(np.arccos(t), np.arange(_CHEB_DEGREE + 2)))
+        grow = np.exp(np.sum(big_y[panel] * cheb, axis=1))
+        y_at = np.sum(coef[panel] * cheb[:, :-1], axis=1)
+        u1, u2 = alpha[panel] * grow, beta[panel] * np.conj(grow)
+    return OdeSolution(
+        r=r,
+        u=u1 + u2,
+        du=u1 * y_at + u2 * np.conj(y_at),
+        n_steps=n,
+        n_rejected=0,
+        h_min=width,
     )
 
 

@@ -18,6 +18,12 @@ actual potential (not a fixed wave number): with smooth channel dressing
 absorbed by polynomial envelopes, the split is ambiguous only at the
 integrator-noise level, which is what makes the 1e-6 cross-method
 agreement achievable down to interior wave numbers ~10.
+
+The integration takes the Riccati panels of oracle.integrate_riccati, whose
+cost does not grow with eps: with no barrier, Q = eps^2 - U stays positive
+from the launch point to the window.  Where that route raises StepFailure
+(Q <= 0 somewhere, or too small for the panels) the check runs RKF7(8),
+oracle.integrate, with the same arguments instead.
 """
 from __future__ import annotations
 
@@ -34,7 +40,7 @@ from .model import (
     effective_potential,
     to_horizon_units,
 )
-from .oracle import OdeProblem, integrate
+from .oracle import OdeProblem, StepFailure, integrate, integrate_riccati
 from .special import NonConvergence, gamma_ratio_asymptotic, log_gamma
 from .waves import EvanescentMode, WaveAnsatz, make_ansatz
 
@@ -251,6 +257,15 @@ def interior_wave_ratio(
     shape, or a constant; the integrator and the phase quadrature each call
     it on whole arrays.
 
+    The samples come from oracle.integrate_riccati, one U call for every
+    panel node.  Only where it raises StepFailure (a node with Q <= 0, or a
+    phase-error estimate above 10 tol where Q is small for its rate of
+    change, as at (eps, m, j) = (10.5, 10, 0)) do they come from
+    oracle.integrate (RKF7(8)), with the same arguments and so the same
+    bits as that integrator alone.  tol is the Riccati route's phase-error
+    budget over the whole span (10 tol), or RKF7(8)'s local error per step
+    where it falls back.
+
     Raises ValueError if the window contains a classical turning point
     (Q <= 0); the channel split is meaningless there.
     """
@@ -286,7 +301,10 @@ def interior_wave_ratio(
     prob = OdeProblem(
         p=None, q=q_fn, r0=launch_rstar, u0=u0, du0=1j * epsilon * u0, direction=-1
     )
-    sol = integrate(prob, lo, tol, samples=xs)
+    try:
+        sol = integrate_riccati(prob, lo, tol, samples=xs)
+    except StepFailure:
+        sol = integrate(prob, lo, tol, samples=xs)
 
     zeta = np.sqrt(q) ** -0.5 * np.exp(1j * phase)
     t = (2.0 * xs - (lo + hi)) / (hi - lo)  # window-normalized poly variable
@@ -311,6 +329,12 @@ def horizon_flux_balance(
     outgoing/incoming WKB channels of the actual potential (see
     interior_wave_ratio).  Agreement of the returned ratio with the
     far-field verdict (zero) is the cross-method acceptance property.
+
+    The integration takes Riccati panels, at a cost that does not grow with
+    eps (two potential calls and 12 panels at m = 50 for eps from 1e3 to
+    4e4), and falls back to RKF7(8) where they raise StepFailure; tol is
+    their phase-error budget (10 tol), or RKF7(8)'s local error tolerance
+    after a fallback (see interior_wave_ratio).
     """
     eps, m, j = hp.epsilon, hp.m, hp.j
     if eps <= m:

@@ -160,6 +160,15 @@ def test_reflect_includes_flux_by_default(capsys):
     assert rep["flux_vs_far_field"] < 1e-6
 
 
+
+def test_reflect_flux_check_at_eps_1e4(capsys):
+    # the Riccati panels cost the same at every eps; RKF7(8) ran out of its
+    # 400 000-step budget here
+    rc, out, err = run(capsys, "reflect", "--epsilon", "10000", "--m", "50", "--j", "1",
+                       "--format", "json")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["report"]["flux_vs_far_field"] < 1e-6
+
 def test_reflect_sweep(capsys):
     rc, out, _ = run(
         capsys,
@@ -348,6 +357,32 @@ def test_classify_refuses_rational_strings_beyond_4300_digits(capsys, tmp_path, 
         f"error: a numerator coefficient {value!r} expands to more than 4300 digits"
     )
 
+
+
+def test_json_files_that_do_not_decode_exit_2_naming_the_file(capsys, tmp_path):
+    # json.load raises a plain ValueError, not JSONDecodeError, for an integer
+    # literal past Python's 4300-digit limit and for bytes that are not UTF-8
+    huge = "1" * 5000
+    coefficients = tmp_path / "huge_int.json"
+    coefficients.write_text(f'{{"p": {{"numerator": [{huge}]}}, "q": {{"numerator": [1]}}}}')
+    rc, out, err = run(capsys, "classify", str(coefficients))
+    assert rc == 2 and out == ""
+    assert one_error_line(err) == (
+        "error: coefficient file holds an integer literal of more than 4300 digits"
+    )
+    config = tmp_path / "huge_config.json"
+    config.write_text(f'{{"m": {huge}}}')
+    rc, out, err = run(capsys, "reflect", "--epsilon", "20", "--j", "1", "--no-flux",
+                       "--config", str(config))
+    assert rc == 2 and out == ""
+    assert one_error_line(err) == (
+        "error: config file holds an integer literal of more than 4300 digits"
+    )
+    config.write_bytes(b'\xff\xfe{}')
+    rc, out, err = run(capsys, "reflect", "--epsilon", "20", "--m", "10", "--j", "1",
+                       "--no-flux", "--config", str(config))
+    assert rc == 2 and out == ""
+    assert one_error_line(err).startswith("error: config file is not UTF-8 text: ")
 
 def test_classify_exponents_beyond_double_range_name_the_point(capsys, tmp_path):
     # A = lim x p = 3^1000 at x = 0: the irrational exponents have no double value

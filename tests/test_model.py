@@ -82,6 +82,15 @@ def test_effective_potential_domain():
         effective_potential(hp0, 1.0)
 
 
+@pytest.mark.parametrize("m, u_want", [(1e10, 1e20), (1e300, math.inf)])
+def test_origin_force_is_three_where_m_squared_overflows(m, u_want):
+    # the 2 r W term of F is 0 at r = 0, also when m^2 makes W infinite
+    hp = HorizonUnitsParams(epsilon=1.0, m=m, j=0)
+    assert effective_potential(hp, 0.0) == (u_want, 3.0)
+    u, f = effective_potential(hp, np.array([0.0, 0.5]))
+    assert u[0] == u_want and f[0] == 3.0
+
+
 def _exact_potential(m: float, j: int, r: float) -> tuple[Fraction, Fraction]:
     """U and F of the closed form in exact rational arithmetic at the float r."""
     r, m2, cent = Fraction(r), Fraction(m) ** 2, j * (j + 1)

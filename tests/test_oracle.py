@@ -20,6 +20,7 @@ from dswave.oracle import (
     classify_singularities,
     extended_series,
     integrate,
+    integrate_riccati,
 )
 from dswave.model import HorizonUnitsParams
 from dswave.special import hyp2f1
@@ -170,6 +171,71 @@ def test_integrate_step_counters_repeat():
     assert counters == (again.n_steps, again.n_rejected, again.h_min)
     assert 0 < first.n_rejected <= first.n_steps
     assert 0.0 < first.h_min <= 0.01
+
+
+# --- Riccati panels -------------------------------------------------------------
+
+
+def _airy_wave(r: float) -> tuple[complex, complex]:
+    """u = Ai(-x) - i Bi(-x), x = 400 + r, and du/dr: u'' + (400 + r) u = 0."""
+    with mp.workdps(30):
+        x = -(400 + mp.mpf(r))
+        u = mp.airyai(x) - 1j * mp.airybi(x)
+        du = -(mp.airyai(x, 1) - 1j * mp.airybi(x, 1))
+        return complex(u), complex(du)
+
+
+@pytest.mark.parametrize("r0, target", [(0.0, 10.0), (10.0, 0.0)], ids=["up", "down"])
+def test_riccati_panels_match_the_airy_wave(r0, target):
+    u0, du0 = _airy_wave(r0)
+    prob = OdeProblem(p=None, q=lambda r: 400.0 + r, r0=r0, u0=u0, du0=du0)
+    samples = np.linspace(0.3, 9.7, 11)
+    sol = integrate_riccati(prob, target, 1e-11, samples=samples)
+    assert list(sol.r) == sorted([*samples, target], reverse=target < r0)
+    want = np.array([_airy_wave(r) for r in sol.r])
+    # measured 1.6e-13 and 1.7e-13; RKF7(8) at the same tol is off by 2e-11
+    assert np.max(np.abs(sol.u - want[:, 0])) < 1e-12 * np.max(np.abs(want[:, 0]))
+    assert np.max(np.abs(sol.du - want[:, 1])) < 1e-12 * np.max(np.abs(want[:, 1]))
+    # 10 units of r on the 12-panel minimum
+    assert (sol.n_steps, sol.n_rejected, sol.h_min) == (12, 0, 10.0 / 12)
+
+
+def test_riccati_panels_free_wave_and_panel_count():
+    # y = 3i is exact, so u = e^(3ir) up to rounding; 30 units of r take 30 panels
+    prob = OdeProblem(p=None, q=lambda r: 9.0, r0=0.0, u0=1.0, du0=3j)
+    sol = integrate_riccati(prob, 30.0, 1e-12, samples=[7.25, 15.0])
+    assert np.max(np.abs(sol.u - np.exp(3j * sol.r))) < 1e-13
+    assert np.max(np.abs(sol.du - 3j * np.exp(3j * sol.r))) < 5e-13
+    assert (sol.n_steps, sol.h_min) == (30, 1.0)
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        (lambda r: 4.0 - r * r, "q = 0 at r=2: the Riccati route needs q > 0"),
+        (lambda r: np.full(np.shape(r), np.nan), "q = nan at r=0: the Riccati route needs q > 0"),
+        (lambda r: 100.0 + 1j * r, "q is not real"),
+        (lambda r: 4.0 + r, "phase-error estimate"),
+    ],
+    ids=["turning-point", "nan", "complex", "low-wave-number"],
+)
+def test_riccati_panels_refuse_naming_the_cause(q, message):
+    prob = OdeProblem(p=None, q=q, r0=0.0, u0=1.0, du0=2j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepFailure, match=message):
+            integrate_riccati(prob, 3.0, 1e-11)
+
+
+def test_riccati_panels_take_the_schrodinger_form_only():
+    prob = OdeProblem(p=lambda r: 1.0, q=lambda r: 9.0, r0=0.0, u0=1.0, du0=3j)
+    with pytest.raises(ValueError, match="p must be None"):
+        integrate_riccati(prob, 1.0, 1e-11)
+    free = OdeProblem(p=None, q=lambda r: 9.0, r0=0.0, u0=1.0, du0=3j, direction=-1)
+    with pytest.raises(ValueError, match="opposite"):
+        integrate_riccati(free, 1.0, 1e-11)
+    with pytest.raises(ValueError, match="outside"):
+        integrate_riccati(free, -1.0, 1e-11, samples=[0.5])
 
 
 # --- big-float series oracle --------------------------------------------------

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import dswave.reflection
+import dswave.oracle
 from dswave.model import HorizonUnitsParams, ModelParams
+from dswave.oracle import StepFailure, integrate_riccati
 from dswave.reflection import (
     FarFieldAmplitudes,
     ReflectionResult,
@@ -141,8 +143,8 @@ def test_flux_balance_agrees_with_far_field():
 
 
 def test_flux_balance_calls_the_potential_once_per_block(monkeypatch):
-    # the integrator and the WKB phase evaluate U on whole arrays: about 13k
-    # RKF7(8) steps at eps = 240 take about 60 calls, not one per stage node
+    # the integrator and the WKB phase evaluate U on whole arrays, never once
+    # per node: the Riccati panels take one call, RKF7(8) one per block
     calls = []
     potential = dswave.reflection.effective_potential
 
@@ -154,6 +156,99 @@ def test_flux_balance_calls_the_potential_once_per_block(monkeypatch):
     hp = HorizonUnitsParams(epsilon=4.9 * 49.0, m=49.0, j=5)
     assert horizon_flux_balance(make_ansatz(hp, "regular"), hp) < 1e-6
     assert 0 < len(calls) <= 100
+
+
+def _record_routes(monkeypatch) -> list:
+    """(route, problem, target, samples, solution) of every ODE solve that
+    reflection completes, route "riccati" or "rkf78"."""
+    calls = []
+
+    def spy(route, solve):
+        def run(prob, r_target, tol, samples=None):
+            sol = solve(prob, r_target, tol, samples=samples)
+            calls.append((route, prob, r_target, samples, sol))
+            return sol
+
+        return run
+
+    monkeypatch.setattr(dswave.reflection, "integrate_riccati",
+                        spy("riccati", dswave.reflection.integrate_riccati))
+    monkeypatch.setattr(dswave.reflection, "integrate", spy("rkf78", dswave.reflection.integrate))
+    return calls
+
+
+CRITERION_1 = [
+    (mu, j, m)
+    for mu in (1.5, 2.0, 5.0)
+    for j in (0, 1, 2, 5)
+    for m in (10.0, 50.0)
+    if check_regime(HorizonUnitsParams(epsilon=mu * m, m=m, j=j))
+]
+
+
+def test_riccati_window_samples_match_tight_rkf78_on_criterion_1(monkeypatch):
+    # all 19 criterion-1 points take the Riccati panels; their 64 window
+    # samples agree with RKF7(8) at tol 1e-13 (measured 2.2e-12 to 3.0e-11)
+    calls = _record_routes(monkeypatch)
+    assert len(CRITERION_1) == 19
+    for mu, j, m in CRITERION_1:
+        hp = HorizonUnitsParams(epsilon=mu * m, m=m, j=j)
+        horizon_flux_balance(make_ansatz(hp, "regular"), hp)
+        route, prob, target, samples, sol = calls.pop()
+        assert route == "riccati", (mu, j, m)
+        tight = dswave.oracle.integrate(prob, target, 1e-13, samples=samples)
+        assert np.array_equal(sol.r, tight.r)
+        err = np.max(np.abs(sol.u - tight.u)) / np.max(np.abs(tight.u))
+        assert err <= 1e-9, (mu, j, m, err)
+
+
+def test_flux_balance_costs_the_same_at_every_large_eps(monkeypatch):
+    # counts, not timings: RKF7(8) needed ~50k steps at eps = 1e3 and ran out
+    # of its 400 000-step budget at 1e4
+    calls = _record_routes(monkeypatch)
+    potential = dswave.reflection.effective_potential
+    shapes = []
+
+    def counted(hp, r):
+        shapes.append(np.shape(r))
+        return potential(hp, r)
+
+    monkeypatch.setattr(dswave.reflection, "effective_potential", counted)
+    costs = []
+    for eps in (1e3, 1e4, 4e4):
+        hp = HorizonUnitsParams(epsilon=eps, m=50.0, j=1)
+        shapes.clear()
+        assert horizon_flux_balance(make_ansatz(hp, "regular"), hp) < 1e-6
+        route, _, _, _, sol = calls.pop()
+        assert route == "riccati" and not calls
+        costs.append((len(shapes), sol.n_steps))
+    assert costs == [(2, 12)] * 3
+
+
+def test_fallback_to_rkf78_keeps_its_bits(monkeypatch):
+    # a turning point (the sech^2 barrier) and a low interior wave number,
+    # (eps, m, j) = (10.5, 10, 0), leave the Riccati route; the result is
+    # bit for bit the one of RKF7(8) alone
+    barrier = lambda x: 16.0 / np.cosh(x - 5.0) ** 2
+    slow = HorizonUnitsParams(epsilon=10.5, m=10.0, j=0)
+    cases = [
+        (lambda: interior_wave_ratio(barrier, 3.0, 18.20), "needs q > 0"),
+        (lambda: horizon_flux_balance(make_ansatz(slow, "regular"), slow), "phase-error estimate"),
+    ]
+    for case, cause in cases:
+        calls = _record_routes(monkeypatch)
+        got = case()
+        assert [c[0] for c in calls] == ["rkf78"]
+        route, prob, target, samples, _ = calls[0]
+        with pytest.raises(StepFailure, match=cause):
+            integrate_riccati(prob, target, 1e-11, samples=samples)
+
+        def refuse(*args, **kwargs):
+            raise StepFailure("forced")
+
+        monkeypatch.setattr(dswave.reflection, "integrate_riccati", refuse)
+        assert case() == got
+        monkeypatch.undo()
 
 
 def test_flux_balance_guards():
