@@ -117,9 +117,10 @@ class OdeSolution:
     h_min: float
 
 
-# Most steps planned per block: p and q are evaluated once over the 13 stage
-# nodes of every step of a block.  A larger block saves calls but discards
-# more speculative steps after a rejection and holds more memory.
+# Steps planned per block after the first: p and q are evaluated once over
+# the 13 stage nodes of every step of a block, and a block's fixed numpy work
+# costs about as much as 250 steps, so every block is planned this long.  A
+# larger block holds more memory and discards more steps after a rejection.
 _BLOCK_STEPS = 256
 
 _C = np.array(_RKF78["c"])
@@ -130,6 +131,16 @@ _E = (41.0 / 840.0) * np.array([1.0] + [0.0] * 9 + [1.0, -1.0, -1.0])
 
 def _lands(r: float, target: float) -> bool:
     return r == target or abs(r - target) < 1e-15 * max(1.0, abs(target))
+
+
+def _ideal_step(h: float, ratio: float) -> float:
+    """The step size that the error ratio of a step of size h asks for: the
+    error goes as h**8, aimed at 0.9**8 of tol, and the size is capped at
+    4 |h|; 0.2 |h| where the ratio is not a number or infinite."""
+    h, ratio = abs(float(h)), float(ratio)
+    if not math.isfinite(ratio):
+        return 0.2 * h
+    return h * (4.0 if ratio == 0.0 else min(4.0, 0.9 * ratio**-0.125))
 
 
 def _plan(
@@ -264,14 +275,22 @@ def integrate(
     controlled to tol relative to the running maximum of |u| and |u'|.
 
     The steps go in blocks of one size h, so p and q are called once per
-    block, on a float ndarray of stage nodes (see OdeProblem).  A block keeps
-    its steps up to the first one whose error ratio exceeds 1 or is not
-    finite; that step counts as rejected and the steps planned after it are
-    discarded uncounted.  h then shrinks by that step's ratio, or after a
-    block without rejection grows by its largest ratio.  A block plans twice
-    the steps the last one kept, from 8 up to _BLOCK_STEPS.  Raises
-    StepFailure when h underflows |r_target - r0| * 1e-14 or after max_steps
-    step attempts.
+    block, on a float ndarray of stage nodes (see OdeProblem).  The first
+    block tries the initial guess of h on 8 steps, and every later block
+    plans _BLOCK_STEPS steps (fewer before r_target).  A block keeps its
+    steps up to the first one whose error ratio exceeds 1 or is not finite;
+    that step counts as rejected and the steps planned after it are
+    discarded uncounted.
+
+    The next h follows the trend of the tried steps' ideal sizes
+    (_ideal_step).  From the first one's h1 to the last one's hn, the ideal
+    size shrinks by s = max(0, (h1 - hn) / distance) per unit length, so
+    N = _BLOCK_STEPS steps of size h still pass at the last one if
+    h <= hn - s N h.  The next block takes h = hn * max(0.1, 1 / (1 + s N)):
+    where the right step shrinks along the path (towards a singular point)
+    the blocks stay long, and where it grows (away from one) h follows it
+    by up to 4x per block.  Raises StepFailure when h underflows
+    |r_target - r0| * 1e-14 or after max_steps step attempts.
     """
     span, wanted = _wanted(prob, r_target, tol, samples)
     sign = 1.0 if span > 0.0 else -1.0
@@ -283,7 +302,7 @@ def integrate(
     idx = 0
     n_steps = 0
     n_rejected = 0
-    n_plan = 8
+    n_plan = 8  # the first h is a guess: try it on a short block
     h_smallest = math.inf
     h_floor = abs(span) * 1e-14
 
@@ -313,8 +332,9 @@ def integrate(
             ratios = np.max(errs / (tol * scales), axis=0)
             rejected = np.flatnonzero(~(ratios <= 1.0))
             kept = int(rejected[0]) if rejected.size else len(hs)
-            n_steps += kept + (1 if rejected.size else 0)
-            n_plan = min(_BLOCK_STEPS, max(8, 2 * kept))
+            tried = kept + (1 if rejected.size else 0)
+            n_steps += tried
+            n_plan = _BLOCK_STEPS
             if kept:
                 r, y, scale = float(ends[kept - 1]), ys[:, kept - 1], scales[:, kept - 1]
                 h_smallest = min(h_smallest, float(np.min(np.abs(hs[:kept]))))
@@ -323,15 +343,11 @@ def integrate(
                         out_r.append(wanted[i])
                         out_y.append(ys[:, step])
                         idx = i + 1
-            if rejected.size:
-                n_rejected += 1
-                ratio = float(ratios[kept])
-                shrink = max(0.2, 0.9 * ratio**-0.125) if math.isfinite(ratio) else 0.2
-                h = float(hs[kept]) * shrink
-            else:
-                worst = float(np.max(ratios))
-                grow = 4.0 if worst == 0.0 else min(4.0, 0.9 * worst**-0.125)
-                h *= max(grow, 0.2)
+            n_rejected += tried - kept
+            first, last = _ideal_step(hs[0], ratios[0]), _ideal_step(hs[tried - 1], ratios[tried - 1])
+            width = abs(float(ends[tried - 1] - ends[0]))
+            shrink = max(0.0, (first - last) / width) if tried > 1 else 0.0
+            h = sign * last * max(0.1, 1.0 / (1.0 + _BLOCK_STEPS * shrink))
 
     states = np.array(out_y)
     return OdeSolution(

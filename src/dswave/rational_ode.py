@@ -16,6 +16,7 @@ All polynomial coefficient sequences are ascending-order tuples of
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import re
@@ -101,13 +102,6 @@ def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * x + c
-    return acc
-
-
-def poly_eval_complex(coeffs: Sequence[Fraction], x: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in reversed(coeffs):
-        acc = acc * x + float(c)
     return acc
 
 
@@ -243,11 +237,25 @@ class FactoredRational:
 
     # -- evaluation ---------------------------------------------------------
 
+    @functools.cached_property
+    def _floats(self) -> tuple[tuple[float, ...], float, tuple[tuple[float, int], ...]]:
+        """Numerator (highest power first), const and roots as floats,
+        converted on the first call."""
+        return (
+            tuple(float(c) for c in reversed(self.numerator)),
+            float(self.const),
+            tuple((float(root), mult) for root, mult in self.roots),
+        )
+
     def __call__(self, x: complex) -> complex:
-        num = poly_eval_complex(self.numerator, x)
-        den = complex(float(self.const))
-        for root, mult in self.roots:
-            den *= (x - float(root)) ** mult
+        """Value at a float, complex or ndarray x, of x's kind: real x gives a
+        real result."""
+        numerator, den, roots = self._floats
+        num = 0.0
+        for c in numerator:
+            num = num * x + c
+        for root, mult in roots:
+            den = den * (x - root) ** mult
         return num / den
 
 

@@ -19,14 +19,16 @@ the float series measures:
   carried to the series argument by Taylor steps along the hypergeometric
   ODE [3], from a point on the ray where the series is still benign.
 
-Accuracy contract: 1e-13 relative for log_gamma over |z| <= 1e7 (away from
-poles), series summation to a fixed relative tolerance of 1e-15
-(_REL_TOL) within a budget of 10 000 terms (_MAX_TERMS), up to
-_CANCEL_RETRY of cancellation, continuation with an estimated rounding
-amplification of at most _AMPLIFY_LIMIT (NonConvergence beyond it), and
-J_p for half-integer p by one of two routes: the ascending series for
-x <= max(8, |p| + 2), exact trigonometric seeds plus order recurrence
-beyond it (any other order raises ValueError).
+Accuracy contract: log_gamma within 1e-13 max(1, |log Gamma(z)|) over
+|z| <= 1e7 (away from poles), modulo 2 pi i (see its branch note), so
+relative where |log Gamma| >= 1 and absolute near its zeros z = 1 and z = 2;
+series summation to a fixed relative tolerance of 1e-15 (_REL_TOL) within
+a budget of 10 000 terms (_MAX_TERMS), up to _CANCEL_RETRY of cancellation,
+continuation with an estimated rounding amplification of at most
+_AMPLIFY_LIMIT (NonConvergence beyond it), and J_p for half-integer p by
+one of two routes: the ascending series for x <= max(8, |p| + 2), exact
+trigonometric seeds plus order recurrence beyond it (any other order raises
+ValueError).
 
 References
 ----------

@@ -22,7 +22,7 @@ from dswave.oracle import (
     integrate,
     integrate_riccati,
 )
-from dswave.model import HorizonUnitsParams
+from dswave.model import HorizonUnitsParams, radial_ode_coefficients
 from dswave.special import hyp2f1
 from dswave.waves import make_ansatz
 
@@ -171,6 +171,55 @@ def test_integrate_step_counters_repeat():
     assert counters == (again.n_steps, again.n_rejected, again.h_min)
     assert 0 < first.n_rejected <= first.n_steps
     assert 0.0 < first.h_min <= 0.01
+
+
+def _count_blocks(monkeypatch) -> list:
+    """The planned length of every block that integrate runs, one entry per
+    call of the block kernel."""
+    blocks = []
+    kernel = dswave.oracle._step_matrices
+
+    def spy(p, q, starts, hs):
+        blocks.append(len(hs))
+        return kernel(p, q, starts, hs)
+
+    monkeypatch.setattr(dswave.oracle, "_step_matrices", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("eps, m, j", [(5.0, 3.0, 0), (10.0, 5.0, 1), (20.0, 8.0, 2)])
+def test_criterion_3_integrations_take_few_blocks(monkeypatch, eps, m, j):
+    # the radial equation from r0 = 1e-3, as in criterion 3: the right step
+    # grows ~ r away from r = 0 and shrinks toward the horizon r = 1; blocks
+    # whose h may only grow 4x or shrink by one step's ratio took 17-20
+    blocks = _count_blocks(monkeypatch)
+    hp = HorizonUnitsParams(epsilon=eps, m=m, j=j)
+    ans = make_ansatz(hp, "regular")
+    co = radial_ode_coefficients(hp)
+    r0 = 1e-3
+    c1 = ans.a * ans.b / ans.c + 0.5j * eps
+    u0 = r0**j * (1.0 + c1 * r0 * r0)
+    du0 = r0 ** (j - 1) * (j + (j + 2.0) * c1 * r0 * r0)
+    prob = OdeProblem(p=co.p, q=co.q, r0=r0, u0=u0, du0=du0, direction=+1)
+    integrate(prob, 0.95, 1e-12, samples=np.linspace(0.05, 0.95, 19))
+    assert len(blocks) <= 10, blocks
+
+
+@pytest.mark.parametrize("r0, target", [(1.0, 1e-3), (1e-3, 1.0)], ids=["down", "up"])
+def test_integrate_follows_a_step_size_that_scales_with_r(monkeypatch, r0, target):
+    # Euler's equation u'' + u'/r + (20/r)^2 u = 0 has u = cos(20 ln r), and
+    # its right step is ~ r: going down it shrinks 1000x, which took 61
+    # blocks and 59 rejections when a rejection shrank h by one step's ratio
+    blocks = _count_blocks(monkeypatch)
+    k, tol = 20.0, 1e-11
+    phase = k * math.log(r0)
+    prob = OdeProblem(
+        p=lambda r: 1.0 / r, q=lambda r: (k / r) ** 2,
+        r0=r0, u0=math.cos(phase), du0=-k * math.sin(phase) / r0,
+    )
+    sol = integrate(prob, target, tol)
+    assert abs(sol.u[-1] - math.cos(k * math.log(target))) <= 20.0 * tol
+    assert len(blocks) <= 20, blocks
 
 
 # --- Riccati panels -------------------------------------------------------------

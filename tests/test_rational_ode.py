@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dswave.rational_ode import (
@@ -93,6 +94,21 @@ def test_factored_rational_evaluates():
     )
     x = 0.5
     assert abs(fr(x) - (2 - 4 * x * x) / (x * (1 - x * x))) < 1e-15
+
+
+def test_factored_rational_keeps_real_arguments_real():
+    # the integrator's block kernel runs in real arithmetic when p and q are real
+    fr = FactoredRational(
+        numerator=(Fraction(2), Fraction(0), Fraction(-4)),
+        const=Fraction(-1),
+        roots=((Fraction(0), 1), (Fraction(1), 1), (Fraction(-1), 1)),
+    )
+    x = np.linspace(0.1, 0.9, 9)
+    assert fr(x).dtype == np.float64
+    assert np.allclose(fr(x), (2 - 4 * x * x) / (x * (1 - x * x)), rtol=1e-15, atol=0.0)
+    assert isinstance(fr(0.5), float)
+    z = 0.5 + 0.25j
+    assert abs(fr(z) - (2 - 4 * z * z) / (z * (1 - z * z))) < 1e-15 * abs(fr(z))
 
 
 def test_from_json_round_trip():
