@@ -3,9 +3,9 @@
 Three unrelated tools share this module because they all exist to check the
 rest of the package rather than to be part of it:
 
-* an adaptive Runge-Kutta-Fehlberg 7(8) integrator for the radial equation
-  and its Schrodinger form, and Riccati panels for the Schrodinger form
-  where q > 0, whose cost does not grow with the wave number;
+* Chebyshev-panel collocation for the radial equation and its Schrodinger
+  form, and Riccati panels for the Schrodinger form where q > 0, whose cost
+  does not grow with the wave number;
 * an extended-precision series evaluator (gamma / 2F1 / Bessel) built on
   big-float arithmetic with its own algorithms — Spouge's formula and raw
   term recurrences — so it shares no code path with :mod:`dswave.special`;
@@ -41,44 +41,9 @@ __all__ = [
 
 
 class StepFailure(RuntimeError):
-    """An integrator cannot carry the solution: RKF7(8)'s step size underflowed
-    (typically while approaching a pole) or its step budget ran out, or the
-    Riccati panels met q <= 0 or a phase-error estimate above their budget."""
-
-
-# --- RKF 7(8) ---------------------------------------------------------------
-
-_RKF78 = {
-    "c": (
-        0.0, 2.0 / 27.0, 1.0 / 9.0, 1.0 / 6.0, 5.0 / 12.0, 0.5, 5.0 / 6.0,
-        1.0 / 6.0, 2.0 / 3.0, 1.0 / 3.0, 1.0, 0.0, 1.0,
-    ),
-    "a": (
-        (),
-        (2.0 / 27.0,),
-        (1.0 / 36.0, 1.0 / 12.0),
-        (1.0 / 24.0, 0.0, 1.0 / 8.0),
-        (5.0 / 12.0, 0.0, -25.0 / 16.0, 25.0 / 16.0),
-        (1.0 / 20.0, 0.0, 0.0, 0.25, 0.2),
-        (-25.0 / 108.0, 0.0, 0.0, 125.0 / 108.0, -65.0 / 27.0, 125.0 / 54.0),
-        (31.0 / 300.0, 0.0, 0.0, 0.0, 61.0 / 225.0, -2.0 / 9.0, 13.0 / 900.0),
-        (2.0, 0.0, 0.0, -53.0 / 6.0, 704.0 / 45.0, -107.0 / 9.0, 67.0 / 90.0, 3.0),
-        (-91.0 / 108.0, 0.0, 0.0, 23.0 / 108.0, -976.0 / 135.0, 311.0 / 54.0,
-         -19.0 / 60.0, 17.0 / 6.0, -1.0 / 12.0),
-        (2383.0 / 4100.0, 0.0, 0.0, -341.0 / 164.0, 4496.0 / 1025.0, -301.0 / 82.0,
-         2133.0 / 4100.0, 45.0 / 82.0, 45.0 / 164.0, 18.0 / 41.0),
-        (3.0 / 205.0, 0.0, 0.0, 0.0, 0.0, -6.0 / 41.0, -3.0 / 205.0, -3.0 / 41.0,
-         3.0 / 41.0, 6.0 / 41.0, 0.0),
-        (-1777.0 / 4100.0, 0.0, 0.0, -341.0 / 164.0, 4496.0 / 1025.0, -289.0 / 82.0,
-         2193.0 / 4100.0, 51.0 / 82.0, 33.0 / 164.0, 12.0 / 41.0, 0.0, 1.0),
-    ),
-    # 8th-order weights; the embedded 7th-order result differs by the
-    # classic 41/840 (k0 + k10 - k11 - k12) combination used as the error.
-    "b": (
-        0.0, 0.0, 0.0, 0.0, 0.0, 34.0 / 105.0, 9.0 / 35.0, 9.0 / 35.0,
-        9.0 / 280.0, 9.0 / 280.0, 0.0, 41.0 / 840.0, 41.0 / 840.0,
-    ),
-}
+    """An integrator cannot carry the solution: the collocation panels underflowed
+    (near a pole) or ran over their budget, or the Riccati panels met q <= 0 or
+    a phase-error estimate above their budget."""
 
 
 @dataclass(frozen=True)
@@ -101,13 +66,10 @@ class OdeProblem:
 
 @dataclass(frozen=True)
 class OdeSolution:
-    """Values at the requested points, plus the step counters.
-
-    For integrate, n_steps counts step attempts, accepted and rejected;
-    n_rejected the rejected ones; h_min is the smallest accepted |h|.  For
-    integrate_riccati, n_steps counts panels, n_rejected is 0 and h_min is
-    the panel width.
-    """
+    """Values at the requested points and the panel counters: n_steps counts
+    the panels solved (for integrate, halves of split panels included),
+    n_rejected the panels split (none by integrate_riccati), h_min the
+    narrowest panel."""
 
     r: np.ndarray
     u: np.ndarray
@@ -115,126 +77,6 @@ class OdeSolution:
     n_steps: int
     n_rejected: int
     h_min: float
-
-
-# Steps planned per block after the first: p and q are evaluated once over
-# the 13 stage nodes of every step of a block, and a block's fixed numpy work
-# costs about as much as 250 steps, so every block is planned this long.  A
-# larger block holds more memory and discards more steps after a rejection.
-_BLOCK_STEPS = 256
-
-_C = np.array(_RKF78["c"])
-_A = np.array([row + (0.0,) * (13 - len(row)) for row in _RKF78["a"]])
-_B = np.array(_RKF78["b"])
-_E = (41.0 / 840.0) * np.array([1.0] + [0.0] * 9 + [1.0, -1.0, -1.0])
-
-
-def _lands(r: float, target: float) -> bool:
-    return r == target or abs(r - target) < 1e-15 * max(1.0, abs(target))
-
-
-def _ideal_step(h: float, ratio: float) -> float:
-    """The step size that the error ratio of a step of size h asks for: the
-    error goes as h**8, aimed at 0.9**8 of tol, and the size is capped at
-    4 |h|; 0.2 |h| where the ratio is not a number or infinite."""
-    h, ratio = abs(float(h)), float(ratio)
-    if not math.isfinite(ratio):
-        return 0.2 * h
-    return h * (4.0 if ratio == 0.0 else min(4.0, 0.9 * ratio**-0.125))
-
-
-def _plan(
-    r: float, h: float, wanted: Sequence[float], idx: int, room: int
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """End points of up to room steps of size h from r.
-
-    A step that would pass the next wanted point is clipped to land on it
-    exactly; a remainder below 1e-9 |h| is folded into the step before.
-    Returns the end points and a (wanted index, step index) pair for every
-    wanted point the steps land on.
-    """
-    ends: list[np.ndarray] = []
-    hits: list[tuple[int, int]] = []
-    count = 0
-    while idx < len(wanted) and count < room:
-        target = wanted[idx]
-        if count and _lands(r, target):
-            hits.append((idx, count - 1))
-            idx += 1
-            continue
-        need = max(1, math.ceil((target - r) / h - 1e-9))
-        take = min(need, room - count)
-        seg = r + h * np.arange(1, take + 1)
-        if take == need:
-            seg[-1] = target
-            hits.append((idx, count + take - 1))
-            idx += 1
-        ends.append(seg)
-        count += take
-        r = float(seg[-1])
-    return np.concatenate(ends), hits
-
-
-def _combine(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """weights @ rows by elementwise products and a sum.  A matrix product
-    would go to BLAS, whose threads make these small products ~10x slower
-    on a loaded machine."""
-    return (weights[:, None] * rows).sum(axis=0)
-
-
-def _step_matrices(
-    p_fn: Callable | None, q_fn: Callable, starts: np.ndarray, hs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagator P and embedded-error matrix E of every step of a block.
-
-    The equation is linear, so each stage slope is a 2x2 matrix times the
-    step's initial y = (u, u'): K_i = A(r + c_i h) (y + h sum_j a_ij K_j) with
-    A = [[0, 1], [-q, -p]].  Then y_end = P y, and |E y| is the error of the
-    step.  Both come as rows (uu, uv, vu, vv) over the steps, shape (4, n).
-    """
-    n = len(hs)
-    nodes = starts + np.multiply.outer(_C, hs)
-    minus_hq = -hs * np.broadcast_to(q_fn(nodes), nodes.shape)
-    minus_hp = None if p_fn is None else -hs * np.broadcast_to(p_fn(nodes), nodes.shape)
-    # h K_i, rows as above; real when p and q are
-    kind = minus_hq.dtype if minus_hp is None else np.result_type(minus_hq, minus_hp)
-    slopes = np.empty((13, 4, n), dtype=kind)
-    for i in range(13):
-        s = _combine(_A[i, :i], slopes[:i].reshape(i, 4 * n)).reshape(4, n)
-        s[0] += 1.0
-        s[3] += 1.0
-        np.multiply(hs, s[2:], out=slopes[i, :2])
-        np.multiply(minus_hq[i], s[:2], out=slopes[i, 2:])
-        if minus_hp is not None:
-            slopes[i, 2:] += minus_hp[i] * s[2:]
-    flat = slopes.reshape(13, 4 * n)
-    prop = _combine(_B, flat).reshape(4, n)
-    prop[0] += 1.0
-    prop[3] += 1.0
-    return prop, _combine(_E, flat).reshape(4, n)
-
-
-def _walk(prop: np.ndarray, err: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """States (u, u') after every step of a block, and each step's |error| in
-    u and u', both shape (2, n), for the matrices of _step_matrices.
-
-    The state after step k is P_k ... P_0 y; a doubling scan forms the prefix
-    products in log2(n) rounds of 2x2 products over the steps.
-    """
-    acc = prop.copy()
-    d = 1
-    while d < acc.shape[1]:
-        left, right = acc[:, d:], acc[:, :-d]
-        prod = np.empty_like(left)
-        prod[0] = left[0] * right[0] + left[1] * right[2]
-        prod[1] = left[0] * right[1] + left[1] * right[3]
-        prod[2] = left[2] * right[0] + left[3] * right[2]
-        prod[3] = left[2] * right[1] + left[3] * right[3]
-        acc[:, d:] = prod
-        d *= 2
-    ys = acc[0::2] * y[0] + acc[1::2] * y[1]
-    before = np.concatenate((y[:, None], ys[:, :-1]), axis=1)
-    return ys, np.abs(err[0::2] * before[0] + err[1::2] * before[1])
 
 
 def _wanted(
@@ -261,126 +103,19 @@ def _wanted(
     return span, wanted
 
 
-def integrate(
-    prob: OdeProblem,
-    r_target: float,
-    tol: float,
-    samples: Sequence[float] | None = None,
-    max_steps: int = 400_000,
-) -> OdeSolution:
-    """Adaptive RKF7(8) integration with exact-hit dense output.
-
-    Steps are clipped to land exactly on each requested sample point, so no
-    interpolation error enters the recorded values.  Local error per step is
-    controlled to tol relative to the running maximum of |u| and |u'|.
-
-    The steps go in blocks of one size h, so p and q are called once per
-    block, on a float ndarray of stage nodes (see OdeProblem).  The first
-    block tries the initial guess of h on 8 steps, and every later block
-    plans _BLOCK_STEPS steps (fewer before r_target).  A block keeps its
-    steps up to the first one whose error ratio exceeds 1 or is not finite;
-    that step counts as rejected and the steps planned after it are
-    discarded uncounted.
-
-    The next h follows the trend of the tried steps' ideal sizes
-    (_ideal_step).  From the first one's h1 to the last one's hn, the ideal
-    size shrinks by s = max(0, (h1 - hn) / distance) per unit length, so
-    N = _BLOCK_STEPS steps of size h still pass at the last one if
-    h <= hn - s N h.  The next block takes h = hn * max(0.1, 1 / (1 + s N)):
-    where the right step shrinks along the path (towards a singular point)
-    the blocks stay long, and where it grows (away from one) h follows it
-    by up to 4x per block.  Raises StepFailure when h underflows
-    |r_target - r0| * 1e-14 or after max_steps step attempts.
-    """
-    span, wanted = _wanted(prob, r_target, tol, samples)
-    sign = 1.0 if span > 0.0 else -1.0
-    r = prob.r0
-    y = np.array([prob.u0, prob.du0], dtype=complex)
-    scale = np.maximum(1.0, np.abs(y))  # running max of |u| and |u'|
-    out_r: list[float] = []
-    out_y: list[np.ndarray] = []
-    idx = 0
-    n_steps = 0
-    n_rejected = 0
-    n_plan = 8  # the first h is a guess: try it on a short block
-    h_smallest = math.inf
-    h_floor = abs(span) * 1e-14
-
-    with np.errstate(all="ignore"):
-        q_r0 = complex(np.broadcast_to(prob.q(np.array([r])), (1,))[0])
-        h = sign * min(abs(span), 0.5 / (math.sqrt(abs(q_r0)) + 1.0), 0.1)
-        while True:
-            while idx < len(wanted) and _lands(r, wanted[idx]):
-                out_r.append(wanted[idx])
-                out_y.append(y)
-                idx += 1
-            if idx == len(wanted):
-                break
-            if abs(h) < h_floor:
-                raise StepFailure(
-                    f"step size {abs(h):.3e} underflowed at r={r:.6g} "
-                    f"(possible coefficient singularity nearby)"
-                )
-            if n_steps >= max_steps:
-                raise StepFailure(f"step budget {max_steps} exhausted at r={r:.6g}")
-
-            ends, hits = _plan(r, h, wanted, idx, min(n_plan, max_steps - n_steps))
-            starts = np.concatenate(([r], ends[:-1]))
-            hs = ends - starts
-            ys, errs = _walk(*_step_matrices(prob.p, prob.q, starts, hs), y)
-            scales = np.maximum(np.maximum.accumulate(np.abs(ys), axis=1), scale[:, None])
-            ratios = np.max(errs / (tol * scales), axis=0)
-            rejected = np.flatnonzero(~(ratios <= 1.0))
-            kept = int(rejected[0]) if rejected.size else len(hs)
-            tried = kept + (1 if rejected.size else 0)
-            n_steps += tried
-            n_plan = _BLOCK_STEPS
-            if kept:
-                r, y, scale = float(ends[kept - 1]), ys[:, kept - 1], scales[:, kept - 1]
-                h_smallest = min(h_smallest, float(np.min(np.abs(hs[:kept]))))
-                for i, step in hits:
-                    if step < kept:
-                        out_r.append(wanted[i])
-                        out_y.append(ys[:, step])
-                        idx = i + 1
-            n_rejected += tried - kept
-            first, last = _ideal_step(hs[0], ratios[0]), _ideal_step(hs[tried - 1], ratios[tried - 1])
-            width = abs(float(ends[tried - 1] - ends[0]))
-            shrink = max(0.0, (first - last) / width) if tried > 1 else 0.0
-            h = sign * last * max(0.1, 1.0 / (1.0 + _BLOCK_STEPS * shrink))
-
-    states = np.array(out_y)
-    return OdeSolution(
-        r=np.asarray(out_r, dtype=float),
-        u=states[:, 0],
-        du=states[:, 1],
-        n_steps=n_steps,
-        n_rejected=n_rejected,
-        h_min=h_smallest,
-    )
-
-
-# --- Riccati panels ---------------------------------------------------------
-
-# Chebyshev degree of a panel, the widest panel and the fewest panels of a
-# span, and the most defect-correction sweeps.
-_CHEB_DEGREE = 16
-_PANEL_WIDTH = 1.0
-_MIN_PANELS = 12
-_RICCATI_SWEEPS = 16
-
-
-def _chebyshev_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _chebyshev_matrices(n: int) -> tuple[np.ndarray, ...]:
     """Closed-form Chebyshev tools of degree n on [-1, 1].
 
     Returns the nodes t_k = -cos(pi k / n) (ascending, t_0 = -1); the map
     from values at the nodes to coefficients of T_0..T_n (the discrete
     cosine sum with halved end terms); the differentiation matrix on the
-    nodes; and the map from coefficients of f to the n + 2 coefficients of
-    the antiderivative of f that vanishes at t = -1.
+    nodes; the map from coefficients of f to the n + 2 coefficients of the
+    antiderivative of f that vanishes at t = -1; and the map from values of
+    f at the nodes to values of that antiderivative there.
     """
     theta = math.pi * np.arange(n, -1, -1) / n
-    basis = np.cos(np.outer(theta, np.arange(n + 1)))  # T_j(t_k)
+    basis = np.cos(np.outer(theta, np.arange(n + 2)))  # T_j(t_k)
+    at_nodes, basis = basis, basis[:, :-1]
     ends = np.ones(n + 1)
     ends[[0, -1]] = 0.5
     to_coef = (2.0 / n) * (basis * ends[:, None]).T * ends[:, None]
@@ -398,10 +133,134 @@ def _chebyshev_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
         antideriv[j + 1, j] = 0.5 / (j + 1)
         antideriv[j - 1, j] = -0.5 / (j - 1)
     antideriv[0] -= (-1.0) ** np.arange(n + 2) @ antideriv  # T_i(-1) = (-1)^i
-    return basis[:, 1], to_coef, basis @ deriv @ to_coef, antideriv
+    return basis[:, 1], to_coef, basis @ deriv @ to_coef, antideriv, at_nodes @ antideriv @ to_coef
 
 
-_NODES, _TO_COEF, _DIFF, _ANTIDERIV = _chebyshev_matrices(_CHEB_DEGREE)
+# --- collocation panels -----------------------------------------------------
+
+# Chebyshev degree of a collocation panel, the tail a panel may keep in units
+# of tol, and the points of the trial grid that plans the panels.
+_PANEL_DEGREE = 12
+_TAIL_PER_TOL = 100.0
+_TRIAL_POINTS = 257
+
+_P_NODES, _P_TO_COEF, _, _, _P_INT = _chebyshev_matrices(_PANEL_DEGREE)
+_P_INT2 = _P_INT @ _P_INT
+
+
+def _on(f: Callable | None, x: np.ndarray) -> np.ndarray:
+    """f at the radii x as an array of their shape; 0 for a missing p."""
+    return np.zeros(x.shape) if f is None else np.broadcast_to(f(x), x.shape)
+
+
+def _no_underflow(width: np.ndarray, r: np.ndarray, floor: float) -> None:
+    bad = np.flatnonzero(~(np.abs(width) >= floor))
+    if bad.size:
+        raise StepFailure(
+            f"step size {abs(width[bad[0]]):.3e} underflowed at r={r[bad[0]]:.6g} "
+            f"(possible coefficient singularity nearby)"
+        )
+
+
+def _plan(prob: OdeProblem, sign: float, ends: np.ndarray, phi: float, floor: float, budget: int):
+    """Starts and ends of the panels from r0 through the points ends: up to each
+    end, ceil(N) panels that split N = integral dr / w equally, w = phi / (|p| +
+    sqrt|q|), N by the trapezoid rule on _TRIAL_POINTS Chebyshev points, dense at
+    both ends as the radial equation's poles need.  integrate picks phi so that a
+    plane wave keeps 2 (phi/4)^(n-1) / (n-1)! = _TAIL_PER_TOL tol as top coefficient."""
+    to = np.abs(ends - prob.r0)
+    d = 0.5 * to[-1] * (1.0 - np.cos(np.pi * np.arange(_TRIAL_POINTS) / (_TRIAL_POINTS - 1)))
+    r = prob.r0 + sign * d
+    width = np.minimum(phi / (np.abs(_on(prob.p, r)) + np.sqrt(np.abs(_on(prob.q, r)))), to[-1])
+    _no_underflow(width, r, floor)
+    count = np.append(0.0, np.cumsum(0.5 * np.diff(d) * (1.0 / width[1:] + 1.0 / width[:-1])))
+    reach = np.interp(to, d, count)  # N from r0 to each end
+    per = np.maximum(1, np.ceil(np.diff(reach, prepend=0.0) * (1.0 - 1e-9)))
+    if per.sum() > budget:  # before any array of that length exists
+        raise StepFailure(f"step budget {budget} exhausted at r={np.interp(budget, count, r):.6g}")
+    first = (np.cumsum(per) - per).astype(int)  # the first panel up to each end
+    at = np.interp(np.arange(per.sum()), np.append(first, per.sum()), np.append(0.0, reach))
+    starts = prob.r0 + sign * np.interp(at, count, d)
+    starts[first] = np.append(prob.r0, ends[:-1])
+    return starts, np.append(starts[1:], ends[-1])
+
+
+def _solve_panels(prob: OdeProblem, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """u at the nodes, then u' at the end, of the solutions with (u, u') = (1, 0)
+    and (0, 1) at the start of every panel.  With sigma = u'' at the nodes, J
+    the nodal integration matrix and h the half width, u' = u'(start) + h J
+    sigma and u = u(start) + u'(start) (r - start) + h^2 J^2 sigma, so one
+    solve of (I + h P J + h^2 Q J^2) sigma = rhs serves all panels."""
+    h = 0.5 * (ends - starts)[:, None, None]
+    x = (0.5 * (starts + ends))[:, None] + h[:, 0] * _P_NODES
+    from_start = x - starts[:, None]
+    p, q = _on(prob.p, x)[..., None], _on(prob.q, x)[..., None]
+    mat = np.eye(_PANEL_DEGREE + 1) + h * p * _P_INT + h * h * q * _P_INT2
+    sigma = np.linalg.solve(mat, np.concatenate((-q, -p - q * from_start[..., None]), axis=-1))
+    u = h * h * (_P_INT2 @ sigma) + np.stack((np.ones_like(x), from_start), axis=-1)
+    return np.concatenate((u, h * (_P_INT[-1:] @ sigma) + [0.0, 1.0]), axis=1)
+
+
+def integrate(
+    prob: OdeProblem,
+    r_target: float,
+    tol: float,
+    samples: Sequence[float] | None = None,
+    max_steps: int = 400_000,
+) -> OdeSolution:
+    """Chebyshev-panel collocation (Greengard, SIAM J. Numer. Anal. 28 (1991);
+    Driscoll & Hale, IMA J. Numer. Anal. 36 (2016)); every sample ends a panel.
+
+    The panels of _plan pass (u, u') from r0 by their 2x2 transfers.  A panel
+    whose u has its top two Chebyshev coefficients above _TAIL_PER_TOL tol
+    times the running max |u| is halved and the halves solved (a plane wave's
+    end error stays below 1e-3 of them), so p and q see the trial grid, all
+    nodes, and each round of splits.  StepFailure: a panel below |r_target -
+    r0| * 1e-14 wide, which bounds the rounds, or more than max_steps panels.
+    """
+    span, wanted = _wanted(prob, r_target, tol, samples)
+    sign, floor, n = math.copysign(1.0, span), abs(span) * 1e-14, _PANEL_DEGREE
+    phi = 4.0 * math.exp((math.log(0.5 * _TAIL_PER_TOL * tol) + math.lgamma(n)) / (n - 1))
+    with np.errstate(all="ignore"):
+        ends = np.array([w for w in wanted if w != prob.r0])
+        starts, ends = _plan(prob, sign, ends, phi, floor, max_steps)
+        panels, n_steps, n_rejected = _solve_panels(prob, starts, ends), len(starts), 0
+        while True:
+            states = [(complex(prob.u0), complex(prob.du0))]
+            for a, b, c, d in zip(*panels[:, -2].T.tolist(), *panels[:, -1].T.tolist()):
+                u, du = states[-1]
+                states.append((a * u + b * du, c * u + d * du))
+            states = np.array(states)
+            u = states[:-1, :1] * panels[:, :-1, 0] + states[:-1, 1:] * panels[:, :-1, 1]
+            bound = _TAIL_PER_TOL * tol * np.maximum.accumulate(np.max(np.abs(u), axis=1))
+            split = np.flatnonzero(~(np.max(np.abs(u @ _P_TO_COEF[-2:].T), axis=1) <= bound))
+            if not split.size:
+                break
+            mid = 0.5 * (starts[split] + ends[split])
+            n_steps, n_rejected = n_steps + 2 * split.size, n_rejected + split.size
+            _no_underflow(mid - starts[split], starts[split], floor)
+            if n_steps > max_steps:
+                raise StepFailure(f"step budget {max_steps} exhausted at r={starts[split[0]]:.6g}")
+            halves = _solve_panels(prob, np.append(starts[split], mid), np.append(mid, ends[split]))
+            panels[split] = halves[: split.size]  # the first half takes the panel's place
+            panels = np.insert(panels, split + 1, halves[split.size :], axis=0)
+            starts, ends = np.insert(starts, split + 1, mid), np.insert(ends, split, mid)
+
+    at = np.searchsorted(sign * np.append(prob.r0, ends), sign * np.array(wanted))
+    h_min = float(np.min(np.abs(ends - starts)))
+    return OdeSolution(np.array(wanted), states[at, 0], states[at, 1], n_steps, n_rejected, h_min)
+
+
+# --- Riccati panels ---------------------------------------------------------
+
+# Chebyshev degree of a panel, the widest panel and the fewest panels of a
+# span, and the most defect-correction sweeps.
+_CHEB_DEGREE = 16
+_PANEL_WIDTH = 1.0
+_MIN_PANELS = 12
+_RICCATI_SWEEPS = 16
+
+_NODES, _TO_COEF, _DIFF, _ANTIDERIV, _ = _chebyshev_matrices(_CHEB_DEGREE)
 
 
 def integrate_riccati(
@@ -429,8 +288,7 @@ def integrate_riccati(
     Raises StepFailure naming the cause when q is not real, when some node
     has q <= 0 (or q is not a number), or when the phase-error estimate
     sum over panels of width * max |R| / (2|y|) exceeds 10 tol; integrate
-    handles those problems.  The OdeSolution counts panels in n_steps;
-    n_rejected is 0 (no panel is retried) and h_min is the panel width.
+    handles those problems.
     """
     if prob.p is not None:
         raise ValueError("integrate_riccati solves u'' + q u = 0: p must be None")
@@ -441,7 +299,7 @@ def integrate_riccati(
     x = mid[:, None] + half[:, None] * _NODES
 
     with np.errstate(all="ignore"):
-        q = np.broadcast_to(prob.q(x.ravel()), x.size).reshape(x.shape)
+        q = _on(prob.q, x)
         if np.iscomplexobj(q):
             if np.any(q.imag != 0.0):
                 raise StepFailure("q is not real: the Riccati route needs a real q > 0")
@@ -475,8 +333,7 @@ def integrate_riccati(
         coef = best @ _TO_COEF.T  # y on each panel, T_0..T_n
         big_y = half[:, None] * (coef @ _ANTIDERIV.T)  # integral of y from the panel start
         # (u, u') at each panel start, and the weights of u1, u2 there
-        alpha = np.empty(n, dtype=complex)
-        beta = np.empty(n, dtype=complex)
+        alpha, beta = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
         u, du = complex(prob.u0), complex(prob.du0)
         for k in range(n):
             ya, yb = complex(best[k, 0]), complex(best[k, -1])
@@ -494,14 +351,7 @@ def integrate_riccati(
         grow = np.exp(np.sum(big_y[panel] * cheb, axis=1))
         y_at = np.sum(coef[panel] * cheb[:, :-1], axis=1)
         u1, u2 = alpha[panel] * grow, beta[panel] * np.conj(grow)
-    return OdeSolution(
-        r=r,
-        u=u1 + u2,
-        du=u1 * y_at + u2 * np.conj(y_at),
-        n_steps=n,
-        n_rejected=0,
-        h_min=width,
-    )
+    return OdeSolution(r, u1 + u2, u1 * y_at + u2 * np.conj(y_at), n, 0, width)
 
 
 # --- extended-precision series ----------------------------------------------

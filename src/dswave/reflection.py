@@ -22,8 +22,8 @@ agreement achievable down to interior wave numbers ~10.
 The integration takes the Riccati panels of oracle.integrate_riccati, whose
 cost does not grow with eps: with no barrier, Q = eps^2 - U stays positive
 from the launch point to the window.  Where that route raises StepFailure
-(Q <= 0 somewhere, or too small for the panels) the check runs RKF7(8),
-oracle.integrate, with the same arguments instead.
+(Q <= 0 somewhere, or too small for the panels) the check runs the
+Chebyshev-panel collocation of oracle.integrate with the same arguments.
 """
 from __future__ import annotations
 
@@ -261,10 +261,11 @@ def interior_wave_ratio(
     panel node.  Only where it raises StepFailure (a node with Q <= 0, or a
     phase-error estimate above 10 tol where Q is small for its rate of
     change, as at (eps, m, j) = (10.5, 10, 0)) do they come from
-    oracle.integrate (RKF7(8)), with the same arguments and so the same
-    bits as that integrator alone.  tol is the Riccati route's phase-error
-    budget over the whole span (10 tol), or RKF7(8)'s local error per step
-    where it falls back.
+    oracle.integrate (collocation panels), with the same arguments and so
+    the same bits as that integrator alone.  tol is the Riccati route's
+    phase-error budget over the whole span (10 tol), or the Chebyshev tail
+    that each collocation panel may keep (in units of 100 tol, relative to
+    the running max |u|) where it falls back.
 
     Raises ValueError if the window contains a classical turning point
     (Q <= 0); the channel split is meaningless there.
@@ -332,9 +333,10 @@ def horizon_flux_balance(
 
     The integration takes Riccati panels, at a cost that does not grow with
     eps (two potential calls and 12 panels at m = 50 for eps from 1e3 to
-    4e4), and falls back to RKF7(8) where they raise StepFailure; tol is
-    their phase-error budget (10 tol), or RKF7(8)'s local error tolerance
-    after a fallback (see interior_wave_ratio).
+    4e4), and falls back to the collocation panels of oracle.integrate
+    where they raise StepFailure; tol is their phase-error budget (10 tol),
+    or the collocation panels' tail tolerance after a fallback (see
+    interior_wave_ratio).
     """
     eps, m, j = hp.epsilon, hp.m, hp.j
     if eps <= m:

@@ -80,7 +80,7 @@ def test_criterion_02_barrierless_potential():
 
 
 def test_criterion_03_standing_wave_vs_ode():
-    # independent RKF7(8) integration from a two-term series launch at
+    # independent Chebyshev-panel integration from a two-term series launch at
     # r0 = 1e-3 must reproduce the closed-form regular wave
     t0 = time.time()
     grid = np.linspace(0.05, 0.95, 19)

@@ -162,8 +162,7 @@ def test_reflect_includes_flux_by_default(capsys):
 
 
 def test_reflect_flux_check_at_eps_1e4(capsys):
-    # the Riccati panels cost the same at every eps; RKF7(8) ran out of its
-    # 400 000-step budget here
+    # the Riccati panels cost the same at every eps
     rc, out, err = run(capsys, "reflect", "--epsilon", "10000", "--m", "50", "--j", "1",
                        "--format", "json")
     assert rc == 0 and err == ""

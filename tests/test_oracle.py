@@ -1,9 +1,11 @@
-"""Independent numerics: RKF7(8) integrator, big-float series, classification."""
+"""Independent numerics: collocation and Riccati integrators, big-float series,
+classification."""
 from __future__ import annotations
 
 import json
 import math
 import pathlib
+import random
 import warnings
 from fractions import Fraction
 
@@ -101,43 +103,8 @@ def test_integrate_validation_and_step_failure():
         integrate(prob, 10.0, 1e-12, max_steps=5)
 
 
-def _rkf78_step(p, q, r, h, u, v):
-    """One RKF7(8) step, stage by stage on scalars: (u, u') after it and the
-    embedded error estimates of u and u'."""
-    table = dswave.oracle._RKF78
-    ku, kv = [], []
-    for c, row in zip(table["c"], table["a"]):
-        ui = u + h * sum(a * k for a, k in zip(row, ku))
-        vi = v + h * sum(a * k for a, k in zip(row, kv))
-        ku.append(vi)
-        kv.append(-q(r + c * h) * ui - p(r + c * h) * vi)
-    u_new = u + h * sum(b * k for b, k in zip(table["b"], ku))
-    v_new = v + h * sum(b * k for b, k in zip(table["b"], kv))
-    err = [abs(h) * 41.0 / 840.0 * abs(k[0] + k[10] - k[11] - k[12]) for k in (ku, kv)]
-    return u_new, v_new, err
-
-
-def test_block_kernel_matches_the_scalar_stage_loop():
-    # complex p and q and unequal steps; the block forms each step's 2x2
-    # propagator and error matrix and chains them by prefix products
-    p = lambda r: 1.0 / (1.0 + r) + 0.3j
-    q = lambda r: 40.0 + 10.0 * np.sin(r) - 2.0j * r
-    ends = np.array([0.05, 0.12, 0.2, 0.21, 0.3, 0.36, 0.45])
-    starts = np.concatenate(([0.0], ends[:-1]))
-    y = np.array([0.3 - 1.0j, 2.0 + 0.5j])
-    ys, errs = dswave.oracle._walk(
-        *dswave.oracle._step_matrices(p, q, starts, ends - starts), y
-    )
-    u, v = y
-    for k, (r, h) in enumerate(zip(starts, ends - starts)):
-        u, v, err = _rkf78_step(p, q, r, h, u, v)
-        assert abs(ys[0, k] - u) < 1e-14 * abs(u) and abs(ys[1, k] - v) < 1e-14 * abs(v)
-        # the estimate is a difference of slopes: below ~1e-15 |y| it is rounding
-        assert np.allclose(errs[:, k], err, rtol=1e-6, atol=1e-15), (k, errs[:, k], err)
-
-
 def test_integrate_hits_dense_samples_across_blocks():
-    # 1001 samples over ~10 blocks: every one is landed on, in order
+    # 1001 samples, each the end of a panel: every one is landed on, in order
     prob = OdeProblem(p=None, q=lambda r: 9.0, r0=0.0, u0=0.0, du0=3.0)
     pts = np.linspace(0.0, 10.0, 1001)
     sol = integrate(prob, 10.0, 1e-12, samples=pts[::-1])
@@ -169,30 +136,33 @@ def test_integrate_step_counters_repeat():
     again = integrate(prob, 3.0, 1e-11, samples=[0.5, 1.0, 2.0])
     counters = (first.n_steps, first.n_rejected, first.h_min)
     assert counters == (again.n_steps, again.n_rejected, again.h_min)
-    assert 0 < first.n_rejected <= first.n_steps
     assert 0.0 < first.h_min <= 0.01
+    # u = log r: the plan sizes a panel for a plane wave of wave number
+    # |p| = 1/r, about 2.3 r wide, but the Chebyshev tail of log r decays
+    # only like 3.5^-n on such a panel, so the tail test must split it
+    log = OdeProblem(p=lambda r: 1.0 / r, q=lambda r: 0.0, r0=1.0, u0=0.0, du0=1.0)
+    split = integrate(log, 5.0, 1e-12)
+    assert 0 < split.n_rejected and 2 * split.n_rejected < split.n_steps
+    assert abs(split.u[-1] - math.log(5.0)) < 1e-12
 
 
-def _count_blocks(monkeypatch) -> list:
-    """The planned length of every block that integrate runs, one entry per
-    call of the block kernel."""
-    blocks = []
-    kernel = dswave.oracle._step_matrices
+def _counted(f, calls: list):
+    """f, recording the size of the array of every call."""
 
-    def spy(p, q, starts, hs):
-        blocks.append(len(hs))
-        return kernel(p, q, starts, hs)
+    def run(r):
+        calls.append(np.size(r))
+        return f(r)
 
-    monkeypatch.setattr(dswave.oracle, "_step_matrices", spy)
-    return blocks
+    return run
 
 
 @pytest.mark.parametrize("eps, m, j", [(5.0, 3.0, 0), (10.0, 5.0, 1), (20.0, 8.0, 2)])
-def test_criterion_3_integrations_take_few_blocks(monkeypatch, eps, m, j):
-    # the radial equation from r0 = 1e-3, as in criterion 3: the right step
-    # grows ~ r away from r = 0 and shrinks toward the horizon r = 1; blocks
-    # whose h may only grow 4x or shrink by one step's ratio took 17-20
-    blocks = _count_blocks(monkeypatch)
+def test_criterion_3_integrations_take_few_blocks(eps, m, j):
+    # the radial equation from r0 = 1e-3, as in criterion 3: p and q are
+    # called on whole arrays, on the trial grid that plans the panels and on
+    # the nodes of all panels (plus one call per round of split panels); the
+    # panels grade ~ r from r0 and ~ (1 - r^2) / eps toward the horizon
+    p_calls, q_calls = [], []
     hp = HorizonUnitsParams(epsilon=eps, m=m, j=j)
     ans = make_ansatz(hp, "regular")
     co = radial_ode_coefficients(hp)
@@ -200,26 +170,65 @@ def test_criterion_3_integrations_take_few_blocks(monkeypatch, eps, m, j):
     c1 = ans.a * ans.b / ans.c + 0.5j * eps
     u0 = r0**j * (1.0 + c1 * r0 * r0)
     du0 = r0 ** (j - 1) * (j + (j + 2.0) * c1 * r0 * r0)
-    prob = OdeProblem(p=co.p, q=co.q, r0=r0, u0=u0, du0=du0, direction=+1)
-    integrate(prob, 0.95, 1e-12, samples=np.linspace(0.05, 0.95, 19))
-    assert len(blocks) <= 10, blocks
+    prob = OdeProblem(
+        p=_counted(co.p, p_calls), q=_counted(co.q, q_calls), r0=r0, u0=u0, du0=du0, direction=+1
+    )
+    sol = integrate(prob, 0.95, 1e-12, samples=np.linspace(0.05, 0.95, 19))
+    # measured: 2 calls each, 23-33 panels, none split
+    assert len(p_calls) == len(q_calls) <= 3, (p_calls, q_calls)
+    assert sol.n_steps <= 40, sol.n_steps
 
 
 @pytest.mark.parametrize("r0, target", [(1.0, 1e-3), (1e-3, 1.0)], ids=["down", "up"])
-def test_integrate_follows_a_step_size_that_scales_with_r(monkeypatch, r0, target):
+def test_integrate_follows_a_step_size_that_scales_with_r(r0, target):
     # Euler's equation u'' + u'/r + (20/r)^2 u = 0 has u = cos(20 ln r), and
-    # its right step is ~ r: going down it shrinks 1000x, which took 61
-    # blocks and 59 rejections when a rejection shrank h by one step's ratio
-    blocks = _count_blocks(monkeypatch)
+    # its right panel width is ~ r: the trial grid plans panels that grow
+    # geometrically from r = 1e-3, in either direction
+    p_calls, q_calls = [], []
     k, tol = 20.0, 1e-11
     phase = k * math.log(r0)
     prob = OdeProblem(
-        p=lambda r: 1.0 / r, q=lambda r: (k / r) ** 2,
+        p=_counted(lambda r: 1.0 / r, p_calls), q=_counted(lambda r: (k / r) ** 2, q_calls),
         r0=r0, u0=math.cos(phase), du0=-k * math.sin(phase) / r0,
     )
     sol = integrate(prob, target, tol)
     assert abs(sol.u[-1] - math.cos(k * math.log(target))) <= 20.0 * tol
-    assert len(blocks) <= 20, blocks
+    # measured: 52 panels (~ ln 1000 / ln 1.13), one of them split, so 3 calls each
+    assert len(p_calls) == len(q_calls) <= 3, (p_calls, q_calls)
+    assert sol.n_steps <= 70, sol.n_steps
+
+
+def _regular_wave(eps: float, m: float, j: int, r: float) -> tuple[complex, complex]:
+    """u = z^(j/2) (1 - z)^(-i eps/2) F(a, b; j + 3/2; z), z = r^2, and du/dr,
+    from mpmath at 30 digits, with a, b = 3/4 + j/2 + i (+/-s - eps)/2,
+    s = sqrt(m^2 - 1/4): the regular solution of the radial equation."""
+    with mp.workdps(30):
+        s = mp.sqrt(mp.mpf(m) ** 2 - mp.mpf(1) / 4)
+        a = mp.mpf(3) / 4 + mp.mpf(j) / 2 + 1j * (s - eps) / 2
+        b = mp.mpf(3) / 4 + mp.mpf(j) / 2 - 1j * (s + eps) / 2
+        c, z, sigma = mp.mpf(j) + mp.mpf(3) / 2, mp.mpf(r) ** 2, -1j * mp.mpf(eps) / 2
+        front = z ** (mp.mpf(j) / 2) * (1 - z) ** sigma
+        f, df = mp.hyp2f1(a, b, c, z), a * b / c * mp.hyp2f1(a + 1, b + 1, c + 1, z)
+        du_dz = front * ((mp.mpf(j) / (2 * z) - sigma / (1 - z)) * f + df)
+        return complex(front * f), complex(2 * mp.mpf(r) * du_dz)
+
+
+def test_integrate_radial_equation_over_a_seeded_grid():
+    # criterion 3's integration, launched from the exact regular wave at
+    # r0 = 1e-3 so that no series launch error enters, against mpmath at 30
+    # digits: 12 points with eps in [5, 80], mu = eps / m in [1.5, 5] and
+    # j = 0..5, within 1e-11 of max |u| at r = 0.3, 0.6, 0.9, 0.95
+    rng = random.Random(11)
+    radii, r0 = [0.3, 0.6, 0.9, 0.95], 1e-3
+    for j in list(range(6)) * 2:
+        eps, mu = rng.uniform(5.0, 80.0), rng.uniform(1.5, 5.0)
+        co = radial_ode_coefficients(HorizonUnitsParams(epsilon=eps, m=eps / mu, j=j))
+        u0, du0 = _regular_wave(eps, eps / mu, j, r0)
+        prob = OdeProblem(p=co.p, q=co.q, r0=r0, u0=u0, du0=du0, direction=+1)
+        sol = integrate(prob, radii[-1], 1e-12, samples=radii)
+        want = np.array([_regular_wave(eps, eps / mu, j, r)[0] for r in radii])
+        err = np.max(np.abs(sol.u - want)) / np.max(np.abs(want))
+        assert err <= 1e-11, (eps, mu, j, err)
 
 
 # --- Riccati panels -------------------------------------------------------------
@@ -242,7 +251,7 @@ def test_riccati_panels_match_the_airy_wave(r0, target):
     sol = integrate_riccati(prob, target, 1e-11, samples=samples)
     assert list(sol.r) == sorted([*samples, target], reverse=target < r0)
     want = np.array([_airy_wave(r) for r in sol.r])
-    # measured 1.6e-13 and 1.7e-13; RKF7(8) at the same tol is off by 2e-11
+    # measured 1.6e-13 and 1.7e-13; integrate at the same tol is off by 8e-13
     assert np.max(np.abs(sol.u - want[:, 0])) < 1e-12 * np.max(np.abs(want[:, 0]))
     assert np.max(np.abs(sol.du - want[:, 1])) < 1e-12 * np.max(np.abs(want[:, 1]))
     # 10 units of r on the 12-panel minimum

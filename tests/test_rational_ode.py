@@ -97,7 +97,7 @@ def test_factored_rational_evaluates():
 
 
 def test_factored_rational_keeps_real_arguments_real():
-    # the integrator's block kernel runs in real arithmetic when p and q are real
+    # the collocation panels solve in real arithmetic when p and q are real
     fr = FactoredRational(
         numerator=(Fraction(2), Fraction(0), Fraction(-4)),
         const=Fraction(-1),

@@ -144,7 +144,7 @@ def test_flux_balance_agrees_with_far_field():
 
 def test_flux_balance_calls_the_potential_once_per_block(monkeypatch):
     # the integrator and the WKB phase evaluate U on whole arrays, never once
-    # per node: the Riccati panels take one call, RKF7(8) one per block
+    # per node: the Riccati panels take one call, the collocation panels two
     calls = []
     potential = dswave.reflection.effective_potential
 
@@ -160,7 +160,7 @@ def test_flux_balance_calls_the_potential_once_per_block(monkeypatch):
 
 def _record_routes(monkeypatch) -> list:
     """(route, problem, target, samples, solution) of every ODE solve that
-    reflection completes, route "riccati" or "rkf78"."""
+    reflection completes, route "riccati" or "collocation"."""
     calls = []
 
     def spy(route, solve):
@@ -173,7 +173,7 @@ def _record_routes(monkeypatch) -> list:
 
     monkeypatch.setattr(dswave.reflection, "integrate_riccati",
                         spy("riccati", dswave.reflection.integrate_riccati))
-    monkeypatch.setattr(dswave.reflection, "integrate", spy("rkf78", dswave.reflection.integrate))
+    monkeypatch.setattr(dswave.reflection, "integrate", spy("collocation", dswave.reflection.integrate))
     return calls
 
 
@@ -188,7 +188,8 @@ CRITERION_1 = [
 
 def test_riccati_window_samples_match_tight_rkf78_on_criterion_1(monkeypatch):
     # all 19 criterion-1 points take the Riccati panels; their 64 window
-    # samples agree with RKF7(8) at tol 1e-13 (measured 2.2e-12 to 3.0e-11)
+    # samples agree with oracle.integrate at tol 1e-13 (measured 2.1e-13 to
+    # 1.4e-11)
     calls = _record_routes(monkeypatch)
     assert len(CRITERION_1) == 19
     for mu, j, m in CRITERION_1:
@@ -203,8 +204,8 @@ def test_riccati_window_samples_match_tight_rkf78_on_criterion_1(monkeypatch):
 
 
 def test_flux_balance_costs_the_same_at_every_large_eps(monkeypatch):
-    # counts, not timings: RKF7(8) needed ~50k steps at eps = 1e3 and ran out
-    # of its 400 000-step budget at 1e4
+    # counts, not timings: one potential call for the panel nodes and one
+    # for the WKB phase, and 12 panels, at every eps
     calls = _record_routes(monkeypatch)
     potential = dswave.reflection.effective_potential
     shapes = []
@@ -228,7 +229,7 @@ def test_flux_balance_costs_the_same_at_every_large_eps(monkeypatch):
 def test_fallback_to_rkf78_keeps_its_bits(monkeypatch):
     # a turning point (the sech^2 barrier) and a low interior wave number,
     # (eps, m, j) = (10.5, 10, 0), leave the Riccati route; the result is
-    # bit for bit the one of RKF7(8) alone
+    # bit for bit the one of oracle.integrate alone
     barrier = lambda x: 16.0 / np.cosh(x - 5.0) ** 2
     slow = HorizonUnitsParams(epsilon=10.5, m=10.0, j=0)
     cases = [
@@ -238,7 +239,7 @@ def test_fallback_to_rkf78_keeps_its_bits(monkeypatch):
     for case, cause in cases:
         calls = _record_routes(monkeypatch)
         got = case()
-        assert [c[0] for c in calls] == ["rkf78"]
+        assert [c[0] for c in calls] == ["collocation"]
         route, prob, target, samples, _ = calls[0]
         with pytest.raises(StepFailure, match=cause):
             integrate_riccati(prob, target, 1e-11, samples=samples)
