@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -626,8 +627,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args reads the parser and fills a fresh Namespace, so one parser
+# serves every main call of a process; building it takes ~2 ms
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _merge_config(args)
         return args.func(args)

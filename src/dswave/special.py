@@ -4,9 +4,10 @@ This module is the double-precision numeric substrate: complex log-Gamma,
 asymptotic Gamma ratios, the Gauss hypergeometric function, and
 Bessel/Hankel functions of half-integer order p = +/-(j + 1/2), the only
 orders the flat-space limit and the small-curvature expansion produce.
-Everything here is pure, deterministic and float-only; the
-extended-precision counterparts used to certify these routines live in
-:mod:`dswave.oracle`, the only module with big-float arithmetic.
+Everything here is pure, deterministic and double precision (numpy only
+for the batched panel solves); the extended-precision counterparts used to
+certify these routines live in :mod:`dswave.oracle`, the only module with
+big-float arithmetic, which this module does not import.
 
 hyp2f1 takes one of three routes, chosen from its arguments and from what
 the float series measures:
@@ -16,8 +17,10 @@ the float series measures:
   integer), the z -> 1-z formula DLMF 15.8.4 with two series at 1-z;
 * continuation: whenever one of those series measures a ratio above
   _CANCEL_RETRY between its largest term and its sum, or overflows, F is
-  carried to the series argument by Taylor steps along the hypergeometric
-  ODE [3], from a point on the ray where the series is still benign.
+  carried to the series argument along the hypergeometric ODE, from a point
+  on the ray where the series is still benign: by Taylor steps [3] on a
+  path planned at no more than _TAYLOR_PANELS panels, by Chebyshev-panel
+  collocation [4] with batched solves on a longer one.
 
 Accuracy contract: log_gamma within 1e-13 max(1, |log Gamma(z)|) over
 |z| <= 1e7 (away from poles), modulo 2 pi i (see its branch note), so
@@ -25,7 +28,8 @@ relative where |log Gamma| >= 1 and absolute near its zeros z = 1 and z = 2;
 series summation to a fixed relative tolerance of 1e-15 (_REL_TOL) within
 a budget of 10 000 terms (_MAX_TERMS), up to _CANCEL_RETRY of cancellation,
 continuation with an estimated rounding amplification of at most
-_AMPLIFY_LIMIT (NonConvergence beyond it), and J_p for half-integer p by
+_AMPLIFY_LIMIT and a path of at most _MAX_TERMS planned panels
+(NonConvergence beyond either), and J_p for half-integer p by
 one of two routes: the ascending series for x <= max(8, |p| + 2), exact
 trigonometric seeds plus order recurrence beyond it (any other order raises
 ValueError).
@@ -41,11 +45,15 @@ References
        computation of the confluent and Gauss hypergeometric functions",
        Numer. Algorithms 74 (2017), arXiv:1407.7786 (the Taylor series
        method).
+.. [4] L. Greengard, "Spectral integration and two-point boundary value
+       problems", SIAM J. Numer. Anal. 28 (1991).
 """
 from __future__ import annotations
 
 import cmath
 import math
+
+import numpy as np
 
 __all__ = [
     "PoleError",
@@ -226,11 +234,23 @@ _CANCEL_RETRY = 1e3
 # Cancellation allowed in the series that start the continuation and in each
 # of its Taylor steps.
 _CANCEL_START = 10.0
-# A Taylor step spans at most this fraction of the distance to the nearest
-# singular point (0 or 1) ...
+# A Taylor step or a collocation panel spans at most this fraction of the
+# distance to the nearest singular point (0 or 1) ...
 _STEP_REACH = 0.5
-# ... and at most this many radians of the local frequency sqrt|ab/(t(1-t))|.
+# ... and at most this many radians of the local frequency sqrt|ab/(t(1-t))|:
+# a Taylor step, and a collocation panel.
 _STEP_PHASE = 1.5
+_PANEL_PHASE = 5.0
+# Chebyshev degree of a collocation panel, and the top two Chebyshev
+# coefficients of F a panel may keep, in units of F's local amplitude.
+_PANEL_DEGREE = 24
+_PANEL_TAIL = 1e-14
+# Paths planned at no more panels than this take Taylor steps: on them the
+# fixed cost of the batched solves outweighs the Taylor terms they save.
+_TAYLOR_PANELS = 16
+# Panels per batched solve: its complex matrices stay under 128 kB.  Larger
+# batches ran no faster and raised the peak memory.
+_PANEL_BATCH = 2**17 // (16 * (_PANEL_DEGREE + 1) ** 2)
 # The continuation refuses a path on which a partner solution outgrows F by
 # more than this: its rounding error could then exceed ~1e-10 relative.
 _AMPLIFY_LIMIT = 1e5
@@ -239,7 +259,8 @@ _CONNECTION_THRESHOLD = 0.5
 # A series stops after two consecutive terms below this fraction of its sum ...
 _REL_TOL = 1e-15
 # ... and raises NonConvergence after this many terms; the continuation also
-# caps its Taylor steps, and each step's terms, at this count.
+# caps its planned panels (collocation splits included), its Taylor steps and
+# each step's terms at this count.
 _MAX_TERMS = 10_000
 
 
@@ -290,8 +311,65 @@ def _gauss_series(a: complex, b: complex, c: complex, z: complex) -> complex:
     return _ode_continuation(a, b, c, z, cancel)
 
 
+def _chebyshev_panel(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degree-n collocation tools on x in [-1, 1].
+
+    Returns x_k + 1 at the nodes x_k = -cos(pi k / n) (ascending); the nodal
+    integration matrices J and J^2 from x = -1, stacked per node row as an
+    (n+1, 2, n+1) array; and the four rows that read, from values s at the
+    nodes, the top two Chebyshev coefficients of J^2 s, (J^2 s)(1) and
+    (J s)(1), as a (4, n+1) array.
+    """
+    theta = math.pi * np.arange(n, -1, -1) / n
+    cheb = np.cos(np.outer(theta, np.arange(n + 2)))  # T_j(x_k), j = 0 .. n+1
+    # the inverse of T_j(x_k): the discrete cosine sum with halved end terms
+    half = np.ones(n + 1)
+    half[0] = half[n] = 0.5
+    to_coef = (2.0 / n) * half[:, None] * cheb[:, :-1].T * half
+    # int_-1^x T_j = T_(j+1)/(2(j+1)) - T_|j-1|/(2(j-1)), the second term absent
+    # for j = 1, each less its value at -1, where T_i(-1) = (-1)^i = cheb[0, i]
+    anti = (cheb[:, 1:] - cheb[0, 1:]) / (2.0 * np.arange(1, n + 2))
+    anti[:, 0] += 0.5 * (cheb[:, 1] - cheb[0, 1])  # j = 0: T_1 / 2 + T_1 / 2
+    anti[:, 2:] -= (cheb[:, 1:n] - cheb[0, 1:n]) / (2.0 * np.arange(1, n))
+    integ = anti @ to_coef
+    integ2 = integ @ integ
+    probe = np.concatenate((to_coef[-2:] @ integ2, integ2[-1:], integ[-1:]))
+    stacked = np.empty((n + 1, 2, n + 1), dtype=complex)
+    stacked[:, 0], stacked[:, 1] = integ, integ2
+    # complex, as the panel arrays they multiply: one matmul loop serves both
+    return cheb[:, 1] + 1.0, stacked, probe.astype(complex)
+
+
+_NODES1, _INTEG, _PROBE = _chebyshev_panel(_PANEL_DEGREE)
+
+
+def _plan_panels(ab: complex, z: complex, start: float) -> list[float]:
+    """Panel ends, as |t|, from start to |z| along the ray t = |t| z/|z|: each
+    panel spans at most _STEP_REACH of the distance from its start to 0 and 1
+    and _PANEL_PHASE radians of sqrt|ab/(t(1-t))| there.  NonConvergence when
+    more than _MAX_TERMS panels would be needed, before any is solved."""
+    length = abs(z)
+    ur, ui = z.real / length, z.imag / length
+    mag, reach, phase, budget = abs(ab), _STEP_REACH, _PANEL_PHASE, _MAX_TERMS
+    hypot, sqrt = math.hypot, math.sqrt
+    ends = [start]
+    pos = start
+    while pos < length:  # conditional expressions, as in the Taylor steps
+        if len(ends) > budget:
+            raise NonConvergence(
+                f"2F1 continuation: more than {_MAX_TERMS} panels needed to reach |z|={length:.3g}"
+            )
+        to_one = hypot(1.0 - ur * pos, ui * pos)
+        span = reach * (pos if pos < to_one else to_one)
+        cap = phase * sqrt(pos * to_one / mag)
+        pos += cap if cap < span else span
+        ends.append(pos if pos < length else length)
+    return ends
+
+
 def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: float) -> complex:
-    """F(a, b; c; z) by Taylor steps along z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0.
+    """F(a, b; c; z) along z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0: Taylor steps
+    on short paths, Chebyshev-panel collocation on long ones.
 
     Start.  The float series at z lost log10(cancel) digits, and that loss
     grows with |z|.  The start z0 = q z on the ray to z is shrunk by the
@@ -301,14 +379,22 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
     rounding by up to (z/z0)^(1-c), so the start is kept as far out as the
     cancellation allows.
 
+    Plan.  _plan_panels cuts the path from z0 to z into panels, each at most
+    _STEP_REACH of the distance to the singular points 0 and 1 and
+    _PANEL_PHASE radians of the local frequency sqrt|ab/(t(1-t))|, the
+    geometric mean of the ODE's two local rates.  A plan of more than
+    _MAX_TERMS panels raises NonConvergence before any panel is solved.  A
+    plan of more than _TAYLOR_PANELS panels is solved by collocation
+    (_collocate); a shorter one takes Taylor steps, which cost less there
+    than the batched solves.
+
     Steps.  Each step from t to t+h sums the Taylor series of the solution
     at t, whose coefficients obey the three-term recurrence
 
         t(1-t)(k+1)(k+2) C[k+2] = (k+a)(k+b) C[k] - (k+1)((1-2t)k + c-(a+b+1)t) C[k+1].
 
-    |h| is bounded by the distance to the singular points 0 and 1 and by the
-    local frequency sqrt|ab/(t(1-t))|, the geometric mean of the ODE's two
-    local rates.  Bounding by the fast rate |c-(a+b+1)t|/|t(1-t)| instead
+    |h| is bounded like a panel, with _STEP_PHASE radians in place of
+    _PANEL_PHASE.  Bounding by the fast rate |c-(a+b+1)t|/|t(1-t)| instead
     would make the large-|c| connection sub-series take thousands of steps.
     A step whose terms still tower over its sum by more than _CANCEL_START
     (a rounding excitation of the fast partner) is retaken at half the span.
@@ -318,11 +404,13 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
     measures that growth without computing a partner: |partner| / |F| is
     about |W| / (A^2 freq), with A = sqrt(|F|^2 + |F'/freq|^2) the local
     amplitude of F.  When it grows by more than _AMPLIFY_LIMIT over its
-    smallest value on the path so far, the continuation raises
-    NonConvergence instead of returning a value it cannot vouch for.  Every
-    step and every step's series counts against _MAX_TERMS.
+    smallest value on the path so far, checked at every step start or panel
+    end, the continuation raises NonConvergence instead of returning a value
+    it cannot vouch for.  Every step and every step's series counts against
+    _MAX_TERMS.
 
     Pearson, Olver & Porter, arXiv:1407.7786 (Taylor series method);
+    Greengard, SIAM J. Numer. Anal. 28 (1991) (spectral integration);
     Michel & Stoitsov, arXiv:0708.0116.
     """
     q = 1.0
@@ -338,11 +426,14 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
     apb1 = a + b + 1.0
     wronskian_exp = c - (a + b) - 1.0  # W ~ t^(-c) (1-t)^(c-a-b-1)
     df *= ab / c
+    length = abs(z)
+    pos = q * length
+    ends = _plan_panels(ab, z, pos)
+    if len(ends) > _TAYLOR_PANELS + 1:
+        return _collocate(a, b, c, z, f, df, np.array(ends))
     log_limit = math.log(_AMPLIFY_LIMIT)
     # (k+a)(k+b)/((k+1)(k+2)) does not depend on the step centre
     coef: list[complex] = []
-    length = abs(z)
-    pos = q * length
     t = q * z
     cap = math.inf  # span limit after a rejected step, relaxed as steps succeed
     growth_min = math.inf
@@ -355,15 +446,18 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
             - 2.0 * math.log(math.hypot(abs(f), abs(df) / freq))
             - math.log(freq)
         )
-        growth_min = min(growth_min, growth)
-        if growth - growth_min > log_limit:
-            raise NonConvergence(
-                f"2F1 continuation: rounding error outgrew its budget by |t|={pos:.3g} "
-                f"(a partner solution outgrows F; ill-conditioned parameters)"
-            )
+        if growth < growth_min:
+            growth_min = growth
+        elif growth - growth_min > log_limit:
+            raise _outgrown(pos)
         if pos >= length:
             return f
-        span = min(_STEP_REACH * min(abs(t), abs(1.0 - t)), cap)
+        # conditional expressions rather than min() and max(): on a short path
+        # the time they save pays for the plan that chose the Taylor steps
+        to_zero, to_one = abs(t), abs(1.0 - t)
+        span = _STEP_REACH * (to_zero if to_zero < to_one else to_one)
+        if cap < span:
+            span = cap
         if freq * span > _STEP_PHASE:
             span = _STEP_PHASE / freq
         if span >= length - pos:
@@ -379,7 +473,7 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
         ds = e1
         m0 = abs(e0)
         m1 = abs(e1)
-        peak = max(m0, m1)
+        peak = m0 if m0 > m1 else m1
         small = _REL_TOL * (m0 + m1)
         small_streak = 0
         for k in range(_MAX_TERMS):
@@ -421,6 +515,112 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
     )
 
 
+def _outgrown(at: float) -> NonConvergence:
+    return NonConvergence(
+        f"2F1 continuation: rounding error outgrew its budget by |t|={at:.3g} "
+        f"(a partner solution outgrows F; ill-conditioned parameters)"
+    )
+
+
+def _solve_panels(
+    a: complex, b: complex, c: complex, unit: complex, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """Per panel, for the solutions with (G, G') = (1, 0) and (0, 1) at its
+    start: the top two Chebyshev coefficients of G, G at its end and G' at
+    its end, as a (panels, 4, 2) array.
+
+    G(s) = F(s unit) solves G'' + p G' + q G = 0 with p = unit (c - (a+b+1)t)
+    / (t(1-t)) and q = -unit^2 ab / (t(1-t)), t = s unit.  On a panel of half
+    width h, x in [-1, 1], the unknowns are sigma = h^2 G'' at the nodes: with
+    J the nodal integration matrix from x = -1, h G' = h G'_0 + J sigma and
+    G = G_0 + h G'_0 (x+1) + J^2 sigma, so collocation solves
+    (I + hp J + h^2 q J^2) sigma = -hp h G'_0 - h^2 q (G_0 + h G'_0 (x+1)),
+    one batched solve per _PANEL_BATCH panels.
+    """
+    out = []
+    for k in range(0, len(starts), _PANEL_BATCH):
+        s0, s1 = starts[k : k + _PANEL_BATCH], ends[k : k + _PANEL_BATCH]
+        h = 0.5 * (s1 - s0)
+        t = unit * (s0[:, None] + h[:, None] * _NODES1)
+        a0 = t * (1.0 - t)
+        hp_hq = np.empty(t.shape + (1, 2), dtype=complex)  # hp and h^2 q per node
+        hp_hq[..., 0, 0] = h[:, None] * (unit * c - unit * (a + b + 1.0) * t) / a0
+        hp_hq[..., 0, 1] = (h * h)[:, None] * (-unit * unit * a * b) / a0
+        mat = (hp_hq @ _INTEG).reshape(len(h), -1)
+        mat[:, :: _PANEL_DEGREE + 2] += 1.0  # + I, in place
+        mat = mat.reshape(t.shape + t.shape[-1:])
+        rhs = np.empty(t.shape + (2,), dtype=complex)
+        rhs[..., 0] = -hp_hq[..., 0, 1]
+        rhs[..., 1] = -hp_hq[..., 0, 0] - hp_hq[..., 0, 1] * _NODES1
+        rows = _PROBE @ np.linalg.solve(mat, rhs)
+        rows[:, 2:] += [[1.0, 2.0], [0.0, 1.0]]  # G_0 + h G'_0 (x+1) and h G'_0 at x = 1
+        # so far column 1 has h G'_0 = 1 and row 3 holds h G': the solution
+        # with G'_0 = 1 is h times column 1, and G' is row 3 over h
+        rows[:, :3, 1] *= h[:, None]
+        rows[:, 3, 0] /= h
+        out.append(rows)
+    return np.concatenate(out)
+
+
+def _collocate(
+    a: complex, b: complex, c: complex, z: complex, f: complex, df: complex, ends: np.ndarray
+) -> complex:
+    """Chebyshev-panel collocation along the planned panel ends.
+
+    Every panel's two fundamental solutions come from _solve_panels, and
+    their 2x2 transfers carry (F, F') from the start.  A panel on which F's
+    top two Chebyshev coefficients exceed _PANEL_TAIL times F's local
+    amplitude A at the panel start is halved and the halves solved; planned
+    panels and halves count against _MAX_TERMS.  Each round checks the
+    amplification (see _ode_continuation) at every panel end.
+    """
+    unit = z / abs(z)
+    ab, wronskian_exp = a * b, c - (a + b) - 1.0
+    log_limit = math.log(_AMPLIFY_LIMIT)
+    panels = _solve_panels(a, b, c, unit, ends[:-1], ends[1:])
+    while True:
+        g, dg = f, unit * df  # (G, G'), G' = unit F'
+        growth_min = math.inf
+        split = []
+        for k, (pos, row) in enumerate(zip(ends.tolist(), panels.tolist() + [None])):
+            if not abs(g) + abs(dg) < math.inf:
+                raise NonConvergence(f"2F1 continuation overflowed at |t|={ends[k - 1]:.3g}")
+            t = unit * pos
+            freq = math.sqrt(abs(ab / (t * (1.0 - t))))
+            amp = math.hypot(abs(g), abs(dg) / freq)
+            # log |W| / (A^2 freq), as in the Taylor steps; in plain floats,
+            # which leave the peak memory ~0.3 MB lower than numpy arrays did
+            growth = (
+                (wronskian_exp * cmath.log(1.0 - t) - c * cmath.log(t)).real
+                - 2.0 * math.log(amp)
+                - math.log(freq)
+            )
+            if growth < growth_min:
+                growth_min = growth
+            elif growth - growth_min > log_limit:
+                raise _outgrown(pos)
+            if row is None:
+                break
+            (c1, c2), (d1, d2), (u1, u2), (v1, v2) = row
+            bound = _PANEL_TAIL * amp
+            if not (abs(c1 * g + c2 * dg) <= bound and abs(d1 * g + d2 * dg) <= bound):
+                split.append(k)
+            g, dg = u1 * g + u2 * dg, v1 * g + v2 * dg
+        if not split:
+            return g
+        split = np.array(split)
+        if len(ends) - 1 + split.size > _MAX_TERMS:
+            raise NonConvergence(
+                f"2F1 continuation: more than {_MAX_TERMS} panels needed to reach |z|={ends[-1]:.3g}"
+            )
+        mid = 0.5 * (ends[split] + ends[split + 1])
+        starts = np.append(ends[split], mid)
+        halves = _solve_panels(a, b, c, unit, starts, np.append(mid, ends[split + 1]))
+        panels[split] = halves[: split.size]  # the first half takes the panel's place
+        panels = np.insert(panels, split + 1, halves[split.size :], axis=0)
+        ends = np.insert(ends, split + 1, mid)
+
+
 def connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
     """G(c) G(c-a-b) / (G(c-a) G(c-b)) and G(c) G(a+b-c) / (G(a) G(b)),
     the z -> 1-z connection coefficients (DLMF 15.8.4) of hyp2f1 and
@@ -448,28 +648,33 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
       attempted anyway (it converges, slowly, for |z| < 1).
     * continuation: a series of either route (the direct one, or one of the
       two connection series) whose largest term exceeds its sum by more than
-      1e3 (_CANCEL_RETRY), or that overflows, is replaced by Taylor steps
-      along z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0.  They start from a point
+      1e3 (_CANCEL_RETRY), or that overflows, is replaced by a continuation
+      along z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0.  It starts from a point
       on the ray to its argument where the series cancels by at most 10
-      (_CANCEL_START) (Pearson, Olver & Porter, arXiv:1407.7786).  Large
-      |Im a|, |Im b|, as in the wave families at large epsilon, take this
-      route at interior z.
+      (_CANCEL_START) and plans panels of at most 5 radians of the local
+      frequency up to the argument.  A plan of at most 16 panels
+      (_TAYLOR_PANELS) takes Taylor steps (Pearson, Olver & Porter,
+      arXiv:1407.7786); a longer one takes Chebyshev collocation of degree
+      24 on the panels, solved in batches, and halves a panel whose top
+      Chebyshev coefficients exceed 1e-14 (_PANEL_TAIL) of F's local
+      amplitude.  Large |Im a|, |Im b|, as in the wave families at large
+      epsilon, take this route at interior z.
 
     The route follows from the arguments and from the cancellation the float
     series measures; there is no setting that selects it.  Every series
     stops at a fixed relative tolerance of 1e-15 (_REL_TOL) and may sum at
-    most 10 000 terms (_MAX_TERMS); the continuation takes at most as many
-    Taylor steps.
+    most 10 000 terms (_MAX_TERMS); the continuation plans at most as many
+    panels (halved ones included) and takes at most as many Taylor steps.
 
     Raises
     ------
     PoleError
         If c is a non-positive integer.
     NonConvergence
-        If a series or a continuation step does not meet the 1e-15
-        tolerance within 10 000 terms, the continuation needs more than
-        10 000 steps, or it estimates its rounding amplification above 1e5
-        (_AMPLIFY_LIMIT).
+        If a series or a Taylor step does not meet the 1e-15 tolerance
+        within 10 000 terms, the continuation needs more than 10 000 panels
+        (refused before any panel is solved) or Taylor steps, or it
+        estimates its rounding amplification above 1e5 (_AMPLIFY_LIMIT).
     ValueError
         For |z| >= 1 (analytic continuation beyond the unit disc is not
         provided).

@@ -411,6 +411,22 @@ def test_cli_flag_beats_config_file(capsys, tmp_path):
     assert json.loads(out)["inputs"]["epsilon"] == 30.0
 
 
+def test_flags_and_config_values_do_not_carry_into_the_next_main_call(capsys, tmp_path):
+    # main reuses one parser per process; every call must still start unset
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"epsilon": 10.0, "m": 5.0, "j": 1, "kind": "f"}))
+    rc, out, _ = run(capsys, "wave", "--config", str(cfg), "--grid", "3", "--format", "json", "--residuals")
+    assert rc == 0
+    assert json.loads(out)["table"]["header"][-1] == "connection_residual"
+    rc, out, _ = run(capsys, "wave", "--epsilon", "10", "--m", "5", "--j", "1", "--kind", "out", "--grid", "3")
+    assert rc == 0
+    header, rows = csv_rows(out)  # CSV: neither --format nor --residuals carried
+    assert header == ["r", "re_u", "im_u"] and len(rows) == 3
+    rc, out, err = run(capsys, "wave", "--m", "5", "--j", "1", "--kind", "f")
+    assert rc == 2 and out == ""  # the config file's epsilon did not carry
+    assert one_error_line(err) == "error: missing required parameter --epsilon"
+
+
 def test_config_file_errors(capsys, tmp_path):
     rc, _, err = run(
         capsys, "reflect", "--m", "10", "--j", "1", "--epsilon", "20",

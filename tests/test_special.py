@@ -11,13 +11,16 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import dswave
 from dswave import special
+from dswave.model import HorizonUnitsParams
 from dswave.oracle import extended_series
 from dswave.special import (
     NonConvergence,
@@ -29,6 +32,7 @@ from dswave.special import (
     log_gamma,
     log_gamma_diff,
 )
+from dswave.waves import make_ansatz
 
 
 def rel(x: complex, y: complex) -> float:
@@ -223,8 +227,10 @@ def test_hyp2f1_series_overflow_is_continued():
 
 def test_hyp2f1_continuation_retakes_steps_that_excite_the_fast_partner():
     # |c| = 1e4 against |ab| = 2.5e5: the partner z^(1-c) varies ~30 times
-    # faster than the step bound assumes, so full-length Taylor steps blow up
-    # and must be retaken at a shorter span.  Value from mpmath at 40 digits.
+    # faster than the local frequency that sizes the panels, while F is the
+    # slow branch.  Taylor steps of that span blew up and were retaken at a
+    # shorter one; the collocation panels (68 planned) keep their span, and
+    # no tail test splits one.  Value from mpmath at 40 digits.
     expected = complex(-0.7244332551908012, 0.7120182517476774)
     assert rel(hyp2f1(0.5 - 500j, 0.3 - 500j, 1 - 1e4j, 0.4), expected) < 1e-11
 
@@ -242,20 +248,81 @@ def test_hyp2f1_continuation_is_right_or_refuses():
     assert rel(got, expected) < 1e-10
 
 
+def _planned_panels(monkeypatch, a, b, c, z, cancel):
+    """Panels the continuation to F(a, b; c; z) plans from a series at z
+    that cancelled by cancel."""
+    plans = []
+    plan = special._plan_panels
+    with monkeypatch.context() as m:
+        m.setattr(special, "_plan_panels", lambda *args: plans.append(plan(*args)) or plans[-1])
+        special._ode_continuation(a, b, c, z, cancel)
+    return len(plans[0]) - 1
+
+
 def test_hyp2f1_continuation_honours_term_budget(monkeypatch):
-    # epsilon=1000, m=500, j=1 outgoing-wave series at 0.4: the float pass
-    # converges within 300 terms but cancels, and the continuation needs more
-    # than 300 Taylor steps
+    # epsilon=1000, m=500, j=1 outgoing-wave series at 0.4: the float series
+    # needs ~250 terms, more than the ~100 panels the continuation plans, so
+    # the budget is set on the continuation itself: one panel short of the
+    # plan refuses, the plan itself goes through
     s = math.sqrt(500.0**2 - 0.25)
     a = complex(1.25, 0.5 * (s - 1000.0))
     b = complex(1.25, 0.5 * (-s - 1000.0))
-    monkeypatch.setattr(special, "_MAX_TERMS", 300)
+    c = a + b - 1.5
+    _, cancel = special._series_sum(a, b, c, 0.4)
+    panels = _planned_panels(monkeypatch, a, b, c, 0.4, cancel)
+    monkeypatch.setattr(special, "_MAX_TERMS", panels - 1)
     with pytest.raises(NonConvergence, match="continuation"):
-        hyp2f1(a, b, a + b - 1.5, 0.4)
+        special._ode_continuation(a, b, c, 0.4, cancel)
+    monkeypatch.setattr(special, "_MAX_TERMS", panels)
+    assert cmath.isfinite(special._ode_continuation(a, b, c, 0.4, cancel))
+
+
+def test_hyp2f1_continuation_refuses_an_over_budget_plan_before_solving(monkeypatch):
+    # epsilon=1000, r=0.5 standing wave: with the budget below its plan the
+    # continuation refuses before it solves a single panel.  The cancellation
+    # of an overflowing series (inf) starts it at z/308, where the start
+    # series need fewer terms than the plan has panels.
+    ans = make_ansatz(HorizonUnitsParams(epsilon=1000.0, m=500.0, j=1), "regular")
+    panels = _planned_panels(monkeypatch, ans.a, ans.b, ans.c, 0.25, math.inf)
+    assert panels > special._TAYLOR_PANELS
+
+    def no_solve(*args):
+        raise AssertionError("a panel was solved")
+
+    monkeypatch.setattr(special, "_solve_panels", no_solve)
+    monkeypatch.setattr(special, "_MAX_TERMS", panels - 1)
+    start = time.perf_counter()
+    with pytest.raises(NonConvergence, match="continuation: more than"):
+        special._ode_continuation(ans.a, ans.b, ans.c, 0.25, math.inf)
+    assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("eps, r", [(200.0, 0.5), (1000.0, 0.1)])
+def test_hyp2f1_continuation_solves_its_panels_in_batches(monkeypatch, eps, r):
+    # one continuation of ~25 planned panels makes at most 3 batched solves,
+    # where one solve per panel would make ~25, and at least one: these
+    # paths take collocation
+    ans = make_ansatz(HorizonUnitsParams(epsilon=eps, m=eps / 2.0, j=1), "regular")
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    per_continuation = []
+    continuation = special._ode_continuation
+
+    def counted(*args):
+        before = len(solves)
+        value = continuation(*args)
+        per_continuation.append(len(solves) - before)
+        return value
+
+    monkeypatch.setattr(special, "_ode_continuation", counted)
+    hyp2f1(ans.a, ans.b, ans.c, r * r)
+    assert per_continuation and all(1 <= n <= 3 for n in per_continuation), per_continuation
 
 
 def test_runtime_path_does_not_import_mpmath():
-    # mpmath serves the oracle only; the double-precision route must not load it
+    # mpmath serves the oracle only, and the oracle checks special without
+    # sharing its code: the double-precision route must load neither
     code = (
         "import sys\n"
         "from dswave import special, waves\n"
@@ -263,12 +330,71 @@ def test_runtime_path_does_not_import_mpmath():
         "hp = HorizonUnitsParams(epsilon=1000.0, m=500.0, j=1)\n"
         "waves.eval_running(waves.make_ansatz(hp, 'regular'), 'out', 0.5)\n"
         "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
+        "assert 'dswave.oracle' not in sys.modules, 'dswave.oracle was imported'\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(dswave.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _continuation_grid():
+    """26 seeded (a, b, c, z) of the two standing-wave families: epsilon
+    log-uniform in [10, 1e4], mu in [1.5, 5], j < 4, the families taking
+    turns; points 0-11 on the direct route (z < 1/2), 12-23 on the z -> 1-z
+    connection, and 24-25 at complex z, with epsilon up to 316 there so that
+    F stays within double range."""
+    rng = random.Random(2026)
+    grid = []
+    for k in range(26):
+        eps = 10.0 ** (rng.uniform(1.0, 4.0) if k < 24 else rng.uniform(1.5, 2.5))
+        mu = rng.uniform(1.5, 5.0)
+        j = rng.randrange(4)
+        family = ("regular", "singular")[k % 2]
+        ans = make_ansatz(HorizonUnitsParams(epsilon=eps, m=eps / mu, j=j), family)
+        r = rng.uniform(0.72, 0.98) if 12 <= k < 24 else rng.uniform(0.2, 0.7)
+        z = cmath.rect(r * r, rng.uniform(-0.6, 0.6)) if k >= 24 else r * r
+        grid.append((ans.a, ans.b, ans.c, z))
+    return grid
+
+
+def _grid_reference(a, b, c, z):
+    """The big-float series at 30 digits; beyond |z| = 1/2, DLMF 15.8.4 with
+    mpmath's Gamma at 40 digits."""
+    if abs(z) <= 0.5:
+        return complex(extended_series("hyp2f1", [a, b, c, z]))
+    with mp.workdps(40):
+        a, b, c = mp.mpc(a), mp.mpc(b), mp.mpc(c)
+        s, w = c - a - b, 1 - mp.mpf(z)
+        g1 = mp.gamma(c) * mp.gamma(s) / (mp.gamma(c - a) * mp.gamma(c - b))
+        g2 = mp.gamma(c) * mp.gamma(-s) / (mp.gamma(a) * mp.gamma(b))
+        f1 = extended_series("hyp2f1", [a, b, 1 - s, w])
+        f2 = extended_series("hyp2f1", [c - a, c - b, 1 + s, w])
+        return complex(g1 * f1 + g2 * w**s * f2)
+
+
+# _grid_reference of the points whose reference takes over ~0.25 s (up to
+# 13 s at epsilon ~ 1e4, where the series carries thousands of digits)
+_GRID_FROZEN = {
+    1: complex(-406029054.736769, -999227410.3856236),
+    4: complex(-1.3179247913372077e-12, -1.3275241381480602e-11),
+    6: complex(-9.53863717356402e-07, -2.391564164148055e-05),
+    8: complex(-5.122835832614592e-09, 6.624781538509916e-09),
+    10: complex(-0.0002425779623562546, -4.17476293742505e-05),
+    11: complex(-7095470.127095316, -26598800.44861939),
+    14: complex(-1.5105720556105663e-05, -4.2635281733073754e-05),
+    17: complex(4923555.928208474, -9264145.43606007),
+    21: complex(-215.21111945234153, -312.320508240032),
+}
+
+
+def test_hyp2f1_over_a_seeded_continuation_grid():
+    # every point within 1e-10 of its reference, hyp2f1 called directly; at
+    # large epsilon both routes end in the continuation
+    for k, (a, b, c, z) in enumerate(_continuation_grid()):
+        ref = _GRID_FROZEN[k] if k in _GRID_FROZEN else _grid_reference(a, b, c, z)
+        assert rel(hyp2f1(a, b, c, z), ref) < 1e-10, (k, a, b, c, z)
 
 
 def test_hyp2f1_pole_and_domain_errors():
