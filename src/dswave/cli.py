@@ -28,6 +28,8 @@ Conventions
 * CSV output: one header row, 17 significant digits, complex values as
   re_*/im_* column pairs.  JSON output: sorted keys, an ``"inputs"`` block
   echoing the resolved parameters, complex values as [re, im] pairs.
+  ``classify`` writes JSON only: ``--format csv``, from the flag or the
+  config file, exits 2.
   Output is byte-identical for identical configuration (no timestamps,
   no environment-dependent content).
 
@@ -516,6 +518,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    if args.format == "csv":
+        raise ConfigError("classify writes JSON only; --format csv is not available")
     report = classify_singularities(_read_json(args.coefficients, "coefficient"))
     doc = {"inputs": {"coefficients": os.path.basename(args.coefficients)}}
     doc.update(report.to_json())
@@ -533,7 +537,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--tol", type=float, help="reflect's flux-check tolerance, capped at 1e-11 (beats DSW_TOL)"
     )
     sub.add_argument("--output", help="write to this file instead of stdout")
-    sub.add_argument("--format", dest="format", choices=("csv", "json"))
+    sub.add_argument(
+        "--format",
+        dest="format",
+        choices=("csv", "json"),
+        help="output format; classify writes JSON only (csv exits 2)",
+    )
 
 
 def _add_physics(sub: argparse.ArgumentParser, *, epsilon: bool = True) -> None:

@@ -139,10 +139,12 @@ def _chebyshev_matrices(n: int) -> tuple[np.ndarray, ...]:
 # --- collocation panels -----------------------------------------------------
 
 # Chebyshev degree of a collocation panel, the tail a panel may keep in units
-# of tol, and the points of the trial grid that plans the panels.
+# of tol, the points of the trial grid that plans the panels, and the most
+# panels, halves included, one integration may take.
 _PANEL_DEGREE = 12
 _TAIL_PER_TOL = 100.0
 _TRIAL_POINTS = 257
+_MAX_STEPS = 400_000
 
 _P_NODES, _P_TO_COEF, _, _, _P_INT = _chebyshev_matrices(_PANEL_DEGREE)
 _P_INT2 = _P_INT @ _P_INT
@@ -162,7 +164,7 @@ def _no_underflow(width: np.ndarray, r: np.ndarray, floor: float) -> None:
         )
 
 
-def _plan(prob: OdeProblem, sign: float, ends: np.ndarray, phi: float, floor: float, budget: int):
+def _plan(prob: OdeProblem, sign: float, ends: np.ndarray, phi: float, floor: float):
     """Starts and ends of the panels from r0 through the points ends: up to each
     end, ceil(N) panels that split N = integral dr / w equally, w = phi / (|p| +
     sqrt|q|), N by the trapezoid rule on _TRIAL_POINTS Chebyshev points, dense at
@@ -176,8 +178,9 @@ def _plan(prob: OdeProblem, sign: float, ends: np.ndarray, phi: float, floor: fl
     count = np.append(0.0, np.cumsum(0.5 * np.diff(d) * (1.0 / width[1:] + 1.0 / width[:-1])))
     reach = np.interp(to, d, count)  # N from r0 to each end
     per = np.maximum(1, np.ceil(np.diff(reach, prepend=0.0) * (1.0 - 1e-9)))
-    if per.sum() > budget:  # before any array of that length exists
-        raise StepFailure(f"step budget {budget} exhausted at r={np.interp(budget, count, r):.6g}")
+    if per.sum() > _MAX_STEPS:  # before any array of that length exists
+        at = np.interp(_MAX_STEPS, count, r)
+        raise StepFailure(f"step budget {_MAX_STEPS} exhausted at r={at:.6g}")
     first = (np.cumsum(per) - per).astype(int)  # the first panel up to each end
     at = np.interp(np.arange(per.sum()), np.append(first, per.sum()), np.append(0.0, reach))
     starts = prob.r0 + sign * np.interp(at, count, d)
@@ -206,7 +209,6 @@ def integrate(
     r_target: float,
     tol: float,
     samples: Sequence[float] | None = None,
-    max_steps: int = 400_000,
 ) -> OdeSolution:
     """Chebyshev-panel collocation (Greengard, SIAM J. Numer. Anal. 28 (1991);
     Driscoll & Hale, IMA J. Numer. Anal. 36 (2016)); every sample ends a panel.
@@ -216,14 +218,14 @@ def integrate(
     times the running max |u| is halved and the halves solved (a plane wave's
     end error stays below 1e-3 of them), so p and q see the trial grid, all
     nodes, and each round of splits.  StepFailure: a panel below |r_target -
-    r0| * 1e-14 wide, which bounds the rounds, or more than max_steps panels.
+    r0| * 1e-14 wide, which bounds the rounds, or more than _MAX_STEPS panels.
     """
     span, wanted = _wanted(prob, r_target, tol, samples)
     sign, floor, n = math.copysign(1.0, span), abs(span) * 1e-14, _PANEL_DEGREE
     phi = 4.0 * math.exp((math.log(0.5 * _TAIL_PER_TOL * tol) + math.lgamma(n)) / (n - 1))
     with np.errstate(all="ignore"):
         ends = np.array([w for w in wanted if w != prob.r0])
-        starts, ends = _plan(prob, sign, ends, phi, floor, max_steps)
+        starts, ends = _plan(prob, sign, ends, phi, floor)
         panels, n_steps, n_rejected = _solve_panels(prob, starts, ends), len(starts), 0
         while True:
             states = [(complex(prob.u0), complex(prob.du0))]
@@ -239,8 +241,8 @@ def integrate(
             mid = 0.5 * (starts[split] + ends[split])
             n_steps, n_rejected = n_steps + 2 * split.size, n_rejected + split.size
             _no_underflow(mid - starts[split], starts[split], floor)
-            if n_steps > max_steps:
-                raise StepFailure(f"step budget {max_steps} exhausted at r={starts[split[0]]:.6g}")
+            if n_steps > _MAX_STEPS:
+                raise StepFailure(f"step budget {_MAX_STEPS} exhausted at r={starts[split[0]]:.6g}")
             halves = _solve_panels(prob, np.append(starts[split], mid), np.append(mid, ends[split]))
             panels[split] = halves[: split.size]  # the first half takes the panel's place
             panels = np.insert(panels, split + 1, halves[split.size :], axis=0)

@@ -18,9 +18,9 @@ the float series measures:
 * continuation: whenever one of those series measures a ratio above
   _CANCEL_RETRY between its largest term and its sum, or overflows, F is
   carried to the series argument along the hypergeometric ODE, from a point
-  on the ray where the series is still benign: by Taylor steps [3] on a
-  path planned at no more than _TAYLOR_PANELS panels, by Chebyshev-panel
-  collocation [4] with batched solves on a longer one.
+  on the ray where the series is still benign, by one walk over planned
+  pieces: Taylor steps [3] on a path of at most _TAYLOR_PANELS panels,
+  Chebyshev-panel collocation [4] with batched solves on a longer one.
 
 Accuracy contract: log_gamma within 1e-13 max(1, |log Gamma(z)|) over
 |z| <= 1e7 (away from poles), modulo 2 pi i (see its branch note), so
@@ -28,7 +28,7 @@ relative where |log Gamma| >= 1 and absolute near its zeros z = 1 and z = 2;
 series summation to a fixed relative tolerance of 1e-15 (_REL_TOL) within
 a budget of 10 000 terms (_MAX_TERMS), up to _CANCEL_RETRY of cancellation,
 continuation with an estimated rounding amplification of at most
-_AMPLIFY_LIMIT and a path of at most _MAX_TERMS planned panels
+_AMPLIFY_LIMIT and a walk of at most _MAX_TERMS pieces, halves included
 (NonConvergence beyond either), and J_p for half-integer p by
 one of two routes: the ascending series for x <= max(8, |p| + 2), exact
 trigonometric seeds plus order recurrence beyond it (any other order raises
@@ -234,7 +234,7 @@ _CANCEL_RETRY = 1e3
 # Cancellation allowed in the series that start the continuation and in each
 # of its Taylor steps.
 _CANCEL_START = 10.0
-# A Taylor step or a collocation panel spans at most this fraction of the
+# A piece of the continuation's path spans at most this fraction of the
 # distance to the nearest singular point (0 or 1) ...
 _STEP_REACH = 0.5
 # ... and at most this many radians of the local frequency sqrt|ab/(t(1-t))|:
@@ -259,8 +259,8 @@ _CONNECTION_THRESHOLD = 0.5
 # A series stops after two consecutive terms below this fraction of its sum ...
 _REL_TOL = 1e-15
 # ... and raises NonConvergence after this many terms; the continuation also
-# caps its planned panels (collocation splits included), its Taylor steps and
-# each step's terms at this count.
+# caps its pieces (halved ones included) and each Taylor step's terms at this
+# count.
 _MAX_TERMS = 10_000
 
 
@@ -343,22 +343,20 @@ def _chebyshev_panel(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _NODES1, _INTEG, _PROBE = _chebyshev_panel(_PANEL_DEGREE)
 
 
-def _plan_panels(ab: complex, z: complex, start: float) -> list[float]:
-    """Panel ends, as |t|, from start to |z| along the ray t = |t| z/|z|: each
-    panel spans at most _STEP_REACH of the distance from its start to 0 and 1
-    and _PANEL_PHASE radians of sqrt|ab/(t(1-t))| there.  NonConvergence when
-    more than _MAX_TERMS panels would be needed, before any is solved."""
+def _plan_panels(ab: complex, z: complex, start: float, phase: float) -> list[float]:
+    """Piece ends, as |t|, from start to |z| along the ray t = |t| z/|z|: each
+    piece spans at most _STEP_REACH of the distance from its start to 0 and 1
+    and phase radians of sqrt|ab/(t(1-t))| there.  A longer plan than
+    _MAX_TERMS pieces stops at _MAX_TERMS + 1, which the walk refuses."""
     length = abs(z)
     ur, ui = z.real / length, z.imag / length
-    mag, reach, phase, budget = abs(ab), _STEP_REACH, _PANEL_PHASE, _MAX_TERMS
+    mag, reach, last = abs(ab), _STEP_REACH, _MAX_TERMS + 1
     hypot, sqrt = math.hypot, math.sqrt
     ends = [start]
     pos = start
-    while pos < length:  # conditional expressions, as in the Taylor steps
-        if len(ends) > budget:
-            raise NonConvergence(
-                f"2F1 continuation: more than {_MAX_TERMS} panels needed to reach |z|={length:.3g}"
-            )
+    # conditional expressions rather than min() and max(): on a short path the
+    # time they save pays for the plan that chose the Taylor steps
+    while pos < length and len(ends) <= last:
         to_one = hypot(1.0 - ur * pos, ui * pos)
         span = reach * (pos if pos < to_one else to_one)
         cap = phase * sqrt(pos * to_one / mag)
@@ -368,46 +366,38 @@ def _plan_panels(ab: complex, z: complex, start: float) -> list[float]:
 
 
 def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: float) -> complex:
-    """F(a, b; c; z) along z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0: Taylor steps
-    on short paths, Chebyshev-panel collocation on long ones.
+    """F(a, b; c; z) along z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0: one plan, one
+    walk, and two methods that carry F across a piece of the path.
 
     Start.  The float series at z lost log10(cancel) digits, and that loss
     grows with |z|.  The start z0 = q z on the ray to z is shrunk by the
     measured loss until the series for F and F' = (ab/c) F(a+1, b+1; c+1; z0)
-    cancel by at most _CANCEL_START.  It is not a fixed small multiple of
-    1/|ab|: with c < 0 the partner solution z^(1-c) amplifies the start-up
-    rounding by up to (z/z0)^(1-c), so the start is kept as far out as the
-    cancellation allows.
+    cancel by at most _CANCEL_START; a series over the term budget counts as
+    infinite cancellation.  It is not a fixed small multiple of 1/|ab|: with
+    c < 0 the partner solution z^(1-c) amplifies the start-up rounding by up
+    to (z/z0)^(1-c), so the start is kept as far out as the cancellation
+    allows.
 
-    Plan.  _plan_panels cuts the path from z0 to z into panels, each at most
-    _STEP_REACH of the distance to the singular points 0 and 1 and
-    _PANEL_PHASE radians of the local frequency sqrt|ab/(t(1-t))|, the
-    geometric mean of the ODE's two local rates.  A plan of more than
-    _MAX_TERMS panels raises NonConvergence before any panel is solved.  A
-    plan of more than _TAYLOR_PANELS panels is solved by collocation
-    (_collocate); a shorter one takes Taylor steps, which cost less there
-    than the batched solves.
+    Plan.  _plan_panels cuts the path into pieces of a fixed phase of the
+    local frequency sqrt|ab/(t(1-t))|, the geometric mean of the ODE's two
+    local rates (the fast rate |c-(a+b+1)t|/|t(1-t)| would make the large-|c|
+    connection sub-series take thousands of steps).  A plan of more than
+    _TAYLOR_PANELS pieces at _PANEL_PHASE radians is carried by collocation;
+    a shorter path is planned again at _STEP_PHASE radians and carried by
+    Taylor steps, which cost less there than batched solves.
 
-    Steps.  Each step from t to t+h sums the Taylor series of the solution
-    at t, whose coefficients obey the three-term recurrence
-
-        t(1-t)(k+1)(k+2) C[k+2] = (k+a)(k+b) C[k] - (k+1)((1-2t)k + c-(a+b+1)t) C[k+1].
-
-    |h| is bounded like a panel, with _STEP_PHASE radians in place of
-    _PANEL_PHASE.  Bounding by the fast rate |c-(a+b+1)t|/|t(1-t)| instead
-    would make the large-|c| connection sub-series take thousands of steps.
-    A step whose terms still tower over its sum by more than _CANCEL_START
-    (a rounding excitation of the fast partner) is retaken at half the span.
+    Walk.  At every end the walk checks G(s) = F(s z/|z|) and G' for
+    overflow and rounding amplification, then asks the method to carry them
+    across the next piece.  A piece the method refuses is halved, with its
+    memo slot; planned pieces and halves count against _MAX_TERMS.
 
     Error budget.  Rounding is amplified by the growth of a partner solution
     against F.  The Wronskian W = t^(-c) (1-t)^(c-a-b-1) (up to a constant)
     measures that growth without computing a partner: |partner| / |F| is
     about |W| / (A^2 freq), with A = sqrt(|F|^2 + |F'/freq|^2) the local
     amplitude of F.  When it grows by more than _AMPLIFY_LIMIT over its
-    smallest value on the path so far, checked at every step start or panel
-    end, the continuation raises NonConvergence instead of returning a value
-    it cannot vouch for.  Every step and every step's series counts against
-    _MAX_TERMS.
+    smallest value on the path so far, the continuation raises
+    NonConvergence instead of returning a value it cannot vouch for.
 
     Pearson, Olver & Porter, arXiv:1407.7786 (Taylor series method);
     Greengard, SIAM J. Numer. Anal. 28 (1991) (spectral integration);
@@ -417,58 +407,87 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
     while True:
         lost = math.log10(cancel) if cancel < math.inf else 308.0
         q *= min(0.5, 1.0 / lost)
-        f, cancel_f = _series_sum(a, b, c, q * z)
-        df, cancel_df = _series_sum(a + 1.0, b + 1.0, c + 1.0, q * z)
-        cancel = max(cancel_f, cancel_df)
+        try:
+            f, cancel = _series_sum(a, b, c, q * z)
+            df, cancel_df = _series_sum(a + 1.0, b + 1.0, c + 1.0, q * z)
+            cancel = max(cancel, cancel_df)
+        except NonConvergence:  # a series over the term budget: start further in
+            cancel = math.inf
         if cancel <= _CANCEL_START:
             break
     ab = a * b
-    apb1 = a + b + 1.0
-    wronskian_exp = c - (a + b) - 1.0  # W ~ t^(-c) (1-t)^(c-a-b-1)
-    df *= ab / c
     length = abs(z)
-    pos = q * length
-    ends = _plan_panels(ab, z, pos)
+    unit = z / length
+    ends = _plan_panels(ab, z, q * length, _PANEL_PHASE)
     if len(ends) > _TAYLOR_PANELS + 1:
-        return _collocate(a, b, c, z, f, df, np.array(ends))
-    log_limit = math.log(_AMPLIFY_LIMIT)
-    # (k+a)(k+b)/((k+1)(k+2)) does not depend on the step centre
-    coef: list[complex] = []
-    t = q * z
-    cap = math.inf  # span limit after a rejected step, relaxed as steps succeed
-    growth_min = math.inf
-    for _step in range(_MAX_TERMS):
-        a0 = t * (1.0 - t)
-        freq = math.sqrt(abs(ab / a0))
-        # log |W| / (A^2 freq): the partner's size against F, up to a constant
-        growth = (
-            (wronskian_exp * cmath.log(1.0 - t) - c * cmath.log(t)).real
-            - 2.0 * math.log(math.hypot(abs(f), abs(df) / freq))
-            - math.log(freq)
-        )
+        carry = _collocation(a, b, c, unit)
+    else:
+        ends = _plan_panels(ab, z, q * length, _STEP_PHASE)
+        carry = _taylor_steps(a, b, c, unit)
+    g, dg = f, unit * (df * (ab / c))  # (G, G'), G' = unit F'
+    wronskian_exp = c - (a + b) - 1.0  # W ~ t^(-c) (1-t)^(c-a-b-1)
+    sqrt, hypot, log, clog, inf = math.sqrt, math.hypot, math.log, cmath.log, math.inf
+    log_limit = log(_AMPLIFY_LIMIT)
+    growth_min = inf
+    memo = [None] * (len(ends) - 1)  # what the method keeps per piece
+    i = 0
+    while True:
+        pos = ends[i]
+        if not abs(g) + abs(dg) < inf:
+            raise NonConvergence(f"2F1 continuation overflowed at |t|={ends[i - 1]:.3g}")
+        t = unit * pos
+        freq = sqrt(abs(ab / (t * (1.0 - t))))
+        amp = hypot(abs(g), abs(dg) / freq)
+        # log |W| / (A^2 freq): the partner's size against F, up to a constant,
+        # in plain floats: they leave the peak memory ~0.3 MB below numpy's
+        growth = (wronskian_exp * clog(1.0 - t) - c * clog(t)).real - 2.0 * log(amp) - log(freq)
         if growth < growth_min:
             growth_min = growth
         elif growth - growth_min > log_limit:
-            raise _outgrown(pos)
-        if pos >= length:
-            return f
-        # conditional expressions rather than min() and max(): on a short path
-        # the time they save pays for the plan that chose the Taylor steps
-        to_zero, to_one = abs(t), abs(1.0 - t)
-        span = _STEP_REACH * (to_zero if to_zero < to_one else to_one)
-        if cap < span:
-            span = cap
-        if freq * span > _STEP_PHASE:
-            span = _STEP_PHASE / freq
-        if span >= length - pos:
-            span = length - pos
-        h = z * (span / length)
-        h1 = h / a0
+            raise NonConvergence(
+                f"2F1 continuation: rounding error outgrew its budget by |t|={pos:.3g} "
+                f"(a partner solution outgrows F; ill-conditioned parameters)"
+            )
+        if i + 1 == len(ends):
+            return g
+        if len(ends) > _MAX_TERMS + 1:
+            raise NonConvergence(
+                f"2F1 continuation: more than {_MAX_TERMS} panels needed to reach |z|={length:.3g}"
+            )
+        carried = carry(ends, memo, i, g, dg, amp)
+        if carried is None:
+            ends.insert(i + 1, 0.5 * (pos + ends[i + 1]))
+            memo[i : i + 1] = [None, None]
+        else:
+            g, dg = carried
+            i += 1
+
+
+def _taylor_steps(a: complex, b: complex, c: complex, unit: complex):
+    """Taylor steps [3]: carry(ends, memo, i, g, dg, amp) sums the Taylor
+    series of the solution at t = ends[i] unit out to ends[i+1], whose
+    coefficients obey
+
+        t(1-t)(k+1)(k+2) C[k+2] = (k+a)(k+b) C[k] - (k+1)((1-2t)k + c-(a+b+1)t) C[k+1],
+
+    and it refuses (None) a step whose terms still tower over its sum by
+    more than _CANCEL_START: a rounding excitation of the fast partner.
+    """
+    apb1 = a + b + 1.0
+    # coef[n] = (k+a)(k+b)/((k+1)(k+2)), n = k+2, the same at every step centre
+    coef: list[complex] = [0j, 0j]
+
+    def carry(ends, memo, i, g, dg, amp):
+        pos = ends[i]
+        span = ends[i + 1] - pos
+        t = unit * pos
+        h = unit * span
+        h1 = h / (t * (1.0 - t))
         h2 = h * h1
         a1h = (1.0 - 2.0 * t) * h1
         b0h = (c - apb1 * t) * h1
-        e0 = f
-        e1 = df * h
+        e0 = g
+        e1 = dg * span
         fs = e0 + e1
         ds = e1
         m0 = abs(e0)
@@ -476,19 +495,19 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
         peak = m0 if m0 > m1 else m1
         small = _REL_TOL * (m0 + m1)
         small_streak = 0
-        for k in range(_MAX_TERMS):
+        for n in range(2, _MAX_TERMS + 2):
             try:
-                p = coef[k]
+                p = coef[n]
             except IndexError:
-                p = (k + a) * (k + b) / ((k + 1) * (k + 2))
+                p = (n - 2 + a) * (n - 2 + b) / ((n - 1) * n)
                 coef.append(p)
-            e2 = p * h2 * e0 - (a1h * k + b0h) * e1 / (k + 2)
+            e2 = p * h2 * e0 - (a1h * (n - 2) + b0h) * e1 / n
             fs += e2
-            ds += (k + 2) * e2
+            ds += n * e2
             mag = abs(e2)
             if mag > peak:
                 peak = mag
-            if (k + 2) * mag <= small:
+            if n * mag <= small:
                 small_streak += 1
                 if small_streak >= 2:
                     break
@@ -499,35 +518,19 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
             raise NonConvergence(
                 f"2F1 continuation: Taylor step did not converge in {_MAX_TERMS} terms"
             )
-        scale = abs(fs) + abs(ds)
-        if not scale < math.inf:
-            raise NonConvergence(f"2F1 continuation overflowed at |t|={pos:.3g}")
-        if peak > _CANCEL_START * scale:
-            cap = 0.5 * span
-            continue
-        cap = 2.0 * span
-        f = fs
-        df = ds / h
-        pos += span
-        t = z * (pos / length)
-    raise NonConvergence(
-        f"2F1 continuation: {_MAX_TERMS} Taylor steps did not reach |z|={length:.3g}"
-    )
+        if peak > _CANCEL_START * (abs(fs) + abs(ds)):
+            return None
+        return fs, ds / span
 
-
-def _outgrown(at: float) -> NonConvergence:
-    return NonConvergence(
-        f"2F1 continuation: rounding error outgrew its budget by |t|={at:.3g} "
-        f"(a partner solution outgrows F; ill-conditioned parameters)"
-    )
+    return carry
 
 
 def _solve_panels(
-    a: complex, b: complex, c: complex, unit: complex, starts: np.ndarray, ends: np.ndarray
+    a: complex, b: complex, c: complex, unit: complex, ends: np.ndarray
 ) -> np.ndarray:
-    """Per panel, for the solutions with (G, G') = (1, 0) and (0, 1) at its
-    start: the top two Chebyshev coefficients of G, G at its end and G' at
-    its end, as a (panels, 4, 2) array.
+    """Per panel between consecutive ends, for the solutions with (G, G') =
+    (1, 0) and (0, 1) at its start: the top two Chebyshev coefficients of G,
+    G at its end and G' at its end, as a (panels, 4, 2) array.
 
     G(s) = F(s unit) solves G'' + p G' + q G = 0 with p = unit (c - (a+b+1)t)
     / (t(1-t)) and q = -unit^2 ab / (t(1-t)), t = s unit.  On a panel of half
@@ -537,6 +540,7 @@ def _solve_panels(
     (I + hp J + h^2 q J^2) sigma = -hp h G'_0 - h^2 q (G_0 + h G'_0 (x+1)),
     one batched solve per _PANEL_BATCH panels.
     """
+    starts, ends = ends[:-1], ends[1:]
     out = []
     for k in range(0, len(starts), _PANEL_BATCH):
         s0, s1 = starts[k : k + _PANEL_BATCH], ends[k : k + _PANEL_BATCH]
@@ -562,63 +566,26 @@ def _solve_panels(
     return np.concatenate(out)
 
 
-def _collocate(
-    a: complex, b: complex, c: complex, z: complex, f: complex, df: complex, ends: np.ndarray
-) -> complex:
-    """Chebyshev-panel collocation along the planned panel ends.
-
-    Every panel's two fundamental solutions come from _solve_panels, and
-    their 2x2 transfers carry (F, F') from the start.  A panel on which F's
-    top two Chebyshev coefficients exceed _PANEL_TAIL times F's local
-    amplitude A at the panel start is halved and the halves solved; planned
-    panels and halves count against _MAX_TERMS.  Each round checks the
-    amplification (see _ode_continuation) at every panel end.
+def _collocation(a: complex, b: complex, c: complex, unit: complex):
+    """Chebyshev-panel collocation [4]: carry(ends, memo, i, g, dg, amp) applies
+    the panel's 2x2 transfer, kept in memo, refusing (None) a panel where F's
+    top two Chebyshev coefficients exceed _PANEL_TAIL amp.  The unsolved run
+    from the panel asked for is solved in one call: the plan, then halves.
     """
-    unit = z / abs(z)
-    ab, wronskian_exp = a * b, c - (a + b) - 1.0
-    log_limit = math.log(_AMPLIFY_LIMIT)
-    panels = _solve_panels(a, b, c, unit, ends[:-1], ends[1:])
-    while True:
-        g, dg = f, unit * df  # (G, G'), G' = unit F'
-        growth_min = math.inf
-        split = []
-        for k, (pos, row) in enumerate(zip(ends.tolist(), panels.tolist() + [None])):
-            if not abs(g) + abs(dg) < math.inf:
-                raise NonConvergence(f"2F1 continuation overflowed at |t|={ends[k - 1]:.3g}")
-            t = unit * pos
-            freq = math.sqrt(abs(ab / (t * (1.0 - t))))
-            amp = math.hypot(abs(g), abs(dg) / freq)
-            # log |W| / (A^2 freq), as in the Taylor steps; in plain floats,
-            # which leave the peak memory ~0.3 MB lower than numpy arrays did
-            growth = (
-                (wronskian_exp * cmath.log(1.0 - t) - c * cmath.log(t)).real
-                - 2.0 * math.log(amp)
-                - math.log(freq)
-            )
-            if growth < growth_min:
-                growth_min = growth
-            elif growth - growth_min > log_limit:
-                raise _outgrown(pos)
-            if row is None:
-                break
-            (c1, c2), (d1, d2), (u1, u2), (v1, v2) = row
-            bound = _PANEL_TAIL * amp
-            if not (abs(c1 * g + c2 * dg) <= bound and abs(d1 * g + d2 * dg) <= bound):
-                split.append(k)
-            g, dg = u1 * g + u2 * dg, v1 * g + v2 * dg
-        if not split:
-            return g
-        split = np.array(split)
-        if len(ends) - 1 + split.size > _MAX_TERMS:
-            raise NonConvergence(
-                f"2F1 continuation: more than {_MAX_TERMS} panels needed to reach |z|={ends[-1]:.3g}"
-            )
-        mid = 0.5 * (ends[split] + ends[split + 1])
-        starts = np.append(ends[split], mid)
-        halves = _solve_panels(a, b, c, unit, starts, np.append(mid, ends[split + 1]))
-        panels[split] = halves[: split.size]  # the first half takes the panel's place
-        panels = np.insert(panels, split + 1, halves[split.size :], axis=0)
-        ends = np.insert(ends, split + 1, mid)
+
+    def carry(ends, memo, i, g, dg, amp):
+        if memo[i] is None:  # solve the run of unsolved panels from here
+            j = i + 1
+            while j < len(memo) and memo[j] is None:
+                j += 1
+            memo[i:j] = _solve_panels(a, b, c, unit, np.array(ends[i : j + 1])).tolist()
+        (c1, c2), (d1, d2), (u1, u2), (v1, v2) = memo[i]
+        bound = _PANEL_TAIL * amp
+        if not (abs(c1 * g + c2 * dg) <= bound and abs(d1 * g + d2 * dg) <= bound):
+            return None
+        return u1 * g + u2 * dg, v1 * g + v2 * dg
+
+    return carry
 
 
 def connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
@@ -651,20 +618,20 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
       1e3 (_CANCEL_RETRY), or that overflows, is replaced by a continuation
       along z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0.  It starts from a point
       on the ray to its argument where the series cancels by at most 10
-      (_CANCEL_START) and plans panels of at most 5 radians of the local
-      frequency up to the argument.  A plan of at most 16 panels
-      (_TAYLOR_PANELS) takes Taylor steps (Pearson, Olver & Porter,
-      arXiv:1407.7786); a longer one takes Chebyshev collocation of degree
-      24 on the panels, solved in batches, and halves a panel whose top
-      Chebyshev coefficients exceed 1e-14 (_PANEL_TAIL) of F's local
-      amplitude.  Large |Im a|, |Im b|, as in the wave families at large
-      epsilon, take this route at interior z.
+      (_CANCEL_START), plans pieces up to the argument and walks them,
+      halving every piece its method refuses.  A path of at most 16 panels
+      of 5 radians (_TAYLOR_PANELS) takes Taylor steps of 1.5 radians
+      (Pearson, Olver & Porter, arXiv:1407.7786); a longer one, Chebyshev
+      collocation of degree 24, solved in batches, which refuses a panel
+      whose top Chebyshev coefficients exceed 1e-14 (_PANEL_TAIL) of F's
+      local amplitude.  Large |Im a|, |Im b|, as in the wave families at
+      large epsilon, take this route at interior z.
 
     The route follows from the arguments and from the cancellation the float
     series measures; there is no setting that selects it.  Every series
     stops at a fixed relative tolerance of 1e-15 (_REL_TOL) and may sum at
-    most 10 000 terms (_MAX_TERMS); the continuation plans at most as many
-    panels (halved ones included) and takes at most as many Taylor steps.
+    most 10 000 terms (_MAX_TERMS); the continuation's walk carries at most
+    as many pieces, Taylor steps or panels, halved ones included.
 
     Raises
     ------
@@ -672,8 +639,8 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
         If c is a non-positive integer.
     NonConvergence
         If a series or a Taylor step does not meet the 1e-15 tolerance
-        within 10 000 terms, the continuation needs more than 10 000 panels
-        (refused before any panel is solved) or Taylor steps, or it
+        within 10 000 terms, the continuation needs more than 10 000 pieces
+        (a longer plan is refused before any piece is carried), or it
         estimates its rounding amplification above 1e5 (_AMPLIFY_LIMIT).
     ValueError
         For |z| >= 1 (analytic continuation beyond the unit disc is not

@@ -285,6 +285,18 @@ def test_classify_all_fixture_classes(capsys):
         assert json.loads(out)["classification"].startswith(prefix)
 
 
+def test_classify_refuses_csv_from_flag_or_config(capsys, tmp_path):
+    fixture = str(FIXDIR / "de_sitter_radial.json")
+    config = tmp_path / "csv.json"
+    config.write_text(json.dumps({"format": "csv"}))
+    for extra in (["--format", "csv"], ["--config", str(config)]):
+        rc, out, err = run(capsys, "classify", fixture, *extra)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "JSON only" in err
+    rc, out, _ = run(capsys, "classify", fixture, "--format", "json")
+    assert rc == 0 and json.loads(out)["classification"].startswith("hypergeometric_class")
+
+
 def test_classify_bad_inputs(capsys, tmp_path):
     rc, _, err = run(capsys, "classify", str(tmp_path / "missing.json"))
     assert rc == 2 and err

@@ -87,7 +87,7 @@ def test_integrate_complex_solution():
     assert abs(abs(sol.u[-1]) - 1.0) < 1e-12
 
 
-def test_integrate_validation_and_step_failure():
+def test_integrate_validation_and_step_failure(monkeypatch):
     prob = OdeProblem(p=None, q=lambda r: 9.0, r0=0.0, u0=0.0, du0=3.0)
     with pytest.raises(ValueError):
         integrate(prob, 10.0, 0.0)
@@ -99,8 +99,9 @@ def test_integrate_validation_and_step_failure():
             10.0,
             1e-10,
         )
-    with pytest.raises(StepFailure):
-        integrate(prob, 10.0, 1e-12, max_steps=5)
+    monkeypatch.setattr(dswave.oracle, "_MAX_STEPS", 5)
+    with pytest.raises(StepFailure, match="step budget 5"):
+        integrate(prob, 10.0, 1e-12)
 
 
 def test_integrate_hits_dense_samples_across_blocks():

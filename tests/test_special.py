@@ -6,6 +6,7 @@ pasted verbatim; tolerances reflect the double-precision implementation.
 from __future__ import annotations
 
 import cmath
+import collections
 import math
 import os
 import random
@@ -246,6 +247,61 @@ def test_hyp2f1_continuation_is_right_or_refuses():
     except NonConvergence:
         return
     assert rel(got, expected) < 1e-10
+
+
+def _halved(monkeypatch, a, b, c, z):
+    """hyp2f1(a, b, c, z), and the number of points on the continuation's
+    path where it checked the Wronskian growth more than once: the walk
+    stands again at the start of a piece it refused and halved."""
+    seen = collections.Counter()
+
+    class Logged:
+        def __getattr__(self, name):
+            return getattr(cmath, name)
+
+        def log(self, x):
+            seen[x] += 1
+            return cmath.log(x)
+
+    monkeypatch.setattr(special, "cmath", Logged())
+    value = hyp2f1(a, b, c, z)
+    # each check takes log(t) and log(1-t)
+    return value, sum(n > 1 for n in seen.values()) // 2
+
+
+def test_hyp2f1_continuation_halves_a_taylor_step_that_excites_the_partner(monkeypatch):
+    # F(1/4, 1/4 - 400i; 1/2; 0.1): a plan of 7 panels, so Taylor steps.
+    # Several of its 1.5-rad steps sum terms that tower over their sum and
+    # are halved.  Value from mpmath at 40 digits.
+    expected = complex(0.05939001836797795, 0.07784048444291544)
+    got, halved = _halved(monkeypatch, 0.25, 0.25 - 400j, 0.5, 0.1)
+    assert halved >= 1
+    assert rel(got, expected) < 1e-11
+
+
+def test_hyp2f1_continuation_halves_a_panel_whose_tail_is_too_large(monkeypatch):
+    # F(1 - 300i, 1 - 200i; 2; 0.4): a plan of 75 panels, so collocation.
+    # Some panels keep Chebyshev tails above 1e-14 of F's amplitude and are
+    # halved.  Value from mpmath at 40 digits.
+    expected = complex(-0.00012142001140662045, -0.0002379091929307043)
+    got, halved = _halved(monkeypatch, 1 - 300j, 1 - 200j, 2.0, 0.4)
+    assert halved >= 1
+    assert rel(got, expected) < 1e-11
+
+
+def test_hyp2f1_continuation_start_shrinks_past_an_over_budget_series(monkeypatch):
+    # epsilon=1000, m=500, j=1 regular family at z=0.25, cancellation 1e4:
+    # the first start, at z/4, needs more than 150 series terms.  That
+    # start counts as a failed one and the next is taken further in, so a
+    # budget of 150 still returns the value the default budget gives, and a
+    # budget below the ~100-panel plan refuses on the plan.
+    ans = make_ansatz(HorizonUnitsParams(epsilon=1000.0, m=500.0, j=1), "regular")
+    expected = special._ode_continuation(ans.a, ans.b, ans.c, 0.25, 1e4)
+    monkeypatch.setattr(special, "_MAX_TERMS", 150)
+    assert rel(special._ode_continuation(ans.a, ans.b, ans.c, 0.25, 1e4), expected) < 1.1e-14
+    monkeypatch.setattr(special, "_MAX_TERMS", 96)
+    with pytest.raises(NonConvergence, match="more than 96 panels"):
+        special._ode_continuation(ans.a, ans.b, ans.c, 0.25, 1e4)
 
 
 def _planned_panels(monkeypatch, a, b, c, z, cancel):
