@@ -21,10 +21,6 @@ Conventions
   key whose flag the subcommand declares must have that flag's type (``j``
   and ``grid`` whole numbers, which may be written 2.0), whether or not the
   run reads it; ``null`` counts as absent, and other keys are ignored.
-* Tolerance: ``--tol`` beats the ``DSW_TOL`` environment variable, which
-  beats the built-in default 1e-10; it must be finite and positive.  It sets
-  only ``reflect``'s flux cross-check, as min(tol, 1e-11); ``reflect`` and
-  ``expand`` echo it in their JSON inputs block.
 * CSV output: one header row, 17 significant digits, complex values as
   re_*/im_* column pairs.  JSON output: sorted keys, an ``"inputs"`` block
   echoing the resolved parameters, complex values as [re, im] pairs.
@@ -79,7 +75,6 @@ from .waves import EvanescentMode, UnsupportedMass, connection_residual, eval_ru
 
 __all__ = ["main", "build_parser", "ConfigError"]
 
-DEFAULT_TOL = 1e-10
 # Longest --grid or --sweep accepted; checked before any list is built.
 MAX_POINTS = 10_000
 
@@ -210,7 +205,7 @@ def _config_value(key: str, value: Any) -> Any:
 
 
 def _merge_config(args: argparse.Namespace) -> None:
-    """Fill each flag left unset with its --config value, then check units, format and tol.
+    """Fill each flag left unset with its --config value, then check units and format.
 
     Only keys whose flag the subcommand declares are taken (and type-checked);
     a null value counts as absent.
@@ -228,19 +223,6 @@ def _merge_config(args: argparse.Namespace) -> None:
         raise ConfigError(f"--units must be 'horizon' or 'physical', got {args.units!r}")
     if args.format not in (None, "csv", "json"):
         raise ConfigError(f"--format must be 'csv' or 'json', got {args.format!r}")
-    source = "--tol"
-    if args.tol is None:
-        env = os.environ.get("DSW_TOL")
-        if env is None:
-            args.tol = DEFAULT_TOL
-            return
-        source = "DSW_TOL"
-        try:
-            args.tol = float(env)
-        except ValueError as exc:
-            raise ConfigError(f"DSW_TOL is not a number: {env!r}") from exc
-    if not 0.0 < args.tol < math.inf:
-        raise ConfigError(f"{source} must be a finite positive tolerance, got {args.tol}")
 
 
 def _require(value: Any, flag: str):
@@ -368,7 +350,7 @@ def _parse_sweep(text: str, units: str) -> tuple[str, list[float]]:
     return name, values
 
 
-def _reflect_point(hp: HorizonUnitsParams, tol: float, with_flux: bool) -> dict:
+def _reflect_point(hp: HorizonUnitsParams, with_flux: bool) -> dict:
     result = far_field_reflection(hp)
     amps = result.amplitudes
     point = {
@@ -381,7 +363,7 @@ def _reflect_point(hp: HorizonUnitsParams, tol: float, with_flux: bool) -> dict:
         "regime_ok": result.regime_ok,
     }
     if with_flux:
-        flux = horizon_flux_balance(make_ansatz(hp, "regular"), hp, tol=min(tol, 1e-11))
+        flux = horizon_flux_balance(make_ansatz(hp, "regular"), hp)
         point["flux_ratio"] = flux
         point["flux_vs_far_field"] = abs(flux - result.ratio)
     return point
@@ -392,8 +374,8 @@ def cmd_reflect(args: argparse.Namespace) -> int:
     with_flux = not args.no_flux
     if sweep is None:
         hp, echo = _physics_params(args)
-        point = _reflect_point(hp, args.tol, with_flux)
-        doc = {"inputs": {**echo, "tol": args.tol}, "report": point}
+        point = _reflect_point(hp, with_flux)
+        doc = {"inputs": echo, "report": point}
         if args.format == "csv":
             header, row = _sweep_row([], point)
             _write_text(args, _csv(header, [row]))
@@ -406,13 +388,13 @@ def cmd_reflect(args: argparse.Namespace) -> int:
     for v in values:
         setattr(args, name, v)
         hp, echo = _physics_params(args)
-        point = _reflect_point(hp, args.tol, with_flux)
+        point = _reflect_point(hp, with_flux)
         header, row = _sweep_row([(name, v)], point)
         rows.append(row)
     echo.pop(name, None)
     if args.format == "json":
         doc = {
-            "inputs": {**echo, "sweep": sweep, "tol": args.tol},
+            "inputs": {**echo, "sweep": sweep},
             "rows": [dict(zip(header, row)) for row in rows],
         }
         _write_text(args, _json_doc(doc))
@@ -480,7 +462,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
     audit = first_order_correction_audit(ep)
     doc = {
-        "inputs": {"mu": mu, "X": X, "j": j, "r_min": float(grid[0]), "r_max": float(grid[-1]), "grid": int(grid.size), "tol": args.tol},
+        "inputs": {"mu": mu, "X": X, "j": j, "r_min": float(grid[0]), "r_max": float(grid[-1]), "grid": int(grid.size)},
         "first_order_identity_error": identity_err,
         "remainder": {
             "X_ladder": ladder,
@@ -533,9 +515,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file with default parameter values")
     sub.add_argument("--units", choices=("horizon", "physical"))
-    sub.add_argument(
-        "--tol", type=float, help="reflect's flux-check tolerance, capped at 1e-11 (beats DSW_TOL)"
-    )
     sub.add_argument("--output", help="write to this file instead of stdout")
     sub.add_argument(
         "--format",

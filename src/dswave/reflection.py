@@ -24,6 +24,7 @@ cost does not grow with eps: with no barrier, Q = eps^2 - U stays positive
 from the launch point to the window.  Where that route raises StepFailure
 (Q <= 0 somewhere, or too small for the panels) the check runs the
 Chebyshev-panel collocation of oracle.integrate with the same arguments.
+Both run at one fixed tolerance, _FLUX_TOL = 1e-11; no caller sets it.
 """
 from __future__ import annotations
 
@@ -230,13 +231,19 @@ _N_SAMPLES = 64
 _POLY_DEGREE = 6
 _FD_STEP = 5e-4
 
+# Tolerance of the cross-check's integrators.  The Riccati panels give the
+# same bits at every tol they accept: tol only sets when they hand over to
+# the collocation fallback.  Looser lets them accept larger phase errors near
+# threshold; tighter hands over where they are accurate, and at (eps, m, j) =
+# (1e4, 50, 1) the gap grows from 7e-14 to 1e-10 (1e-13) or no result (1e-14).
+_FLUX_TOL = 1e-11
+
 
 def interior_wave_ratio(
     u_of_rstar: Callable[[np.ndarray], np.ndarray | float],
     epsilon: float,
     launch_rstar: float,
     window: tuple[float, float] = (1.2, 2.2),
-    tol: float = 1e-11,
 ) -> tuple[float, float]:
     """Incoming/outgoing channel ratio of a purely-outgoing-at-launch solution.
 
@@ -257,15 +264,12 @@ def interior_wave_ratio(
     shape, or a constant; the integrator and the phase quadrature each call
     it on whole arrays.
 
-    The samples come from oracle.integrate_riccati, one U call for every
-    panel node.  Only where it raises StepFailure (a node with Q <= 0, or a
-    phase-error estimate above 10 tol where Q is small for its rate of
-    change, as at (eps, m, j) = (10.5, 10, 0)) do they come from
-    oracle.integrate (collocation panels), with the same arguments and so
-    the same bits as that integrator alone.  tol is the Riccati route's
-    phase-error budget over the whole span (10 tol), or the Chebyshev tail
-    that each collocation panel may keep (in units of 100 tol, relative to
-    the running max |u|) where it falls back.
+    The samples come from oracle.integrate_riccati at tol = _FLUX_TOL, one U
+    call for every panel node.  Only where it raises StepFailure (a node
+    with Q <= 0, or a phase-error estimate above 10 _FLUX_TOL where Q is
+    small for its rate of change, as at (eps, m, j) = (10.5, 10, 0)) do
+    they come from oracle.integrate (collocation panels), with the same
+    arguments and so the same bits as that integrator alone.
 
     Raises ValueError if the window contains a classical turning point
     (Q <= 0); the channel split is meaningless there.
@@ -303,9 +307,9 @@ def interior_wave_ratio(
         p=None, q=q_fn, r0=launch_rstar, u0=u0, du0=1j * epsilon * u0, direction=-1
     )
     try:
-        sol = integrate_riccati(prob, lo, tol, samples=xs)
+        sol = integrate_riccati(prob, lo, _FLUX_TOL, samples=xs)
     except StepFailure:
-        sol = integrate(prob, lo, tol, samples=xs)
+        sol = integrate(prob, lo, _FLUX_TOL, samples=xs)
 
     zeta = np.sqrt(q) ** -0.5 * np.exp(1j * phase)
     t = (2.0 * xs - (lo + hi)) / (hi - lo)  # window-normalized poly variable
@@ -320,9 +324,7 @@ def interior_wave_ratio(
     return float(abs(c_in) / abs(c_out)), resid
 
 
-def horizon_flux_balance(
-    ans: WaveAnsatz, hp: HorizonUnitsParams, tol: float = 1e-11
-) -> float:
+def horizon_flux_balance(ans: WaveAnsatz, hp: HorizonUnitsParams) -> float:
     """ODE-based reflection bound: incoming contamination of the outgoing wave.
 
     Launches u = e^(i eps r*) where the potential tail is below 1e-9 * eps,
@@ -334,9 +336,7 @@ def horizon_flux_balance(
     The integration takes Riccati panels, at a cost that does not grow with
     eps (two potential calls and 12 panels at m = 50 for eps from 1e3 to
     4e4), and falls back to the collocation panels of oracle.integrate
-    where they raise StepFailure; tol is their phase-error budget (10 tol),
-    or the collocation panels' tail tolerance after a fallback (see
-    interior_wave_ratio).
+    where they raise StepFailure, both at tol = _FLUX_TOL.
     """
     eps, m, j = hp.epsilon, hp.m, hp.j
     if eps <= m:
@@ -351,5 +351,5 @@ def horizon_flux_balance(
     def u_fn(rs: np.ndarray) -> np.ndarray:
         return effective_potential(hp, np.tanh(rs))[0]
 
-    ratio, _resid = interior_wave_ratio(u_fn, eps, launch, tol=tol)
+    ratio, _resid = interior_wave_ratio(u_fn, eps, launch)
     return ratio

@@ -12,7 +12,7 @@ import pytest
 import dswave
 from dswave.cli import main
 from dswave.model import HorizonUnitsParams
-from dswave.oracle import NonConvergence
+from dswave.special import NonConvergence
 from dswave.waves import make_ansatz
 
 FIXDIR = pathlib.Path(dswave.__file__).parent / "fixtures"
@@ -409,10 +409,12 @@ def test_classify_exponents_beyond_double_range_name_the_point(capsys, tmp_path)
 
 def test_config_file_supplies_defaults(capsys, tmp_path):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"epsilon": 20.0, "m": 10.0, "j": 1, "format": "json"}))
+    # "tol" names no flag (the flux check's tolerance is fixed): ignored
+    cfg.write_text(json.dumps({"epsilon": 20.0, "m": 10.0, "j": 1, "format": "json", "tol": "banana"}))
     rc, out, _ = run(capsys, "reflect", "--config", str(cfg), "--no-flux")
     assert rc == 0
-    assert json.loads(out)["inputs"]["epsilon"] == 20.0
+    inputs = json.loads(out)["inputs"]
+    assert inputs["epsilon"] == 20.0 and "tol" not in inputs
 
 
 def test_cli_flag_beats_config_file(capsys, tmp_path):
@@ -483,32 +485,35 @@ def test_missing_required_parameter(capsys):
     assert rc == 2 and "epsilon" in err
 
 
-def test_tol_env_and_flag_precedence(capsys, monkeypatch):
-    argv = ("reflect", "--epsilon", "20", "--m", "10", "--j", "1",
-            "--format", "json", "--no-flux")
-    monkeypatch.setenv("DSW_TOL", "1e-8")
-    rc, out, _ = run(capsys, *argv)
-    assert rc == 0 and json.loads(out)["inputs"]["tol"] == 1e-8
-    rc, out, _ = run(capsys, *argv, "--tol", "1e-9")
-    assert rc == 0 and json.loads(out)["inputs"]["tol"] == 1e-9
-    monkeypatch.setenv("DSW_TOL", "banana")
-    rc, _, err = run(capsys, *argv)
-    assert rc == 2 and "DSW_TOL" in err
-    monkeypatch.delenv("DSW_TOL")
-    rc, out, _ = run(capsys, *argv)
-    assert rc == 0 and json.loads(out)["inputs"]["tol"] == 1e-10
-
-
-@pytest.mark.parametrize("value", ["inf", "nan", "0"])
+@pytest.mark.parametrize("value", ["banana", "inf", "nan", "0"])
 @pytest.mark.parametrize("command", [
     ("reflect", "--epsilon", "20", "--m", "10", "--j", "1", "--no-flux", "--format", "json"),
     ("expand", "--mu", "2", "--X", "1e-3", "--j", "0", "--format", "json"),
+    ("potential", "--m", "5", "--j", "1", "--grid", "3"),
+    ("classify", str(FIXDIR / "de_sitter_radial.json")),
 ])
-def test_tol_env_must_be_finite_and_positive(capsys, monkeypatch, command, value):
+def test_tol_in_the_environment_changes_nothing(capsys, monkeypatch, command, value):
+    # the flux check's tolerance is fixed, so no environment value is read
+    plain = run(capsys, *command)
     monkeypatch.setenv("DSW_TOL", value)
-    rc, out, err = run(capsys, *command)
-    assert rc == 2 and out == ""
-    assert one_error_line(err).startswith("error: DSW_TOL must be"), err
+    assert plain[0] == 0 and run(capsys, *command) == plain
+
+
+def test_flux_check_keeps_its_tolerance_under_dsw_tol(capsys, monkeypatch):
+    # at a tolerance of 1e-14 the Riccati panels refuse here and the
+    # collocation fallback exhausts its step budget: no setting may reach it
+    argv = ("reflect", "--epsilon", "10000", "--m", "50", "--j", "1", "--format", "json")
+    plain = run(capsys, *argv)
+    monkeypatch.setenv("DSW_TOL", "1e-14")
+    assert plain[0] == 0 and run(capsys, *argv) == plain
+
+
+def test_tol_flag_is_refused(capsys):
+    argv = ["reflect", "--epsilon", "20", "--m", "10", "--j", "1", "--no-flux", "--tol", "1e-9"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -613,8 +618,10 @@ def one_error_line(err: str) -> str:
         (("reflect", "--units=physical", "--R=10", "--lam=-1", "--mu=2", "--j=1"), "lam"),
         (("expand", "--mu=2", "--X=1e-3", "--j=-1"), "j"),
         (("potential", "--m=5", f"--j={10**200}", "--grid=3"), "j"),
-        (("reflect", "--epsilon=20", "--m=10", "--j=1", "--no-flux", "--format=json", "--tol=inf"), "tol"),
-        (("expand", "--mu=2", "--X=1e-3", "--j=0", "--tol=nan"), "tol"),
+        (("flat-limit", "--mu=2", "--j=1", "--scales=0"), "scales"),
+        (("flat-limit", "--mu=2", "--j=1", "--scales=1e3", "--fixed-kappa=0"), "fixed_kappa"),
+        (("flat-limit", "--mu=2", "--j=1", "--scales=1e3,inf"), "scales"),
+        (("flat-limit", "--mu=2", "--j=1", "--scales=1e3", "--fixed-kappa=inf"), "fixed_kappa"),
     ],
 )
 def test_non_finite_or_negative_parameters_exit_2_naming_them(capsys, argv, name):

@@ -15,17 +15,16 @@ import pytest
 
 import dswave
 import dswave.oracle
+from dswave.bigfloat import extended_series
 from dswave.oracle import (
     OdeProblem,
-    PoleError,
     StepFailure,
     classify_singularities,
-    extended_series,
     integrate,
     integrate_riccati,
 )
 from dswave.model import HorizonUnitsParams, radial_ode_coefficients
-from dswave.special import hyp2f1
+from dswave.special import PoleError, hyp2f1
 from dswave.waves import make_ansatz
 
 FIXDIR = pathlib.Path(dswave.__file__).parent / "fixtures"

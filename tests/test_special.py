@@ -21,8 +21,8 @@ import pytest
 
 import dswave
 from dswave import special
+from dswave.bigfloat import extended_series
 from dswave.model import HorizonUnitsParams
-from dswave.oracle import extended_series
 from dswave.special import (
     NonConvergence,
     PoleError,
@@ -377,8 +377,10 @@ def test_hyp2f1_continuation_solves_its_panels_in_batches(monkeypatch, eps, r):
 
 
 def test_runtime_path_does_not_import_mpmath():
-    # mpmath serves the oracle only, and the oracle checks special without
-    # sharing its code: the double-precision route must load neither
+    # mpmath serves the big-float oracle only, and the oracles check special
+    # without sharing its code: the double-precision route loads neither, and
+    # the CLI, which needs the integrators and the classifier, loads no mpmath
+    fixture = Path(dswave.__file__).parent / "fixtures" / "de_sitter_radial.json"
     code = (
         "import sys\n"
         "from dswave import special, waves\n"
@@ -387,6 +389,12 @@ def test_runtime_path_does_not_import_mpmath():
         "waves.eval_running(waves.make_ansatz(hp, 'regular'), 'out', 0.5)\n"
         "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n"
         "assert 'dswave.oracle' not in sys.modules, 'dswave.oracle was imported'\n"
+        "from dswave import cli\n"
+        "assert 'mpmath' not in sys.modules, 'import dswave.cli imported mpmath'\n"
+        "reflect = ['reflect', '--epsilon', '20', '--m', '10', '--j', '1', '--format', 'json']\n"
+        f"for argv in (reflect, reflect + ['--no-flux'], ['classify', {str(fixture)!r}]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    assert 'mpmath' not in sys.modules, f'{argv[0]} imported mpmath'\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(dswave.__file__).resolve().parents[1]))
     proc = subprocess.run(

@@ -8,8 +8,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from dswave.bigfloat import extended_series
 from dswave.model import DomainError, HorizonUnitsParams, ModelParams, phi
-from dswave.oracle import extended_series
 from dswave.special import NonConvergence
 from dswave.waves import (
     EvanescentMode,
