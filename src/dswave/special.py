@@ -5,31 +5,38 @@ asymptotic Gamma ratios, the Gauss hypergeometric function, and
 Bessel/Hankel functions of half-integer order p = +/-(j + 1/2), the only
 orders the flat-space limit and the small-curvature expansion produce.
 Everything here is pure, deterministic and double precision (numpy only
-for the batched panel solves); the extended-precision counterparts used to
-certify these routines live in :mod:`dswave.oracle`, the only module with
-big-float arithmetic, which this module does not import.
+for the batched panel solves, Python integers for the fixed-point series);
+the extended-precision counterparts used to certify these routines live in
+:mod:`dswave.bigfloat`, the only module with big-float arithmetic, which
+this module does not import.
 
-hyp2f1 takes one of three routes, chosen from its arguments and from what
+hyp2f1 takes one of four routes, chosen from its arguments and from what
 the float series measures:
 
 * direct: the Gauss series at z, summed in doubles;
 * connection: for real z above 1/2 (and c-a-b not an
   integer), the z -> 1-z formula DLMF 15.8.4 with two series at 1-z;
-* continuation: whenever one of those series measures a ratio above
-  _CANCEL_RETRY between its largest term and its sum, or overflows, F is
-  carried to the series argument along the hypergeometric ODE, from a point
-  on the ray where the series is still benign, by one walk over planned
-  pieces: Taylor steps [3] on a path of at most _TAYLOR_PANELS panels,
-  Chebyshev-panel collocation [4] with batched solves on a longer one.
+* fixed point: whenever one of those series measures a ratio between
+  _CANCEL_RETRY and _FIXED_LIMIT (2^48) between its largest term and its
+  sum, the same series is summed once more in Python-integer fixed point,
+  _GUARD_BITS (64) bits above the ones it lost, from the exact binary
+  values of a, b, c and z (the precision raising of Johansson [3]);
+* continuation: where the cancellation exceeds _FIXED_LIMIT, the series
+  overflows, or the fixed-point pass measures more loss than its precision
+  covers, F is carried to the series argument along the hypergeometric
+  ODE, from a point on the ray where the series is still benign, by
+  Chebyshev-panel collocation [4] with batched solves over planned panels.
 
 Accuracy contract: log_gamma within 1e-13 max(1, |log Gamma(z)|) over
 |z| <= 1e7 (away from poles), modulo 2 pi i (see its branch note), so
 relative where |log Gamma| >= 1 and absolute near its zeros z = 1 and z = 2;
 series summation to a fixed relative tolerance of 1e-15 (_REL_TOL) within
-a budget of 10 000 terms (_MAX_TERMS), up to _CANCEL_RETRY of cancellation,
+a budget of 10 000 terms (_MAX_TERMS), up to _CANCEL_RETRY of cancellation;
+the fixed-point series to the rounding of its result to double plus
+~2^-64 times its term count, relative (2e-15 on the tested grids); the
 continuation with an estimated rounding amplification of at most
-_AMPLIFY_LIMIT and a walk of at most _MAX_TERMS pieces, halves included
-(NonConvergence beyond either), and J_p for half-integer p by
+_AMPLIFY_LIMIT and a walk of at most _MAX_TERMS panels, halves included
+(NonConvergence beyond either); and J_p for half-integer p by
 one of two routes: the ascending series for x <= max(8, |p| + 2), exact
 trigonometric seeds plus order recurrence beyond it (any other order raises
 ValueError).
@@ -41,10 +48,8 @@ References
 .. [2] NIST Digital Library of Mathematical Functions, https://dlmf.nist.gov/,
        sections 5.11 (Stirling), 10.49 (half-integer Bessel functions),
        15.8 (hypergeometric connection formulas).
-.. [3] J. W. Pearson, S. Olver, M. A. Porter, "Numerical methods for the
-       computation of the confluent and Gauss hypergeometric functions",
-       Numer. Algorithms 74 (2017), arXiv:1407.7786 (the Taylor series
-       method).
+.. [3] F. Johansson, "Computing hypergeometric functions rigorously",
+       ACM Trans. Math. Softw. 45 (2019), arXiv:1606.06977.
 .. [4] L. Greengard, "Spectral integration and two-point boundary value
        problems", SIAM J. Numer. Anal. 28 (1991).
 """
@@ -228,26 +233,28 @@ def gamma_ratio_asymptotic(z: complex, A: complex, B: complex, order: int = 1) -
 
 # When intermediate terms tower this far above the sum, the float series has
 # lost more than ~3 digits to cancellation (large imaginary parameters make it
-# violently oscillatory long before it converges), and F is continued along
-# its ODE instead.
+# violently oscillatory long before it converges), and the series is summed
+# again in integer fixed point, or F is continued along its ODE.
 _CANCEL_RETRY = 1e3
-# Cancellation allowed in the series that start the continuation and in each
-# of its Taylor steps.
+# Up to this cancellation the series is summed again in fixed point with
+# _GUARD_BITS bits above the ones it lost; beyond it, and where that pass
+# refuses, F is continued along its ODE.  The fixed-point cost grows with the
+# terms and the bits, collocation's does not: on the 50 continuation calls of
+# a wave-grid benchmark pass, a limit of 2^56 took 1.3x and 2^96 1.5x the time
+# of 2^48, and 2^40 the same.
+_FIXED_LIMIT = 2.0**48
+_GUARD_BITS = 64
+# Cancellation allowed in the series that start the continuation.
 _CANCEL_START = 10.0
-# A piece of the continuation's path spans at most this fraction of the
+# A panel of the continuation's path spans at most this fraction of the
 # distance to the nearest singular point (0 or 1) ...
 _STEP_REACH = 0.5
-# ... and at most this many radians of the local frequency sqrt|ab/(t(1-t))|:
-# a Taylor step, and a collocation panel.
-_STEP_PHASE = 1.5
+# ... and at most this many radians of the local frequency sqrt|ab/(t(1-t))|.
 _PANEL_PHASE = 5.0
 # Chebyshev degree of a collocation panel, and the top two Chebyshev
 # coefficients of F a panel may keep, in units of F's local amplitude.
 _PANEL_DEGREE = 24
 _PANEL_TAIL = 1e-14
-# Paths planned at no more panels than this take Taylor steps: on them the
-# fixed cost of the batched solves outweighs the Taylor terms they save.
-_TAYLOR_PANELS = 16
 # Panels per batched solve: its complex matrices stay under 128 kB.  Larger
 # batches ran no faster and raised the peak memory.
 _PANEL_BATCH = 2**17 // (16 * (_PANEL_DEGREE + 1) ** 2)
@@ -258,9 +265,9 @@ _AMPLIFY_LIMIT = 1e5
 _CONNECTION_THRESHOLD = 0.5
 # A series stops after two consecutive terms below this fraction of its sum ...
 _REL_TOL = 1e-15
-# ... and raises NonConvergence after this many terms; the continuation also
-# caps its pieces (halved ones included) and each Taylor step's terms at this
-# count.
+# ... and raises NonConvergence after this many terms (the fixed-point pass
+# returns None instead); the continuation also caps its panels, halved ones
+# included, at this count.
 _MAX_TERMS = 10_000
 
 
@@ -308,7 +315,110 @@ def _gauss_series(a: complex, b: complex, c: complex, z: complex) -> complex:
     total, cancel = _series_sum(a, b, c, z)
     if cancel <= _CANCEL_RETRY:
         return total
+    if cancel <= _FIXED_LIMIT:
+        value = _fixed_point_sum(a, b, c, z, cancel)
+        if value is not None:
+            return value
     return _ode_continuation(a, b, c, z, cancel)
+
+
+def _fixed_point_sum(a: complex, b: complex, c: complex, z: complex, cancel: float) -> complex | None:
+    """The Gauss series summed again in integer fixed point, or None.
+
+    A value v is held as the integer v 2^prec.  The working precision is
+    _GUARD_BITS above the log2(cancel) bits the float series lost, and is
+    raised until a, b, c and z, exact binary fractions, convert exactly.
+    The term ratio (a+n)(b+n) z / ((c+n)(n+1)) is kept as a numerator
+    ABz + n Sz + n^2 z, with ABz = abz and Sz = (a+b)z rounded once, and a
+    denominator c + n(c+1) + n^2, both updated by additions.  Once a term is
+    past the peak and below 2^-24 of the sum, _float_tail sums the rest in
+    doubles; where a tail term rises above that, as past a negative c, the
+    fixed-point sum goes on from there.
+
+    Returns None, so that the caller continues along the ODE instead, when
+    the loss this pass measures, log2(peak / |sum|), exceeds what its
+    precision covers (the float series under-reported it), or when the
+    series runs past _MAX_TERMS.  Otherwise each term carries a few units of
+    2^-prec times the peak, so the sum keeps ~2^-_GUARD_BITS times the term
+    count, relative, before its rounding to double.
+    """
+    ratios = [x.as_integer_ratio() for x in (a.real, a.imag, b.real, b.imag, c.real, c.imag, z.real, z.imag)]
+    # one bit more: magnitudes below are |re| + |im|, within sqrt(2) of |.|
+    prec = _GUARD_BITS + 1 + math.ceil(math.log2(cancel))
+    prec = max(prec, max(den.bit_length() - 1 for _, den in ratios))
+    ar, ai, br, bi, cr, ci, zr, zi = (num << (prec + 1 - den.bit_length()) for num, den in ratios)
+    one = 1 << prec
+    # ab z and (a+b) z, rounded to the working precision
+    abr, abi = ar * br - ai * bi, ar * bi + ai * br
+    half = one << prec >> 1
+    nr = (abr * zr - abi * zi + half) >> 2 * prec
+    ni = (abr * zi + abi * zr + half) >> 2 * prec
+    sr, si = ar + br, ai + bi
+    dnr = ((sr * zr - si * zi + (one >> 1)) >> prec) + zr  # N(n+1) - N(n) = Sz + (2n+1) z
+    dni = ((sr * zi + si * zr + (one >> 1)) >> prec) + zi
+    zr2, zi2 = 2 * zr, 2 * zi
+    dr, di = cr, ci  # D(n) = (c+n)(n+1); D(n+1) - D(n) = c + 2n + 2
+    ddr, two = cr + 2 * one, 2 * one
+    tr, ti = one, 0
+    fr, fi = one, 0
+    peak = one
+    tail, resume = 0.0, 0
+    for n in range(_MAX_TERMS):
+        pr, pi = tr * nr - ti * ni, tr * ni + ti * nr
+        if di == 0:
+            tr, ti = pr // dr, pi // dr
+        else:
+            den = dr * dr + di * di
+            tr, ti = (pr * dr + pi * di) // den, (pi * dr - pr * di) // den
+        fr += tr
+        fi += ti
+        mag = abs(tr) + abs(ti)
+        if mag == 0:
+            break
+        if mag > peak:
+            peak = mag
+        elif n >= resume and mag << 24 < abs(fr) + abs(fi):
+            rest, resume = _float_tail(a, b, c, z, n + 1, complex(tr / one, ti / one), complex(fr / one, fi / one))
+            if rest is not None:
+                tail = rest
+                break
+        nr += dnr
+        ni += dni
+        dnr += zr2
+        dni += zi2
+        dr += ddr
+        di += ci
+        ddr += two
+    else:
+        return None
+    size = abs(fr) + abs(fi)
+    if size == 0 or math.log2(peak) - math.log2(size) > prec - _GUARD_BITS:
+        return None
+    return complex(fr / one, fi / one) + tail
+
+
+def _float_tail(a: complex, b: complex, c: complex, z: complex, n: int, term: complex, total: complex):
+    """(sum of the Gauss series terms after term n, the index it stopped
+    at), summed in doubles from term n until two terms fall below _REL_TOL
+    |total|; the sum is None when a term rises above 2^-24 of total or the
+    series runs past _MAX_TERMS."""
+    limit = 2.0**-24 * (abs(total.real) + abs(total.imag))
+    small = _REL_TOL * abs(total)
+    tail = 0.0
+    small_streak = 0
+    for n in range(n, _MAX_TERMS):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        tail += term
+        mag = abs(term)
+        if mag > limit:
+            return None, n
+        if mag <= small:
+            small_streak += 1
+            if small_streak >= 2:
+                return tail, n
+        else:
+            small_streak = 0
+    return None, _MAX_TERMS
 
 
 def _chebyshev_panel(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -343,19 +453,17 @@ def _chebyshev_panel(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _NODES1, _INTEG, _PROBE = _chebyshev_panel(_PANEL_DEGREE)
 
 
-def _plan_panels(ab: complex, z: complex, start: float, phase: float) -> list[float]:
-    """Piece ends, as |t|, from start to |z| along the ray t = |t| z/|z|: each
-    piece spans at most _STEP_REACH of the distance from its start to 0 and 1
-    and phase radians of sqrt|ab/(t(1-t))| there.  A longer plan than
-    _MAX_TERMS pieces stops at _MAX_TERMS + 1, which the walk refuses."""
+def _plan_panels(ab: complex, z: complex, start: float) -> list[float]:
+    """Panel ends, as |t|, from start to |z| along the ray t = |t| z/|z|: each
+    panel spans at most _STEP_REACH of the distance from its start to 0 and 1
+    and _PANEL_PHASE radians of sqrt|ab/(t(1-t))| there.  A longer plan than
+    _MAX_TERMS panels stops at _MAX_TERMS + 1, which the walk refuses."""
     length = abs(z)
     ur, ui = z.real / length, z.imag / length
-    mag, reach, last = abs(ab), _STEP_REACH, _MAX_TERMS + 1
+    mag, reach, phase, last = abs(ab), _STEP_REACH, _PANEL_PHASE, _MAX_TERMS + 1
     hypot, sqrt = math.hypot, math.sqrt
     ends = [start]
     pos = start
-    # conditional expressions rather than min() and max(): on a short path the
-    # time they save pays for the plan that chose the Taylor steps
     while pos < length and len(ends) <= last:
         to_one = hypot(1.0 - ur * pos, ui * pos)
         span = reach * (pos if pos < to_one else to_one)
@@ -366,8 +474,8 @@ def _plan_panels(ab: complex, z: complex, start: float, phase: float) -> list[fl
 
 
 def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: float) -> complex:
-    """F(a, b; c; z) along z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0: one plan, one
-    walk, and two methods that carry F across a piece of the path.
+    """F(a, b; c; z) along z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0: one plan of
+    Chebyshev panels [4] and one walk over them.
 
     Start.  The float series at z lost log10(cancel) digits, and that loss
     grows with |z|.  The start z0 = q z on the ray to z is shrunk by the
@@ -378,18 +486,18 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
     to (z/z0)^(1-c), so the start is kept as far out as the cancellation
     allows.
 
-    Plan.  _plan_panels cuts the path into pieces of a fixed phase of the
-    local frequency sqrt|ab/(t(1-t))|, the geometric mean of the ODE's two
-    local rates (the fast rate |c-(a+b+1)t|/|t(1-t)| would make the large-|c|
-    connection sub-series take thousands of steps).  A plan of more than
-    _TAYLOR_PANELS pieces at _PANEL_PHASE radians is carried by collocation;
-    a shorter path is planned again at _STEP_PHASE radians and carried by
-    Taylor steps, which cost less there than batched solves.
+    Plan.  _plan_panels cuts the path into panels of _PANEL_PHASE radians of
+    the local frequency sqrt|ab/(t(1-t))|, the geometric mean of the ODE's
+    two local rates (the fast rate |c-(a+b+1)t|/|t(1-t)| would make the
+    large-|c| connection sub-series take thousands of panels).
 
     Walk.  At every end the walk checks G(s) = F(s z/|z|) and G' for
-    overflow and rounding amplification, then asks the method to carry them
-    across the next piece.  A piece the method refuses is halved, with its
-    memo slot; planned pieces and halves count against _MAX_TERMS.
+    overflow and rounding amplification, then applies the next panel's 2x2
+    transfer, kept in memo.  The run of unsolved panels from the one asked
+    for is solved in one _solve_panels call: the plan, then halves.  A panel
+    whose top two Chebyshev coefficients of F exceed _PANEL_TAIL of F's
+    local amplitude is halved, with its memo slot; planned panels and halves
+    count against _MAX_TERMS.
 
     Error budget.  Rounding is amplified by the growth of a partner solution
     against F.  The Wronskian W = t^(-c) (1-t)^(c-a-b-1) (up to a constant)
@@ -399,7 +507,6 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
     smallest value on the path so far, the continuation raises
     NonConvergence instead of returning a value it cannot vouch for.
 
-    Pearson, Olver & Porter, arXiv:1407.7786 (Taylor series method);
     Greengard, SIAM J. Numer. Anal. 28 (1991) (spectral integration);
     Michel & Stoitsov, arXiv:0708.0116.
     """
@@ -418,18 +525,13 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
     ab = a * b
     length = abs(z)
     unit = z / length
-    ends = _plan_panels(ab, z, q * length, _PANEL_PHASE)
-    if len(ends) > _TAYLOR_PANELS + 1:
-        carry = _collocation(a, b, c, unit)
-    else:
-        ends = _plan_panels(ab, z, q * length, _STEP_PHASE)
-        carry = _taylor_steps(a, b, c, unit)
+    ends = _plan_panels(ab, z, q * length)
     g, dg = f, unit * (df * (ab / c))  # (G, G'), G' = unit F'
     wronskian_exp = c - (a + b) - 1.0  # W ~ t^(-c) (1-t)^(c-a-b-1)
     sqrt, hypot, log, clog, inf = math.sqrt, math.hypot, math.log, cmath.log, math.inf
     log_limit = log(_AMPLIFY_LIMIT)
     growth_min = inf
-    memo = [None] * (len(ends) - 1)  # what the method keeps per piece
+    memo = [None] * (len(ends) - 1)  # each panel's transfer, once solved
     i = 0
     while True:
         pos = ends[i]
@@ -454,75 +556,19 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
             raise NonConvergence(
                 f"2F1 continuation: more than {_MAX_TERMS} panels needed to reach |z|={length:.3g}"
             )
-        carried = carry(ends, memo, i, g, dg, amp)
-        if carried is None:
+        if memo[i] is None:  # solve the run of unsolved panels from here
+            j = i + 1
+            while j < len(memo) and memo[j] is None:
+                j += 1
+            memo[i:j] = _solve_panels(a, b, c, unit, np.array(ends[i : j + 1])).tolist()
+        (c1, c2), (d1, d2), (u1, u2), (v1, v2) = memo[i]
+        bound = _PANEL_TAIL * amp
+        if abs(c1 * g + c2 * dg) <= bound and abs(d1 * g + d2 * dg) <= bound:
+            g, dg = u1 * g + u2 * dg, v1 * g + v2 * dg
+            i += 1
+        else:
             ends.insert(i + 1, 0.5 * (pos + ends[i + 1]))
             memo[i : i + 1] = [None, None]
-        else:
-            g, dg = carried
-            i += 1
-
-
-def _taylor_steps(a: complex, b: complex, c: complex, unit: complex):
-    """Taylor steps [3]: carry(ends, memo, i, g, dg, amp) sums the Taylor
-    series of the solution at t = ends[i] unit out to ends[i+1], whose
-    coefficients obey
-
-        t(1-t)(k+1)(k+2) C[k+2] = (k+a)(k+b) C[k] - (k+1)((1-2t)k + c-(a+b+1)t) C[k+1],
-
-    and it refuses (None) a step whose terms still tower over its sum by
-    more than _CANCEL_START: a rounding excitation of the fast partner.
-    """
-    apb1 = a + b + 1.0
-    # coef[n] = (k+a)(k+b)/((k+1)(k+2)), n = k+2, the same at every step centre
-    coef: list[complex] = [0j, 0j]
-
-    def carry(ends, memo, i, g, dg, amp):
-        pos = ends[i]
-        span = ends[i + 1] - pos
-        t = unit * pos
-        h = unit * span
-        h1 = h / (t * (1.0 - t))
-        h2 = h * h1
-        a1h = (1.0 - 2.0 * t) * h1
-        b0h = (c - apb1 * t) * h1
-        e0 = g
-        e1 = dg * span
-        fs = e0 + e1
-        ds = e1
-        m0 = abs(e0)
-        m1 = abs(e1)
-        peak = m0 if m0 > m1 else m1
-        small = _REL_TOL * (m0 + m1)
-        small_streak = 0
-        for n in range(2, _MAX_TERMS + 2):
-            try:
-                p = coef[n]
-            except IndexError:
-                p = (n - 2 + a) * (n - 2 + b) / ((n - 1) * n)
-                coef.append(p)
-            e2 = p * h2 * e0 - (a1h * (n - 2) + b0h) * e1 / n
-            fs += e2
-            ds += n * e2
-            mag = abs(e2)
-            if mag > peak:
-                peak = mag
-            if n * mag <= small:
-                small_streak += 1
-                if small_streak >= 2:
-                    break
-            else:
-                small_streak = 0
-            e0, e1 = e1, e2
-        else:
-            raise NonConvergence(
-                f"2F1 continuation: Taylor step did not converge in {_MAX_TERMS} terms"
-            )
-        if peak > _CANCEL_START * (abs(fs) + abs(ds)):
-            return None
-        return fs, ds / span
-
-    return carry
 
 
 def _solve_panels(
@@ -566,28 +612,6 @@ def _solve_panels(
     return np.concatenate(out)
 
 
-def _collocation(a: complex, b: complex, c: complex, unit: complex):
-    """Chebyshev-panel collocation [4]: carry(ends, memo, i, g, dg, amp) applies
-    the panel's 2x2 transfer, kept in memo, refusing (None) a panel where F's
-    top two Chebyshev coefficients exceed _PANEL_TAIL amp.  The unsolved run
-    from the panel asked for is solved in one call: the plan, then halves.
-    """
-
-    def carry(ends, memo, i, g, dg, amp):
-        if memo[i] is None:  # solve the run of unsolved panels from here
-            j = i + 1
-            while j < len(memo) and memo[j] is None:
-                j += 1
-            memo[i:j] = _solve_panels(a, b, c, unit, np.array(ends[i : j + 1])).tolist()
-        (c1, c2), (d1, d2), (u1, u2), (v1, v2) = memo[i]
-        bound = _PANEL_TAIL * amp
-        if not (abs(c1 * g + c2 * dg) <= bound and abs(d1 * g + d2 * dg) <= bound):
-            return None
-        return u1 * g + u2 * dg, v1 * g + v2 * dg
-
-    return carry
-
-
 def connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
     """G(c) G(c-a-b) / (G(c-a) G(c-b)) and G(c) G(a+b-c) / (G(a) G(b)),
     the z -> 1-z connection coefficients (DLMF 15.8.4) of hyp2f1 and
@@ -605,7 +629,7 @@ def connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, comp
 def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     """Gauss hypergeometric function F(a, b; c; z) on |z| < 1.
 
-    Routes, all in double precision:
+    Routes, all returning doubles:
 
     * direct: the power series at z.
     * connection: for real z above 1/2 (_CONNECTION_THRESHOLD) the z -> 1-z
@@ -613,35 +637,41 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
       which keeps the series arguments small near z = 1.  It requires c-a-b
       to be non-integer; when it is an integer the direct series is
       attempted anyway (it converges, slowly, for |z| < 1).
-    * continuation: a series of either route (the direct one, or one of the
+    * fixed point: a series of either route (the direct one, or one of the
       two connection series) whose largest term exceeds its sum by more than
-      1e3 (_CANCEL_RETRY), or that overflows, is replaced by a continuation
-      along z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0.  It starts from a point
-      on the ray to its argument where the series cancels by at most 10
-      (_CANCEL_START), plans pieces up to the argument and walks them,
-      halving every piece its method refuses.  A path of at most 16 panels
-      of 5 radians (_TAYLOR_PANELS) takes Taylor steps of 1.5 radians
-      (Pearson, Olver & Porter, arXiv:1407.7786); a longer one, Chebyshev
-      collocation of degree 24, solved in batches, which refuses a panel
-      whose top Chebyshev coefficients exceed 1e-14 (_PANEL_TAIL) of F's
-      local amplitude.  Large |Im a|, |Im b|, as in the wave families at
-      large epsilon, take this route at interior z.
+      1e3 (_CANCEL_RETRY) and at most 2^48 (_FIXED_LIMIT) is summed again in
+      Python-integer fixed point, 64 bits (_GUARD_BITS) above the bits it
+      lost, from the exact binary values of its arguments; the tail past
+      2^-24 of the sum is summed in doubles.  Its relative error is the
+      rounding to double plus ~2^-64 per term.  Large |Im a|, |Im b| at
+      moderate cancellation, as in the wave families at moderate epsilon
+      and the small-curvature expansion's tiny z, take this route.
+    * continuation: a series that cancels by more than 2^48, or overflows,
+      or whose fixed-point pass measures more loss than its precision covers
+      or exceeds 10 000 terms, is replaced by a continuation along
+      z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0.  It starts from a point on the
+      ray to its argument where the series cancels by at most 10
+      (_CANCEL_START), plans panels of 5 radians of the local frequency up
+      to the argument and walks them by Chebyshev collocation of degree 24,
+      solved in batches, halving a panel whose top Chebyshev coefficients
+      exceed 1e-14 (_PANEL_TAIL) of F's local amplitude.  Large |Im a|,
+      |Im b| at large epsilon take this route at interior z.
 
     The route follows from the arguments and from the cancellation the float
     series measures; there is no setting that selects it.  Every series
     stops at a fixed relative tolerance of 1e-15 (_REL_TOL) and may sum at
     most 10 000 terms (_MAX_TERMS); the continuation's walk carries at most
-    as many pieces, Taylor steps or panels, halved ones included.
+    as many panels, halved ones included.
 
     Raises
     ------
     PoleError
         If c is a non-positive integer.
     NonConvergence
-        If a series or a Taylor step does not meet the 1e-15 tolerance
-        within 10 000 terms, the continuation needs more than 10 000 pieces
-        (a longer plan is refused before any piece is carried), or it
-        estimates its rounding amplification above 1e5 (_AMPLIFY_LIMIT).
+        If a float series does not meet the 1e-15 tolerance within 10 000
+        terms, the continuation needs more than 10 000 panels (a longer plan
+        is refused before any panel is solved), or it estimates its rounding
+        amplification above 1e5 (_AMPLIFY_LIMIT).
     ValueError
         For |z| >= 1 (analytic continuation beyond the unit disc is not
         provided).

@@ -22,6 +22,7 @@ import pytest
 import dswave
 from dswave import special
 from dswave.bigfloat import extended_series
+from dswave.expansion import ExpansionParams
 from dswave.model import HorizonUnitsParams
 from dswave.special import (
     NonConvergence,
@@ -226,14 +227,147 @@ def test_hyp2f1_series_overflow_is_continued():
     assert rel(got, expected) < 1e-11
 
 
+# F(1.25 - 4.74i, 1.25 - 11.03i; 2.5; 0.09), a continuation of the cli-mix
+# benchmark: |F| ends at 1.2e-4 of its amplitude along the continuation's
+# path, which erred there by 7e-13
+_FALLING_POINT = (1.25 - 4.739169857020787j, 1.25 - 11.025978846371784j, 2.5 + 0j, 0.09 + 0j)
+# past a negative c the terms fall below 2^-24 of the sum by n = 20, to 5e-8
+# at n = 25, and rise again to 4e4 at n = 53, past n = -c; the continuation
+# refuses this point
+_NEGATIVE_C_HUMP = (-1.76 - 2.48j, 0.31 - 119.74j, -37.5 + 0j, 0.12 + 0j)
+
+
+def _fixed_point_grid():
+    """20 seeded (a, b, c, z) whose float series cancels by 1e3 .. 2^48,
+    four kinds taking turns: the regular wave family (real c > 0), the
+    singular family (c < 0), complex c of ~1e3 against |Im a| ~ 400, and
+    the expansion audit's tiny z ~ 1e-9 .. 1e-6 with |Im a| up to ~1e5;
+    then the audit at X = 1e-6 and the two points above."""
+    rng = random.Random(2026)
+    grid = []
+    for k in range(20):
+        kind = k % 4
+        if kind < 2:
+            eps = rng.uniform(12.0, 60.0)
+            hp = HorizonUnitsParams(epsilon=eps, m=eps / rng.uniform(1.5, 5.0), j=rng.randrange(6))
+            ans = make_ansatz(hp, ("regular", "singular")[kind])
+            grid.append((ans.a, ans.b, ans.c, complex(rng.uniform(0.1, 0.5))))
+        elif kind == 2:
+            a = complex(rng.uniform(0.2, 1.0), -rng.uniform(300.0, 500.0))
+            b = complex(rng.uniform(0.2, 1.0), -rng.uniform(300.0, 500.0))
+            c = complex(1.0, -rng.uniform(2e3, 4e3))
+            grid.append((a, b, c, complex(rng.uniform(0.3, 0.4))))
+        else:
+            ep = ExpansionParams(rng.uniform(1.5, 5.0), 10.0 ** rng.uniform(-5.0, -3.5), rng.randrange(3))
+            ans = make_ansatz(ep.horizon_params(), "regular")
+            r = rng.uniform(12.0, 16.0) / ep.k
+            grid.append((ans.a, ans.b, ans.c, complex((r * ep.X) ** 2)))
+    # z = 1.4e-11 has 88 fractional bits, more than the 77 this loss asks
+    # for: read at 2^-77, it erred by 1.7e-12
+    ep = ExpansionParams(2.86, 1e-6, 1)
+    ans = make_ansatz(ep.horizon_params(), "regular")
+    grid.append((ans.a, ans.b, ans.c, complex((10.0 / ep.k * ep.X) ** 2)))
+    return grid + [_FALLING_POINT, _NEGATIVE_C_HUMP]
+
+
+def _no_continuation(*args):
+    raise AssertionError("the continuation was called")
+
+
+def test_hyp2f1_fixed_point_route_against_the_oracle(monkeypatch):
+    # every point takes the fixed-point route and is within 2e-15 of the
+    # big-float series at 30 digits
+    monkeypatch.setattr(special, "_ode_continuation", _no_continuation)
+    for a, b, c, z in _fixed_point_grid():
+        _, cancel = special._series_sum(a, b, c, z)
+        assert special._CANCEL_RETRY < cancel <= special._FIXED_LIMIT, (a, b, c, z, cancel)
+        ref = complex(extended_series("hyp2f1", [a, b, c, z]))
+        assert rel(hyp2f1(a, b, c, z), ref) < 2e-15, (a, b, c, z)
+
+
+def test_fixed_point_sum_goes_on_where_the_float_tail_rises(monkeypatch):
+    tails = []
+    float_tail = special._float_tail
+    monkeypatch.setattr(special, "_float_tail", lambda *args: tails.append(float_tail(*args)) or tails[-1])
+    a, b, c, z = _NEGATIVE_C_HUMP
+    _, cancel = special._series_sum(a, b, c, z)
+    got = special._fixed_point_sum(a, b, c, z, cancel)
+    assert [rest is None for rest, _ in tails] == [True, False]
+    assert rel(got, complex(extended_series("hyp2f1", [a, b, c, z]))) < 2e-15
+
+
+def _routed(monkeypatch, point, reported):
+    """hyp2f1 at point with the float series reporting the cancellation
+    `reported`, and the continuation calls it made (each returning 7)."""
+    calls = []
+    series_sum = special._series_sum
+    first = [True]
+
+    def series(*args):
+        total, cancel = series_sum(*args)
+        if first[0]:
+            first[0] = False
+            return total, reported
+        return total, cancel
+
+    monkeypatch.setattr(special, "_series_sum", series)
+    monkeypatch.setattr(special, "_ode_continuation", lambda *args: calls.append(args) or 7.0)
+    return hyp2f1(*point), calls
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_hyp2f1_route_splits_at_the_fixed_point_limit(monkeypatch, side):
+    # a measured loss just under 2^48 is summed in fixed point, one just over
+    # it is continued along the ODE
+    reported = math.nextafter(special._FIXED_LIMIT, side * math.inf)
+    value, calls = _routed(monkeypatch, _FALLING_POINT, reported)
+    if side < 0:
+        assert not calls
+        assert rel(value, complex(extended_series("hyp2f1", list(_FALLING_POINT)))) < 2e-15
+    else:
+        assert len(calls) == 1 and value == 7.0
+
+
+def test_fixed_point_sum_falls_back_on_more_loss_than_its_precision_covers(monkeypatch):
+    # the heavy-rescue parameters cancel by 3.5e15; a float series that
+    # reported 2e3 would set a precision that covers 12 bits of loss only
+    a, b, c, z = 3.25 - 25.006253911140455j, 3.25 - 34.993746088859545j, 6.5 + 0j, 0.45 + 0j
+    assert special._fixed_point_sum(a, b, c, z, 2e3) is None
+    value, calls = _routed(monkeypatch, (a, b, c, z), 2e3)
+    assert len(calls) == 1 and value == 7.0
+
+
+def test_fixed_point_sum_falls_back_past_the_term_budget(monkeypatch):
+    # the budget that just holds the last term summed returns the value, one
+    # term less returns None
+    a, b, c, z = _FALLING_POINT
+    _, cancel = special._series_sum(a, b, c, z)
+    tails = []
+    float_tail = special._float_tail
+    monkeypatch.setattr(special, "_float_tail", lambda *args: tails.append(float_tail(*args)) or tails[-1])
+    value = special._fixed_point_sum(a, b, c, z, cancel)
+    last = tails[-1][1]
+    monkeypatch.setattr(special, "_MAX_TERMS", last + 1)
+    assert special._fixed_point_sum(a, b, c, z, cancel) == value
+    monkeypatch.setattr(special, "_MAX_TERMS", last)
+    assert special._fixed_point_sum(a, b, c, z, cancel) is None
+    monkeypatch.setattr(special, "_series_sum", lambda *args: (0j, cancel))
+    monkeypatch.setattr(special, "_ode_continuation", lambda *args: 7.0)
+    assert hyp2f1(a, b, c, z) == 7.0
+
+
 def test_hyp2f1_continuation_retakes_steps_that_excite_the_fast_partner():
     # |c| = 1e4 against |ab| = 2.5e5: the partner z^(1-c) varies ~30 times
     # faster than the local frequency that sizes the panels, while F is the
-    # slow branch.  Taylor steps of that span blew up and were retaken at a
-    # shorter one; the collocation panels (68 planned) keep their span, and
-    # no tail test splits one.  Value from mpmath at 40 digits.
+    # slow branch.  The collocation panels (68 planned) keep their span, and
+    # no tail test splits one.  The series cancels by only 2.7e3, so hyp2f1
+    # sums it in fixed point; the continuation is called directly.  Value
+    # from mpmath at 40 digits.
     expected = complex(-0.7244332551908012, 0.7120182517476774)
-    assert rel(hyp2f1(0.5 - 500j, 0.3 - 500j, 1 - 1e4j, 0.4), expected) < 1e-11
+    a, b, c, z = 0.5 - 500j, 0.3 - 500j, 1 - 1e4j, 0.4 + 0j
+    assert rel(hyp2f1(a, b, c, z), expected) < 1e-11
+    _, cancel = special._series_sum(a, b, c, z)
+    assert rel(special._ode_continuation(a, b, c, z, cancel), expected) < 1e-11
 
 
 def test_hyp2f1_continuation_is_right_or_refuses():
@@ -252,7 +386,7 @@ def test_hyp2f1_continuation_is_right_or_refuses():
 def _halved(monkeypatch, a, b, c, z):
     """hyp2f1(a, b, c, z), and the number of points on the continuation's
     path where it checked the Wronskian growth more than once: the walk
-    stands again at the start of a piece it refused and halved."""
+    stands again at the start of a panel it refused and halved."""
     seen = collections.Counter()
 
     class Logged:
@@ -269,10 +403,11 @@ def _halved(monkeypatch, a, b, c, z):
     return value, sum(n > 1 for n in seen.values()) // 2
 
 
-def test_hyp2f1_continuation_halves_a_taylor_step_that_excites_the_partner(monkeypatch):
-    # F(1/4, 1/4 - 400i; 1/2; 0.1): a plan of 7 panels, so Taylor steps.
-    # Several of its 1.5-rad steps sum terms that tower over their sum and
-    # are halved.  Value from mpmath at 40 digits.
+def test_hyp2f1_continuation_halves_panels_on_a_short_plan(monkeypatch):
+    # F(1/4, 1/4 - 400i; 1/2; 0.1): the series cancels by 3e15, beyond the
+    # fixed-point route, and the continuation plans 7 panels.  Two of them
+    # keep Chebyshev tails above 1e-14 of F's amplitude and are halved.
+    # Value from mpmath at 40 digits.
     expected = complex(0.05939001836797795, 0.07784048444291544)
     got, halved = _halved(monkeypatch, 0.25, 0.25 - 400j, 0.5, 0.1)
     assert halved >= 1
@@ -340,7 +475,6 @@ def test_hyp2f1_continuation_refuses_an_over_budget_plan_before_solving(monkeypa
     # series need fewer terms than the plan has panels.
     ans = make_ansatz(HorizonUnitsParams(epsilon=1000.0, m=500.0, j=1), "regular")
     panels = _planned_panels(monkeypatch, ans.a, ans.b, ans.c, 0.25, math.inf)
-    assert panels > special._TAYLOR_PANELS
 
     def no_solve(*args):
         raise AssertionError("a panel was solved")
