@@ -16,16 +16,25 @@ the float series measures:
 * direct: the Gauss series at z, summed in doubles;
 * connection: for real z above 1/2 (and c-a-b not an
   integer), the z -> 1-z formula DLMF 15.8.4 with two series at 1-z;
-* fixed point: whenever one of those series measures a ratio between
-  _CANCEL_RETRY and _FIXED_LIMIT (2^48) between its largest term and its
-  sum, the same series is summed once more in Python-integer fixed point,
-  _GUARD_BITS (64) bits above the ones it lost, from the exact binary
-  values of a, b, c and z (the precision raising of Johansson [3]);
-* continuation: where the cancellation exceeds _FIXED_LIMIT, the series
-  overflows, or the fixed-point pass measures more loss than its precision
-  covers, F is carried to the series argument along the hypergeometric
-  ODE, from a point on the ray where the series is still benign, by
-  Chebyshev-panel collocation [4] with batched solves over planned panels.
+* fixed point: whenever one of those series measures a ratio above
+  _CANCEL_RETRY between its largest term and its sum, the same series is
+  summed again in Python-integer fixed point, _GUARD_BITS (64) bits above
+  the bits it lost, from the exact binary values of a, b, c and z (the
+  precision raising of Johansson [3]).  Up to _FIXED_LIMIT (2^48) the loss
+  is the float series' own reading.  Beyond it, where that reading is
+  rounding noise, the loss is taken as log2 of the peak term plus
+  _SMALL_SUM_BITS (the peak from a log-space sum of the term ratios where
+  the float terms overflow), and the pass is taken only where its
+  predicted cost, about terms x bits, is below the continuation's, a
+  start-up cost plus a cost per planned panel.  A pass that measures more
+  loss than its precision covers is repeated above the measured loss while
+  its prediction still beats the continuation's;
+* continuation: where the fixed-point passes would cost more, or cannot
+  succeed at any precision, F is carried to the series argument along the
+  hypergeometric ODE, from a point on the ray where the series is still
+  benign, by Chebyshev-panel collocation [4] with batched solves over
+  planned panels.  Where it refuses, fixed-point passes are tried up to
+  the predicted cost of the longest walk it accepts.
 
 Accuracy contract: log_gamma within 1e-13 max(1, |log Gamma(z)|) over
 |z| <= 1e7 (away from poles), modulo 2 pi i (see its branch note), so
@@ -236,14 +245,29 @@ def gamma_ratio_asymptotic(z: complex, A: complex, B: complex, order: int = 1) -
 # violently oscillatory long before it converges), and the series is summed
 # again in integer fixed point, or F is continued along its ODE.
 _CANCEL_RETRY = 1e3
-# Up to this cancellation the series is summed again in fixed point with
-# _GUARD_BITS bits above the ones it lost; beyond it, and where that pass
-# refuses, F is continued along its ODE.  The fixed-point cost grows with the
-# terms and the bits, collocation's does not: on the 50 continuation calls of
-# a wave-grid benchmark pass, a limit of 2^56 took 1.3x and 2^96 1.5x the time
-# of 2^48, and 2^40 the same.
+# Up to this cancellation the float series measures its loss, and the series
+# is summed again in fixed point with _GUARD_BITS bits above it.  Beyond it
+# the float sum is rounding noise: its reading stops near 2^52, while the
+# fixed-point pass measures 53 to 733 bits on the wave-grid benchmark.  There
+# the precision is set from the peak term instead, _SMALL_SUM_BITS above it
+# for a sum below 1 (log2 |F| stays within +-17 on that grid), and the pass
+# is taken only where its predicted cost beats the continuation's.
 _FIXED_LIMIT = 2.0**48
 _GUARD_BITS = 64
+_SMALL_SUM_BITS = 20
+# Predicted costs in microseconds: a fixed-point pass _FIXED_POINT_COST x
+# terms x working bits; the continuation _COLLOCATION_START plus
+# _COLLOCATION_PANEL per planned panel.  Fitted to 260 series that cancel
+# beyond _FIXED_LIMIT (the wave-grid benchmark, both standing families up to
+# epsilon 700, r = 0.3 .. 0.7), timed on a 2-core Intel Xeon VM, Python 3.11,
+# for the least time lost to wrong choices: a pass took 0.66 ms for 160 terms
+# at 220 bits, 2.0 ms for 285 at 330 and 13 ms for 470 at 780; the
+# continuation 1.2 ms for 27 planned panels, 2.4 ms for 72 and 4.0 ms for
+# 105.  The start-up constant also covers the extra solves of halved panels,
+# which the plan does not show: they double the cost at |z| ~ 0.5.
+_FIXED_POINT_COST = 0.02
+_COLLOCATION_START = 400.0
+_COLLOCATION_PANEL = 35.0
 # Cancellation allowed in the series that start the continuation.
 _CANCEL_START = 10.0
 # A panel of the continuation's path spans at most this fraction of the
@@ -271,11 +295,13 @@ _REL_TOL = 1e-15
 _MAX_TERMS = 10_000
 
 
-def _series_sum(a: complex, b: complex, c: complex, z: complex) -> tuple[complex, float]:
-    """Float Gauss series and its cancellation, peak |term| / |sum|.
+def _series_sum(a: complex, b: complex, c: complex, z: complex) -> tuple[complex, float, float, int]:
+    """Float Gauss series, its cancellation peak |term| / |sum|, the peak
+    |term| and the number of terms summed.
 
     The cancellation is inf when a term or the sum overflows or the sum is
-    zero; no OverflowError escapes.
+    zero, and the peak is inf when a term overflows; no OverflowError
+    escapes.
     """
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
@@ -288,7 +314,7 @@ def _series_sum(a: complex, b: complex, c: complex, z: complex) -> tuple[complex
             mag = abs(term)
             if mag > peak:
                 if mag == math.inf:
-                    return total, math.inf
+                    return total, math.inf, math.inf, n + 1
                 peak = mag
             if term == 0.0:
                 break
@@ -305,47 +331,125 @@ def _series_sum(a: complex, b: complex, c: complex, z: complex) -> tuple[complex
             )
         size = abs(total)
     except OverflowError:
-        return total, math.inf
+        return total, math.inf, math.inf, n + 1
     if not 0.0 < size < math.inf:
-        return total, math.inf
-    return total, peak / size
+        return total, math.inf, peak, n + 1
+    return total, peak / size, peak, n + 1
+
+
+def _log2_peak(a: complex, b: complex, c: complex, z: complex) -> tuple[float, int]:
+    """log2 of the peak |term| of the Gauss series, from a running sum of
+    log2 |term ratio| that cannot overflow, and the number of terms up to
+    the first past the peak below _REL_TOL (_MAX_TERMS if none is, or if a
+    ratio itself is beyond double range)."""
+    log2 = math.log2
+    az = abs(z)
+    floor = log2(_REL_TOL)
+    level = peak = 0.0
+    for n in range(_MAX_TERMS):
+        ratio = abs((a + n) * (b + n)) * az / (abs(c + n) * (n + 1.0))
+        if ratio == 0.0:  # a terminating series
+            return peak, n + 1
+        if ratio == math.inf:
+            break
+        level += log2(ratio)
+        if level > peak:
+            peak = level
+        elif level < floor:
+            return peak, n + 1
+    return peak, _MAX_TERMS
 
 
 def _gauss_series(a: complex, b: complex, c: complex, z: complex) -> complex:
-    total, cancel = _series_sum(a, b, c, z)
+    """The Gauss series at z by the route _series_sum's reading selects: the
+    float sum, fixed-point passes, or the continuation (see _FIXED_LIMIT)."""
+    total, cancel, peak, terms = _series_sum(a, b, c, z)
     if cancel <= _CANCEL_RETRY:
         return total
     if cancel <= _FIXED_LIMIT:
-        value = _fixed_point_sum(a, b, c, z, cancel)
+        # one bit more: the fixed-point pass measures |re| + |im|, within
+        # sqrt(2) of |.|
+        bits = 1 + math.ceil(math.log2(cancel))
+    else:
+        if peak == math.inf:
+            log_peak, terms = _log2_peak(a, b, c, z)
+        else:
+            log_peak = math.log2(peak)
+        bits = 1 + math.ceil(log_peak) + _SMALL_SUM_BITS
+    plan = None  # the continuation's predicted cost, once a pass needs it
+
+    def beats_plan(cost: float) -> bool:
+        nonlocal plan
+        if cost <= _COLLOCATION_START:
+            return True
+        if plan is None:
+            # the continuation's start series cancel little once |ab t / c| ~ 1
+            digits = math.log10(cancel) if cancel < math.inf else 308.0
+            start = min(min(0.5, 1.0 / digits) * abs(z), max(1.0, abs(c)) / abs(a * b))
+            plan = _COLLOCATION_START + _COLLOCATION_PANEL * (len(_plan_panels(a * b, z, start)) - 1)
+        return cost <= plan
+
+    value, bits = _fixed_point_passes(a, b, c, z, terms, bits, beats_plan, cancel > _FIXED_LIMIT)
+    if value is not None:
+        return value
+    try:
+        return _ode_continuation(a, b, c, z, cancel)
+    except NonConvergence:
+        if bits is None:
+            raise
+        # the continuation refused: a fixed-point pass may cost up to the
+        # longest walk it accepts
+        longest = _COLLOCATION_START + _COLLOCATION_PANEL * _MAX_TERMS
+        value, _ = _fixed_point_passes(a, b, c, z, terms, bits, lambda cost: cost <= longest, True)
+        if value is None:
+            raise
+        return value
+
+
+def _fixed_point_passes(
+    a: complex, b: complex, c: complex, z: complex, terms: int, bits: int, affordable, price_first: bool
+) -> tuple[complex | None, int | None]:
+    """Fixed-point passes of the Gauss series over `terms` terms, the first
+    covering a loss of `bits` bits and each next one the loss its
+    predecessor measured, while affordable(_FIXED_POINT_COST x terms x
+    working bits) holds (the first pass unchecked unless price_first).
+    Returns (the value, bits), (None, the bits of the pass the prediction
+    stopped), or (None, None) where no precision can succeed."""
+    priced = price_first
+    while terms < _MAX_TERMS:
+        if priced and not affordable(_FIXED_POINT_COST * terms * (_GUARD_BITS + bits)):
+            return None, bits
+        value, lost = _fixed_point_sum(a, b, c, z, bits)
         if value is not None:
-            return value
-    return _ode_continuation(a, b, c, z, cancel)
+            return value, bits
+        if lost == math.inf:
+            break
+        bits, priced = 1 + math.ceil(lost), True
+    return None, None
 
 
-def _fixed_point_sum(a: complex, b: complex, c: complex, z: complex, cancel: float) -> complex | None:
-    """The Gauss series summed again in integer fixed point, or None.
+def _fixed_point_sum(a: complex, b: complex, c: complex, z: complex, bits: int) -> tuple[complex | None, float]:
+    """The Gauss series summed in integer fixed point, covering a loss of
+    `bits` bits: (its value or None, the bits it measured lost).
 
     A value v is held as the integer v 2^prec.  The working precision is
-    _GUARD_BITS above the log2(cancel) bits the float series lost, and is
-    raised until a, b, c and z, exact binary fractions, convert exactly.
-    The term ratio (a+n)(b+n) z / ((c+n)(n+1)) is kept as a numerator
-    ABz + n Sz + n^2 z, with ABz = abz and Sz = (a+b)z rounded once, and a
-    denominator c + n(c+1) + n^2, both updated by additions.  Once a term is
-    past the peak and below 2^-24 of the sum, _float_tail sums the rest in
-    doubles; where a tail term rises above that, as past a negative c, the
-    fixed-point sum goes on from there.
+    _GUARD_BITS above `bits`, and is raised until a, b, c and z, exact
+    binary fractions, convert exactly.  The term ratio (a+n)(b+n) z /
+    ((c+n)(n+1)) is kept as a numerator ABz + n Sz + n^2 z, with ABz = abz
+    and Sz = (a+b)z rounded once, and a denominator c + n(c+1) + n^2, both
+    updated by additions.  Once a term is past the peak and below 2^-24 of
+    the sum, _float_tail sums the rest in doubles; where a tail term rises
+    above that, as past a negative c, the fixed-point sum goes on from there.
 
-    Returns None, so that the caller continues along the ODE instead, when
-    the loss this pass measures, log2(peak / |sum|), exceeds what its
-    precision covers (the float series under-reported it), or when the
-    series runs past _MAX_TERMS.  Otherwise each term carries a few units of
-    2^-prec times the peak, so the sum keeps ~2^-_GUARD_BITS times the term
-    count, relative, before its rounding to double.
+    The value is None when the loss this pass measures, log2(peak / |sum|),
+    exceeds what its precision covers (the caller may retry above the
+    measured loss), and None with an infinite loss when the sum is zero or
+    the series runs past _MAX_TERMS.  Otherwise each term carries a few
+    units of 2^-prec times the peak, so the sum keeps ~2^-_GUARD_BITS times
+    the term count, relative, before its rounding to double.
     """
     ratios = [x.as_integer_ratio() for x in (a.real, a.imag, b.real, b.imag, c.real, c.imag, z.real, z.imag)]
-    # one bit more: magnitudes below are |re| + |im|, within sqrt(2) of |.|
-    prec = _GUARD_BITS + 1 + math.ceil(math.log2(cancel))
-    prec = max(prec, max(den.bit_length() - 1 for _, den in ratios))
+    prec = max(_GUARD_BITS + bits, max(den.bit_length() - 1 for _, den in ratios))
     ar, ai, br, bi, cr, ci, zr, zi = (num << (prec + 1 - den.bit_length()) for num, den in ratios)
     one = 1 << prec
     # ab z and (a+b) z, rounded to the working precision
@@ -378,7 +482,7 @@ def _fixed_point_sum(a: complex, b: complex, c: complex, z: complex, cancel: flo
         if mag > peak:
             peak = mag
         elif n >= resume and mag << 24 < abs(fr) + abs(fi):
-            rest, resume = _float_tail(a, b, c, z, n + 1, complex(tr / one, ti / one), complex(fr / one, fi / one))
+            rest, resume = _float_tail(a, b, c, z, n + 1, _to_double(tr, ti, one), _to_double(fr, fi, one))
             if rest is not None:
                 tail = rest
                 break
@@ -390,11 +494,23 @@ def _fixed_point_sum(a: complex, b: complex, c: complex, z: complex, cancel: flo
         di += ci
         ddr += two
     else:
-        return None
+        return None, math.inf
     size = abs(fr) + abs(fi)
-    if size == 0 or math.log2(peak) - math.log2(size) > prec - _GUARD_BITS:
-        return None
-    return complex(fr / one, fi / one) + tail
+    if size == 0:
+        return None, math.inf
+    lost = math.log2(peak) - math.log2(size)
+    if lost > prec - _GUARD_BITS:
+        return None, lost
+    return _to_double(fr, fi, one) + tail, lost
+
+
+def _to_double(re: int, im: int, one: int) -> complex:
+    """The fixed-point value (re + i im) / one as a complex double;
+    NonConvergence where it is beyond double range."""
+    try:
+        return complex(re / one, im / one)
+    except OverflowError:
+        raise NonConvergence("2F1 series: its sum is beyond double range") from None
 
 
 def _float_tail(a: complex, b: complex, c: complex, z: complex, n: int, term: complex, total: complex):
@@ -515,8 +631,8 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
         lost = math.log10(cancel) if cancel < math.inf else 308.0
         q *= min(0.5, 1.0 / lost)
         try:
-            f, cancel = _series_sum(a, b, c, q * z)
-            df, cancel_df = _series_sum(a + 1.0, b + 1.0, c + 1.0, q * z)
+            f, cancel, _, _ = _series_sum(a, b, c, q * z)
+            df, cancel_df, _, _ = _series_sum(a + 1.0, b + 1.0, c + 1.0, q * z)
             cancel = max(cancel, cancel_df)
         except NonConvergence:  # a series over the term budget: start further in
             cancel = math.inf
@@ -639,29 +755,38 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
       attempted anyway (it converges, slowly, for |z| < 1).
     * fixed point: a series of either route (the direct one, or one of the
       two connection series) whose largest term exceeds its sum by more than
-      1e3 (_CANCEL_RETRY) and at most 2^48 (_FIXED_LIMIT) is summed again in
-      Python-integer fixed point, 64 bits (_GUARD_BITS) above the bits it
-      lost, from the exact binary values of its arguments; the tail past
-      2^-24 of the sum is summed in doubles.  Its relative error is the
-      rounding to double plus ~2^-64 per term.  Large |Im a|, |Im b| at
-      moderate cancellation, as in the wave families at moderate epsilon
-      and the small-curvature expansion's tiny z, take this route.
-    * continuation: a series that cancels by more than 2^48, or overflows,
-      or whose fixed-point pass measures more loss than its precision covers
-      or exceeds 10 000 terms, is replaced by a continuation along
-      z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0.  It starts from a point on the
-      ray to its argument where the series cancels by at most 10
-      (_CANCEL_START), plans panels of 5 radians of the local frequency up
-      to the argument and walks them by Chebyshev collocation of degree 24,
-      solved in batches, halving a panel whose top Chebyshev coefficients
-      exceed 1e-14 (_PANEL_TAIL) of F's local amplitude.  Large |Im a|,
-      |Im b| at large epsilon take this route at interior z.
+      1e3 (_CANCEL_RETRY) is summed again in Python-integer fixed point, 64
+      bits (_GUARD_BITS) above the bits it lost, from the exact binary
+      values of its arguments; the tail past 2^-24 of the sum is summed in
+      doubles.  Up to 2^48 (_FIXED_LIMIT) the lost bits are the float
+      series' reading, and the pass always runs.  Beyond it they are log2
+      of the peak term plus 20 (_SMALL_SUM_BITS, for |F| down to 2^-20),
+      and the pass runs only where its predicted cost, 0.02 us x terms x
+      working bits, is below the continuation's, 400 us plus 35 us per
+      planned panel.  A pass that measures more loss than its precision
+      covers is repeated above the measured loss while that prediction
+      holds.  The relative error is the rounding to double plus ~2^-64 per
+      term.  Large |Im a|, |Im b|, as in the wave families up to epsilon of
+      a few hundred and the small-curvature expansion's tiny z, take this
+      route.
+    * continuation: a series that the fixed-point passes cannot sum within
+      the continuation's predicted cost, or at all (beyond 10 000 terms), is
+      replaced by a continuation along z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0.
+      It starts from a point on the ray to its argument where the series
+      cancels by at most 10 (_CANCEL_START), plans panels of 5 radians of
+      the local frequency up to the argument and walks them by Chebyshev
+      collocation of degree 24, solved in batches, halving a panel whose
+      top Chebyshev coefficients exceed 1e-14 (_PANEL_TAIL) of F's local
+      amplitude.  Large |Im a|, |Im b| at large epsilon take this route at
+      interior z.  Where it refuses, fixed-point passes are tried up to the
+      predicted cost of the longest walk it accepts.
 
-    The route follows from the arguments and from the cancellation the float
-    series measures; there is no setting that selects it.  Every series
-    stops at a fixed relative tolerance of 1e-15 (_REL_TOL) and may sum at
-    most 10 000 terms (_MAX_TERMS); the continuation's walk carries at most
-    as many panels, halved ones included.
+    The route follows from the arguments, from the cancellation and peak
+    term the float series measures and from the predicted costs; there is no
+    setting that selects it.  Every series stops at a fixed relative
+    tolerance of 1e-15 (_REL_TOL) and may sum at most 10 000 terms
+    (_MAX_TERMS); the continuation's walk carries at most as many panels,
+    halved ones included.
 
     Raises
     ------
@@ -669,9 +794,11 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
         If c is a non-positive integer.
     NonConvergence
         If a float series does not meet the 1e-15 tolerance within 10 000
-        terms, the continuation needs more than 10 000 panels (a longer plan
-        is refused before any panel is solved), or it estimates its rounding
-        amplification above 1e5 (_AMPLIFY_LIMIT).
+        terms, or the continuation needs more than 10 000 panels (a longer
+        plan is refused before any panel is solved) or estimates its
+        rounding amplification above 1e5 (_AMPLIFY_LIMIT), and no
+        fixed-point pass within the cost of the longest accepted walk
+        succeeds.
     ValueError
         For |z| >= 1 (analytic continuation beyond the unit disc is not
         provided).

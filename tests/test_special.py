@@ -279,7 +279,7 @@ def test_hyp2f1_fixed_point_route_against_the_oracle(monkeypatch):
     # big-float series at 30 digits
     monkeypatch.setattr(special, "_ode_continuation", _no_continuation)
     for a, b, c, z in _fixed_point_grid():
-        _, cancel = special._series_sum(a, b, c, z)
+        _, cancel, _, _ = special._series_sum(a, b, c, z)
         assert special._CANCEL_RETRY < cancel <= special._FIXED_LIMIT, (a, b, c, z, cancel)
         ref = complex(extended_series("hyp2f1", [a, b, c, z]))
         assert rel(hyp2f1(a, b, c, z), ref) < 2e-15, (a, b, c, z)
@@ -290,8 +290,8 @@ def test_fixed_point_sum_goes_on_where_the_float_tail_rises(monkeypatch):
     float_tail = special._float_tail
     monkeypatch.setattr(special, "_float_tail", lambda *args: tails.append(float_tail(*args)) or tails[-1])
     a, b, c, z = _NEGATIVE_C_HUMP
-    _, cancel = special._series_sum(a, b, c, z)
-    got = special._fixed_point_sum(a, b, c, z, cancel)
+    _, cancel, _, _ = special._series_sum(a, b, c, z)
+    got, _ = special._fixed_point_sum(a, b, c, z, 1 + math.ceil(math.log2(cancel)))
     assert [rest is None for rest, _ in tails] == [True, False]
     assert rel(got, complex(extended_series("hyp2f1", [a, b, c, z]))) < 2e-15
 
@@ -304,54 +304,115 @@ def _routed(monkeypatch, point, reported):
     first = [True]
 
     def series(*args):
-        total, cancel = series_sum(*args)
+        total, cancel, peak, terms = series_sum(*args)
         if first[0]:
             first[0] = False
-            return total, reported
-        return total, cancel
+            return total, reported, peak, terms
+        return total, cancel, peak, terms
 
     monkeypatch.setattr(special, "_series_sum", series)
     monkeypatch.setattr(special, "_ode_continuation", lambda *args: calls.append(args) or 7.0)
     return hyp2f1(*point), calls
 
 
-@pytest.mark.parametrize("side", [-1.0, 1.0])
-def test_hyp2f1_route_splits_at_the_fixed_point_limit(monkeypatch, side):
-    # a measured loss just under 2^48 is summed in fixed point, one just over
-    # it is continued along the ODE
-    reported = math.nextafter(special._FIXED_LIMIT, side * math.inf)
-    value, calls = _routed(monkeypatch, _FALLING_POINT, reported)
-    if side < 0:
-        assert not calls
-        assert rel(value, complex(extended_series("hyp2f1", list(_FALLING_POINT)))) < 2e-15
-    else:
-        assert len(calls) == 1 and value == 7.0
+def _standing_point(eps, j, r):
+    """(a, b, c, z) of the regular standing wave at m = eps / 2, z = r^2."""
+    ans = make_ansatz(HorizonUnitsParams(epsilon=eps, m=eps / 2.0, j=j), "regular")
+    return ans.a, ans.b, ans.c, complex(r * r)
 
 
-def test_fixed_point_sum_falls_back_on_more_loss_than_its_precision_covers(monkeypatch):
+def test_hyp2f1_takes_the_fixed_point_pass_where_it_beats_the_plan(monkeypatch):
+    # beyond 2^48 the route follows the predicted costs: an e200_r0.5
+    # standing wave (~160 terms at ~220 bits against a ~28-panel plan) and
+    # both connection sub-series of an e1000_r0.9 running wave at mu = 3, at
+    # w = 0.19 (~150 terms at ~150 bits against ~70 panels), are summed in
+    # fixed point
+    w = complex(1.0 - 0.9**2)
+    ans = make_ansatz(HorizonUnitsParams(epsilon=1000.0, m=1000.0 / 3.0, j=1), "regular")
+    s = ans.c - ans.a - ans.b
+    points = [_standing_point(200.0, 1, 0.5), (ans.a, ans.b, 1.0 - s, w), (ans.c - ans.a, ans.c - ans.b, 1.0 + s, w)]
+    monkeypatch.setattr(special, "_ode_continuation", _no_continuation)
+    for a, b, c, z in points:
+        _, cancel, _, _ = special._series_sum(a, b, c, z)
+        assert special._FIXED_LIMIT < cancel < math.inf, (a, b, c, z, cancel)
+        ref = complex(extended_series("hyp2f1", [a, b, c, z]))
+        assert rel(special._gauss_series(a, b, c, z), ref) < 2e-15, (a, b, c, z)
+
+
+def test_hyp2f1_keeps_the_continuation_where_the_plan_is_cheaper(monkeypatch):
+    # epsilon=1000, m=500, j=1 standing wave at r = 0.5: ~470 terms at ~800
+    # bits would cost ~3x the ~100-panel continuation
+    calls = []
+    continuation = special._ode_continuation
+    monkeypatch.setattr(special, "_ode_continuation", lambda *args: calls.append(args) or continuation(*args))
+    assert cmath.isfinite(hyp2f1(*_standing_point(1000.0, 1, 0.5)))
+    assert len(calls) == 1
+
+
+def test_overflowing_series_takes_its_precision_from_the_log_space_peak(monkeypatch):
+    # epsilon=1000, m=400, j=2 regular family at z=0.49: the float series
+    # overflows.  The running sum of log2 |ratio| finds the peak term within
+    # a bit; with the continuation priced out, the first fixed-point pass
+    # covers that peak plus _SMALL_SUM_BITS, and |F| ~ 2^-24 makes it retry
+    s = math.sqrt(400.0**2 - 0.25)
+    a, b, c, z = complex(1.75, 0.5 * (s - 1000.0)), complex(1.75, 0.5 * (-s - 1000.0)), 3.5 + 0j, 0.49 + 0j
+    _, cancel, peak, _ = special._series_sum(a, b, c, z)
+    assert cancel == peak == math.inf
+    log_peak, terms = special._log2_peak(a, b, c, z)
+    with mp.workdps(30):
+        term, best = mp.mpc(1), mp.mpf(0)
+        for n in range(terms):
+            term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+            best = max(best, mp.log(abs(term), 2))
+    assert abs(log_peak - float(best)) < 1.0
+    passes = []
+    fixed_point_sum = special._fixed_point_sum
+    monkeypatch.setattr(special, "_fixed_point_sum", lambda *args: passes.append(args[4]) or fixed_point_sum(*args))
+    monkeypatch.setattr(special, "_ode_continuation", _no_continuation)
+    monkeypatch.setattr(special, "_COLLOCATION_PANEL", 1e9)
+    ref = complex(extended_series("hyp2f1", [a, b, c, z]))
+    assert rel(hyp2f1(a, b, c, z), ref) < 2e-15
+    assert passes[0] == 1 + math.ceil(log_peak) + special._SMALL_SUM_BITS
+    assert len(passes) == 2
+
+
+def test_fixed_point_sum_beyond_double_range_is_a_nonconvergence():
+    # the float series overflows and the fixed-point pass, cheaper than the
+    # plan, finds |F| beyond double range: NonConvergence, as where the
+    # continuation overflows, and no OverflowError
+    with pytest.raises(NonConvergence, match="beyond double range"):
+        hyp2f1(0.5 + 600j, 0.5 - 590j, 1.5, 0.49)
+
+
+def test_fixed_point_sum_retries_above_the_loss_it_measured(monkeypatch):
     # the heavy-rescue parameters cancel by 3.5e15; a float series that
-    # reported 2e3 would set a precision that covers 12 bits of loss only
-    a, b, c, z = 3.25 - 25.006253911140455j, 3.25 - 34.993746088859545j, 6.5 + 0j, 0.45 + 0j
-    assert special._fixed_point_sum(a, b, c, z, 2e3) is None
-    value, calls = _routed(monkeypatch, (a, b, c, z), 2e3)
-    assert len(calls) == 1 and value == 7.0
+    # reported 2e3 sets a precision that covers 12 bits of loss only.  That
+    # pass refuses, measuring more, and the next one, above what it measured,
+    # returns the oracle value without a continuation call
+    point = (3.25 - 25.006253911140455j, 3.25 - 34.993746088859545j, 6.5 + 0j, 0.45 + 0j)
+    value, lost = special._fixed_point_sum(*point, 1 + math.ceil(math.log2(2e3)))
+    assert value is None and lost > 12
+    value, calls = _routed(monkeypatch, point, 2e3)
+    assert not calls
+    assert rel(value, complex(extended_series("hyp2f1", list(point)))) < 2e-15
 
 
 def test_fixed_point_sum_falls_back_past_the_term_budget(monkeypatch):
     # the budget that just holds the last term summed returns the value, one
     # term less returns None
     a, b, c, z = _FALLING_POINT
-    _, cancel = special._series_sum(a, b, c, z)
+    _, cancel, peak, terms = special._series_sum(a, b, c, z)
+    bits = 1 + math.ceil(math.log2(cancel))
     tails = []
     float_tail = special._float_tail
     monkeypatch.setattr(special, "_float_tail", lambda *args: tails.append(float_tail(*args)) or tails[-1])
-    value = special._fixed_point_sum(a, b, c, z, cancel)
+    value, _ = special._fixed_point_sum(a, b, c, z, bits)
     last = tails[-1][1]
     monkeypatch.setattr(special, "_MAX_TERMS", last + 1)
-    assert special._fixed_point_sum(a, b, c, z, cancel) == value
+    assert special._fixed_point_sum(a, b, c, z, bits)[0] == value
     monkeypatch.setattr(special, "_MAX_TERMS", last)
-    assert special._fixed_point_sum(a, b, c, z, cancel) is None
-    monkeypatch.setattr(special, "_series_sum", lambda *args: (0j, cancel))
+    assert special._fixed_point_sum(a, b, c, z, bits) == (None, math.inf)
+    monkeypatch.setattr(special, "_series_sum", lambda *args: (0j, cancel, peak, terms))
     monkeypatch.setattr(special, "_ode_continuation", lambda *args: 7.0)
     assert hyp2f1(a, b, c, z) == 7.0
 
@@ -366,7 +427,7 @@ def test_hyp2f1_continuation_retakes_steps_that_excite_the_fast_partner():
     expected = complex(-0.7244332551908012, 0.7120182517476774)
     a, b, c, z = 0.5 - 500j, 0.3 - 500j, 1 - 1e4j, 0.4 + 0j
     assert rel(hyp2f1(a, b, c, z), expected) < 1e-11
-    _, cancel = special._series_sum(a, b, c, z)
+    _, cancel, _, _ = special._series_sum(a, b, c, z)
     assert rel(special._ode_continuation(a, b, c, z, cancel), expected) < 1e-11
 
 
@@ -383,8 +444,8 @@ def test_hyp2f1_continuation_is_right_or_refuses():
     assert rel(got, expected) < 1e-10
 
 
-def _halved(monkeypatch, a, b, c, z):
-    """hyp2f1(a, b, c, z), and the number of points on the continuation's
+def _halved(monkeypatch, a, b, c, z, evaluate=hyp2f1):
+    """evaluate(a, b, c, z), and the number of points on the continuation's
     path where it checked the Wronskian growth more than once: the walk
     stands again at the start of a panel it refused and halved."""
     seen = collections.Counter()
@@ -398,18 +459,26 @@ def _halved(monkeypatch, a, b, c, z):
             return cmath.log(x)
 
     monkeypatch.setattr(special, "cmath", Logged())
-    value = hyp2f1(a, b, c, z)
+    value = evaluate(a, b, c, z)
     # each check takes log(t) and log(1-t)
     return value, sum(n > 1 for n in seen.values()) // 2
 
 
+def _continued(a, b, c, z):
+    """The continuation to F(a, b; c; z), called directly with the
+    cancellation its float series measures."""
+    _, cancel, _, _ = special._series_sum(a, b, c, z)
+    return special._ode_continuation(a, b, c, z, cancel)
+
+
 def test_hyp2f1_continuation_halves_panels_on_a_short_plan(monkeypatch):
-    # F(1/4, 1/4 - 400i; 1/2; 0.1): the series cancels by 3e15, beyond the
-    # fixed-point route, and the continuation plans 7 panels.  Two of them
-    # keep Chebyshev tails above 1e-14 of F's amplitude and are halved.
-    # Value from mpmath at 40 digits.
+    # F(1/4, 1/4 - 400i; 1/2; 0.1): the series cancels by 3e15, and the
+    # continuation plans 7 panels.  Two of them keep Chebyshev tails above
+    # 1e-14 of F's amplitude and are halved.  hyp2f1 sums this series in
+    # fixed point, so the continuation is called directly.  Value from
+    # mpmath at 40 digits.
     expected = complex(0.05939001836797795, 0.07784048444291544)
-    got, halved = _halved(monkeypatch, 0.25, 0.25 - 400j, 0.5, 0.1)
+    got, halved = _halved(monkeypatch, 0.25, 0.25 - 400j, 0.5, 0.1, _continued)
     assert halved >= 1
     assert rel(got, expected) < 1e-11
 
@@ -459,7 +528,7 @@ def test_hyp2f1_continuation_honours_term_budget(monkeypatch):
     a = complex(1.25, 0.5 * (s - 1000.0))
     b = complex(1.25, 0.5 * (-s - 1000.0))
     c = a + b - 1.5
-    _, cancel = special._series_sum(a, b, c, 0.4)
+    _, cancel, _, _ = special._series_sum(a, b, c, 0.4)
     panels = _planned_panels(monkeypatch, a, b, c, 0.4, cancel)
     monkeypatch.setattr(special, "_MAX_TERMS", panels - 1)
     with pytest.raises(NonConvergence, match="continuation"):
@@ -490,24 +559,15 @@ def test_hyp2f1_continuation_refuses_an_over_budget_plan_before_solving(monkeypa
 @pytest.mark.parametrize("eps, r", [(200.0, 0.5), (1000.0, 0.1)])
 def test_hyp2f1_continuation_solves_its_panels_in_batches(monkeypatch, eps, r):
     # one continuation of ~25 planned panels makes at most 3 batched solves,
-    # where one solve per panel would make ~25, and at least one: these
-    # paths take collocation
+    # where one solve per panel would make ~25, and at least one.  hyp2f1
+    # sums these series in fixed point, so the continuation is called
+    # directly
     ans = make_ansatz(HorizonUnitsParams(epsilon=eps, m=eps / 2.0, j=1), "regular")
     solves = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
-    per_continuation = []
-    continuation = special._ode_continuation
-
-    def counted(*args):
-        before = len(solves)
-        value = continuation(*args)
-        per_continuation.append(len(solves) - before)
-        return value
-
-    monkeypatch.setattr(special, "_ode_continuation", counted)
-    hyp2f1(ans.a, ans.b, ans.c, r * r)
-    assert per_continuation and all(1 <= n <= 3 for n in per_continuation), per_continuation
+    _continued(ans.a, ans.b, ans.c, complex(r * r))
+    assert 1 <= len(solves) <= 3, solves
 
 
 def test_runtime_path_does_not_import_mpmath():

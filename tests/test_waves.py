@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -196,6 +197,42 @@ def test_wave_accuracy_grid_against_oracle():
                     envelope = abs(cc.to_out * running["out"]) + abs(cc.to_in * running["in"])
                     err = float(abs(eval_standing(ans, r) - value) / envelope)
                     assert err <= 1e-12, (eps, r, family, err)
+
+
+# (epsilon, j, r) of the singular family, m = epsilon / 2, off the
+# connection route (r^2 < 1/2): the continuation refuses the first thirteen
+# (its partner solution outgrows F), and it returned the last four with
+# errors of 9.5e-11, 4.6e-11, 7.7e-12 and 1.9e-12
+_SINGULAR_POINTS = (
+    [(200.0, j, r) for j in range(15, 21) for r in (0.5, 0.7)]
+    + [(50.0, 17, 0.7)]
+    + [(50.0, 14, 0.7), (200.0, 20, 0.3), (200.0, 15, 0.3), (200.0, 13, 0.5)]
+)
+
+
+def _singular_points():
+    """The points above and 12 seeded ones: epsilon 50 and 200 taking
+    turns, j <= 20 and r in [0.1, 0.7]."""
+    rng = random.Random(2026)
+    drawn = [((50.0, 200.0)[k % 2], rng.randrange(21), rng.uniform(0.1, 0.7)) for k in range(12)]
+    return _SINGULAR_POINTS + drawn
+
+
+def test_singular_family_over_j_up_to_20_against_the_oracle():
+    # every standing wave returns a value within 1e-12 of the big-float
+    # series at 30 digits, taking the package's double-precision ansatz
+    # parameters as exact
+    for eps, j, r in _singular_points():
+        ans = make_ansatz(HorizonUnitsParams(epsilon=eps, m=eps / 2.0, j=j), "singular")
+        with mp.workdps(30):
+            z = mp.mpf(r) ** 2
+            ref = (
+                z ** mp.mpf(ans.kappa)
+                * mp.exp(mp.mpc(ans.sigma) * mp.log(1 - z))
+                * extended_series("hyp2f1", [ans.a, ans.b, ans.c, z])
+            )
+            err = float(abs(eval_standing(ans, r) - ref) / abs(ref))
+        assert err <= 1e-12, (eps, j, r, err)
 
 
 def test_wronskian_of_standing_pair():
