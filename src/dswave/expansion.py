@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .model import HorizonUnitsParams, _check_j
-from .special import bessel_j, log_gamma
+from .special import bessel_j, hyp2f1, log_gamma
 from .waves import make_ansatz
 
 __all__ = [
@@ -243,8 +243,6 @@ def decompose_hypergeometric(ep: ExpansionParams, r_grid) -> ExpansionDecomposit
     parameters; F0/G0 are the Bessel limits, F1/G1 the closed first-order
     forms, and the residuals are (exact - order0 - X*order1)/X^2.
     """
-    from .special import hyp2f1  # local to keep module import light
-
     hp = ep.horizon_params()
     reg = make_ansatz(hp, "regular")
     sng = make_ansatz(hp, "singular")
@@ -370,8 +368,6 @@ def first_order_correction_audit(ep: ExpansionParams) -> CorrectionAudit:
     X in {1e-2, 1e-3, 1e-4}, which measures the linear vanishing of the
     first-order contribution.
     """
-    from .special import hyp2f1
-
     lo_kr, hi_kr = 6.0, 16.0
     n_pts = 64
     rs = np.linspace(lo_kr / ep.k, hi_kr / ep.k, n_pts)

@@ -24,17 +24,15 @@ the float series measures:
   is the float series' own reading.  Beyond it, where that reading is
   rounding noise, the loss is taken as log2 of the peak term plus
   _SMALL_SUM_BITS (the peak from a log-space sum of the term ratios where
-  the float terms overflow), and the pass is taken only where its
-  predicted cost, about terms x bits, is below the continuation's, a
-  start-up cost plus a cost per planned panel.  A pass that measures more
-  loss than its precision covers is repeated above the measured loss while
-  its prediction still beats the continuation's;
-* continuation: where the fixed-point passes would cost more, or cannot
+  the float terms overflow), and the pass runs only within a budget of
+  terms x bits (hyp2f1 states the rule).  A pass that measures more loss
+  than its precision covers is repeated above the measured loss;
+* continuation: where the fixed-point passes are over budget, or cannot
   succeed at any precision, F is carried to the series argument along the
   hypergeometric ODE, from a point on the ray where the series is still
   benign, by Chebyshev-panel collocation [4] with batched solves over
-  planned panels.  Where it refuses, fixed-point passes are tried up to
-  the predicted cost of the longest walk it accepts.
+  planned panels.  Where it refuses, fixed-point passes run up to a
+  larger budget.
 
 Accuracy contract: log_gamma within 1e-13 max(1, |log Gamma(z)|) over
 |z| <= 1e7 (away from poles), modulo 2 pi i (see its branch note), so
@@ -250,24 +248,19 @@ _CANCEL_RETRY = 1e3
 # the float sum is rounding noise: its reading stops near 2^52, while the
 # fixed-point pass measures 53 to 733 bits on the wave-grid benchmark.  There
 # the precision is set from the peak term instead, _SMALL_SUM_BITS above it
-# for a sum below 1 (log2 |F| stays within +-17 on that grid), and the pass
-# is taken only where its predicted cost beats the continuation's.
+# for a sum below 1 (log2 |F| stays within +-17 on that grid).
 _FIXED_LIMIT = 2.0**48
 _GUARD_BITS = 64
 _SMALL_SUM_BITS = 20
-# Predicted costs in microseconds: a fixed-point pass _FIXED_POINT_COST x
-# terms x working bits; the continuation _COLLOCATION_START plus
-# _COLLOCATION_PANEL per planned panel.  Fitted to 260 series that cancel
-# beyond _FIXED_LIMIT (the wave-grid benchmark, both standing families up to
-# epsilon 700, r = 0.3 .. 0.7), timed on a 2-core Intel Xeon VM, Python 3.11,
-# for the least time lost to wrong choices: a pass took 0.66 ms for 160 terms
-# at 220 bits, 2.0 ms for 285 at 330 and 13 ms for 470 at 780; the
-# continuation 1.2 ms for 27 planned panels, 2.4 ms for 72 and 4.0 ms for
-# 105.  The start-up constant also covers the extra solves of halved panels,
-# which the plan does not show: they double the cost at |z| ~ 0.5.
-_FIXED_POINT_COST = 0.02
-_COLLOCATION_START = 400.0
-_COLLOCATION_PANEL = 35.0
+# Budgets of a fixed-point pass in term-bits, terms x (_GUARD_BITS + bits),
+# as hyp2f1 states the rule: before the continuation, and where it refuses.
+# A term-bit took ~0.02 us on a 2-core Intel Xeon VM, Python 3.11, so a pass
+# within _PASS_BUDGET takes up to ~2 ms: the wave-grid benchmark's passes take
+# at most 0.75 ms, and the continuations it keeps would need passes of 6.8 ms
+# or more.  _RESCUE_BUDGET, ~350 ms, is about the longest walk the
+# continuation accepts.
+_PASS_BUDGET = 100_000
+_RESCUE_BUDGET = 17_520_000
 # Cancellation allowed in the series that start the continuation.
 _CANCEL_START = 10.0
 # A panel of the continuation's path spans at most this fraction of the
@@ -362,7 +355,7 @@ def _log2_peak(a: complex, b: complex, c: complex, z: complex) -> tuple[float, i
 
 def _gauss_series(a: complex, b: complex, c: complex, z: complex) -> complex:
     """The Gauss series at z by the route _series_sum's reading selects: the
-    float sum, fixed-point passes, or the continuation (see _FIXED_LIMIT)."""
+    float sum, fixed-point passes, or the continuation (see hyp2f1)."""
     total, cancel, peak, terms = _series_sum(a, b, c, z)
     if cancel <= _CANCEL_RETRY:
         return total
@@ -376,20 +369,7 @@ def _gauss_series(a: complex, b: complex, c: complex, z: complex) -> complex:
         else:
             log_peak = math.log2(peak)
         bits = 1 + math.ceil(log_peak) + _SMALL_SUM_BITS
-    plan = None  # the continuation's predicted cost, once a pass needs it
-
-    def beats_plan(cost: float) -> bool:
-        nonlocal plan
-        if cost <= _COLLOCATION_START:
-            return True
-        if plan is None:
-            # the continuation's start series cancel little once |ab t / c| ~ 1
-            digits = math.log10(cancel) if cancel < math.inf else 308.0
-            start = min(min(0.5, 1.0 / digits) * abs(z), max(1.0, abs(c)) / abs(a * b))
-            plan = _COLLOCATION_START + _COLLOCATION_PANEL * (len(_plan_panels(a * b, z, start)) - 1)
-        return cost <= plan
-
-    value, bits = _fixed_point_passes(a, b, c, z, terms, bits, beats_plan, cancel > _FIXED_LIMIT)
+    value, bits = _fixed_point_passes(a, b, c, z, terms, bits, _PASS_BUDGET, cancel > _FIXED_LIMIT)
     if value is not None:
         return value
     try:
@@ -397,27 +377,24 @@ def _gauss_series(a: complex, b: complex, c: complex, z: complex) -> complex:
     except NonConvergence:
         if bits is None:
             raise
-        # the continuation refused: a fixed-point pass may cost up to the
-        # longest walk it accepts
-        longest = _COLLOCATION_START + _COLLOCATION_PANEL * _MAX_TERMS
-        value, _ = _fixed_point_passes(a, b, c, z, terms, bits, lambda cost: cost <= longest, True)
+        value, _ = _fixed_point_passes(a, b, c, z, terms, bits, _RESCUE_BUDGET, True)
         if value is None:
             raise
         return value
 
 
 def _fixed_point_passes(
-    a: complex, b: complex, c: complex, z: complex, terms: int, bits: int, affordable, price_first: bool
+    a: complex, b: complex, c: complex, z: complex, terms: int, bits: int, budget: float, price_first: bool
 ) -> tuple[complex | None, int | None]:
     """Fixed-point passes of the Gauss series over `terms` terms, the first
     covering a loss of `bits` bits and each next one the loss its
-    predecessor measured, while affordable(_FIXED_POINT_COST x terms x
-    working bits) holds (the first pass unchecked unless price_first).
-    Returns (the value, bits), (None, the bits of the pass the prediction
-    stopped), or (None, None) where no precision can succeed."""
+    predecessor measured, while terms x (_GUARD_BITS + bits) stays within
+    budget (the first pass unchecked unless price_first).  Returns (the
+    value, bits), (None, the bits of the pass the budget stopped), or (None,
+    None) where no precision can succeed."""
     priced = price_first
     while terms < _MAX_TERMS:
-        if priced and not affordable(_FIXED_POINT_COST * terms * (_GUARD_BITS + bits)):
+        if priced and terms * (_GUARD_BITS + bits) > budget:
             return None, bits
         value, lost = _fixed_point_sum(a, b, c, z, bits)
         if value is not None:
@@ -759,30 +736,30 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
       bits (_GUARD_BITS) above the bits it lost, from the exact binary
       values of its arguments; the tail past 2^-24 of the sum is summed in
       doubles.  Up to 2^48 (_FIXED_LIMIT) the lost bits are the float
-      series' reading, and the pass always runs.  Beyond it they are log2
-      of the peak term plus 20 (_SMALL_SUM_BITS, for |F| down to 2^-20),
-      and the pass runs only where its predicted cost, 0.02 us x terms x
-      working bits, is below the continuation's, 400 us plus 35 us per
-      planned panel.  A pass that measures more loss than its precision
-      covers is repeated above the measured loss while that prediction
-      holds.  The relative error is the rounding to double plus ~2^-64 per
-      term.  Large |Im a|, |Im b|, as in the wave families up to epsilon of
-      a few hundred and the small-curvature expansion's tiny z, take this
-      route.
+      series' reading, and the first pass always runs.  Beyond it they are
+      log2 of the peak term plus 20 (_SMALL_SUM_BITS, for |F| down to
+      2^-20).  A pass that measures more loss than its precision covers is
+      repeated above the measured loss.  The budget rule: a pass costs
+      terms x (64 + bits) term-bits, and every pass beyond 2^48, and every
+      repeat, runs only where that is at most 100 000 (_PASS_BUDGET, ~2 ms);
+      otherwise the continuation runs.  The relative error is the rounding
+      to double plus ~2^-64 per term.  Large |Im a|, |Im b|, as in the wave
+      families up to epsilon of a few hundred and the small-curvature
+      expansion's tiny z, take this route.
     * continuation: a series that the fixed-point passes cannot sum within
-      the continuation's predicted cost, or at all (beyond 10 000 terms), is
-      replaced by a continuation along z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0.
+      _PASS_BUDGET, or at all (beyond 10 000 terms), is replaced by a
+      continuation along z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0.
       It starts from a point on the ray to its argument where the series
       cancels by at most 10 (_CANCEL_START), plans panels of 5 radians of
       the local frequency up to the argument and walks them by Chebyshev
       collocation of degree 24, solved in batches, halving a panel whose
       top Chebyshev coefficients exceed 1e-14 (_PANEL_TAIL) of F's local
       amplitude.  Large |Im a|, |Im b| at large epsilon take this route at
-      interior z.  Where it refuses, fixed-point passes are tried up to the
-      predicted cost of the longest walk it accepts.
+      interior z.  Where it refuses, fixed-point passes run again, each
+      within 17 520 000 term-bits (_RESCUE_BUDGET, ~350 ms).
 
     The route follows from the arguments, from the cancellation and peak
-    term the float series measures and from the predicted costs; there is no
+    term the float series measures and from the pass budget; there is no
     setting that selects it.  Every series stops at a fixed relative
     tolerance of 1e-15 (_REL_TOL) and may sum at most 10 000 terms
     (_MAX_TERMS); the continuation's walk carries at most as many panels,
@@ -797,8 +774,7 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
         terms, or the continuation needs more than 10 000 panels (a longer
         plan is refused before any panel is solved) or estimates its
         rounding amplification above 1e5 (_AMPLIFY_LIMIT), and no
-        fixed-point pass within the cost of the longest accepted walk
-        succeeds.
+        fixed-point pass within _RESCUE_BUDGET succeeds.
     ValueError
         For |z| >= 1 (analytic continuation beyond the unit disc is not
         provided).

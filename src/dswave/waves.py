@@ -245,11 +245,11 @@ def flat_limit_convergence(
     With fixed_kappa set, epsilon is chosen so the dimensionless wave number
     sqrt(eps^2 - m^2) stays pinned at that value while m grows — the probe
     for the regime where the flat-limit constraint is violated and the
-    deviation must *not* keep shrinking.  Raises ValueError unless kr is
-    positive and every R/lam and fixed_kappa finite and positive.
+    deviation must *not* keep shrinking.  Raises ValueError unless kr,
+    every R/lam and fixed_kappa are finite and positive.
     """
-    if kr <= 0.0:
-        raise ValueError("kr must be positive")
+    if not 0.0 < kr < math.inf:
+        raise ValueError(f"kr must be finite and positive, got {kr}")
     for rl in R_over_lambda:
         if not 0.0 < rl < math.inf:
             raise ValueError(f"scales must be finite positive R/lam values, got {rl}")

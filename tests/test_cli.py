@@ -622,6 +622,8 @@ def one_error_line(err: str) -> str:
         (("flat-limit", "--mu=2", "--j=1", "--scales=1e3", "--fixed-kappa=0"), "fixed_kappa"),
         (("flat-limit", "--mu=2", "--j=1", "--scales=1e3,inf"), "scales"),
         (("flat-limit", "--mu=2", "--j=1", "--scales=1e3", "--fixed-kappa=inf"), "fixed_kappa"),
+        (("flat-limit", "--mu=2", "--j=1", "--kr=nan"), "kr"),
+        (("flat-limit", "--mu=2", "--j=1", "--kr=inf"), "kr"),
     ],
 )
 def test_non_finite_or_negative_parameters_exit_2_naming_them(capsys, argv, name):

@@ -321,12 +321,20 @@ def _standing_point(eps, j, r):
     return ans.a, ans.b, ans.c, complex(r * r)
 
 
-def test_hyp2f1_takes_the_fixed_point_pass_where_it_beats_the_plan(monkeypatch):
-    # beyond 2^48 the route follows the predicted costs: an e200_r0.5
-    # standing wave (~160 terms at ~220 bits against a ~28-panel plan) and
-    # both connection sub-series of an e1000_r0.9 running wave at mu = 3, at
-    # w = 0.19 (~150 terms at ~150 bits against ~70 panels), are summed in
-    # fixed point
+def _counted_continuation(monkeypatch):
+    """The continuation calls hyp2f1 makes from here on, as a list of their
+    arguments; each call goes through to the continuation."""
+    calls = []
+    continuation = special._ode_continuation
+    monkeypatch.setattr(special, "_ode_continuation", lambda *args: calls.append(args) or continuation(*args))
+    return calls
+
+
+def test_hyp2f1_takes_the_fixed_point_pass_within_the_budget(monkeypatch):
+    # beyond 2^48 the route follows the pass budget: an e200_r0.5 standing
+    # wave (~160 terms at ~200 working bits) and both connection sub-series
+    # of an e1000_r0.9 running wave at mu = 3, at w = 0.19 (~150 terms at
+    # ~150 bits), are within 1e5 term-bits and summed in fixed point
     w = complex(1.0 - 0.9**2)
     ans = make_ansatz(HorizonUnitsParams(epsilon=1000.0, m=1000.0 / 3.0, j=1), "regular")
     s = ans.c - ans.a - ans.b
@@ -339,13 +347,48 @@ def test_hyp2f1_takes_the_fixed_point_pass_where_it_beats_the_plan(monkeypatch):
         assert rel(special._gauss_series(a, b, c, z), ref) < 2e-15, (a, b, c, z)
 
 
-def test_hyp2f1_keeps_the_continuation_where_the_plan_is_cheaper(monkeypatch):
+def test_hyp2f1_keeps_the_continuation_beyond_the_budget(monkeypatch):
     # epsilon=1000, m=500, j=1 standing wave at r = 0.5: ~470 terms at ~800
-    # bits would cost ~3x the ~100-panel continuation
-    calls = []
-    continuation = special._ode_continuation
-    monkeypatch.setattr(special, "_ode_continuation", lambda *args: calls.append(args) or continuation(*args))
+    # bits are ~4x the 1e5 term-bit budget
+    calls = _counted_continuation(monkeypatch)
     assert cmath.isfinite(hyp2f1(*_standing_point(1000.0, 1, 0.5)))
+    assert len(calls) == 1
+
+
+def test_pass_budget_edge_decides_between_pass_and_continuation(monkeypatch):
+    # the e200_r0.5 standing wave cancels beyond 2^48, and its first pass
+    # returns the value: a budget of exactly its term-bits keeps the pass,
+    # one term-bit less sends the series to the continuation
+    point = _standing_point(200.0, 1, 0.5)
+    _, cancel, peak, terms = special._series_sum(*point)
+    assert special._FIXED_LIMIT < cancel < math.inf
+    term_bits = terms * (special._GUARD_BITS + 1 + math.ceil(math.log2(peak)) + special._SMALL_SUM_BITS)
+    assert term_bits <= special._PASS_BUDGET
+    calls = _counted_continuation(monkeypatch)
+    monkeypatch.setattr(special, "_PASS_BUDGET", term_bits)
+    ref = complex(extended_series("hyp2f1", list(point)))
+    assert rel(hyp2f1(*point), ref) < 2e-15
+    assert not calls
+    monkeypatch.setattr(special, "_PASS_BUDGET", term_bits - 1)
+    assert rel(hyp2f1(*point), ref) < 1e-11
+    assert len(calls) == 1
+
+
+def test_refused_continuation_is_rescued_by_a_fixed_point_pass(monkeypatch):
+    # singular family at (epsilon, j, r) = (200, 20, 0.7), m = 100: with no
+    # pass budget the series goes to the continuation, which refuses (a
+    # partner solution outgrows F), and the rescue pass returns the value.
+    # With the default budget the pass runs first and no continuation is made.
+    ans = make_ansatz(HorizonUnitsParams(epsilon=200.0, m=100.0, j=20), "singular")
+    point = (ans.a, ans.b, ans.c, complex(0.7**2))
+    ref = complex(extended_series("hyp2f1", list(point)))
+    with pytest.raises(NonConvergence, match="outgrew its budget"):
+        special._ode_continuation(*point, special._series_sum(*point)[1])
+    calls = _counted_continuation(monkeypatch)
+    assert rel(hyp2f1(*point), ref) < 1e-12
+    assert not calls
+    monkeypatch.setattr(special, "_PASS_BUDGET", 0)
+    assert rel(hyp2f1(*point), ref) < 1e-12
     assert len(calls) == 1
 
 
@@ -369,19 +412,22 @@ def test_overflowing_series_takes_its_precision_from_the_log_space_peak(monkeypa
     fixed_point_sum = special._fixed_point_sum
     monkeypatch.setattr(special, "_fixed_point_sum", lambda *args: passes.append(args[4]) or fixed_point_sum(*args))
     monkeypatch.setattr(special, "_ode_continuation", _no_continuation)
-    monkeypatch.setattr(special, "_COLLOCATION_PANEL", 1e9)
+    monkeypatch.setattr(special, "_PASS_BUDGET", math.inf)
     ref = complex(extended_series("hyp2f1", [a, b, c, z]))
     assert rel(hyp2f1(a, b, c, z), ref) < 2e-15
     assert passes[0] == 1 + math.ceil(log_peak) + special._SMALL_SUM_BITS
     assert len(passes) == 2
 
 
-def test_fixed_point_sum_beyond_double_range_is_a_nonconvergence():
-    # the float series overflows and the fixed-point pass, cheaper than the
-    # plan, finds |F| beyond double range: NonConvergence, as where the
-    # continuation overflows, and no OverflowError
+def test_fixed_point_sum_beyond_double_range_is_a_nonconvergence(monkeypatch):
+    # the float series overflows, and its pass (~2 450 terms at ~1 400 bits)
+    # is over the pass budget, so the continuation runs first and overflows.
+    # The rescue pass then finds |F| beyond double range: NonConvergence, and
+    # no OverflowError
+    calls = _counted_continuation(monkeypatch)
     with pytest.raises(NonConvergence, match="beyond double range"):
         hyp2f1(0.5 + 600j, 0.5 - 590j, 1.5, 0.49)
+    assert len(calls) == 1
 
 
 def test_fixed_point_sum_retries_above_the_loss_it_measured(monkeypatch):
