@@ -141,20 +141,15 @@ def _emit_table(
         _write_text(args, _csv(header, rows))
 
 
-def _json_ready(obj: Any) -> Any:
+def _complex_pair(obj: Any) -> list[float]:
+    """The one rule json.dumps lacks: a complex number as [re, im]."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _json_doc(obj: dict) -> str:
-    return json.dumps(_json_ready(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, default=_complex_pair) + "\n"
 
 
 # -------------------------------------------------------------- configuration

@@ -28,11 +28,10 @@ the float series measures:
   terms x bits (hyp2f1 states the rule).  A pass that measures more loss
   than its precision covers is repeated above the measured loss;
 * continuation: where the fixed-point passes are over budget, or cannot
-  succeed at any precision, F is carried to the series argument along the
-  hypergeometric ODE, from a point on the ray where the series is still
-  benign, by Chebyshev-panel collocation [4] with batched solves over
-  planned panels.  Where it refuses, fixed-point passes run up to a
-  larger budget.
+  succeed at any precision, F is carried along the hypergeometric ODE from
+  a point where the series is benign, by Chebyshev-panel collocation [4]
+  with one batched solve per round of panels.  Where it refuses,
+  fixed-point passes run up to a larger budget.
 
 Accuracy contract: log_gamma within 1e-13 max(1, |log Gamma(z)|) over
 |z| <= 1e7 (away from poles), modulo 2 pi i (see its branch note), so
@@ -43,10 +42,9 @@ the fixed-point series to the rounding of its result to double plus
 ~2^-64 times its term count, relative (2e-15 on the tested grids); the
 continuation with an estimated rounding amplification of at most
 _AMPLIFY_LIMIT and a walk of at most _MAX_TERMS panels, halves included
-(NonConvergence beyond either); and J_p for half-integer p by
-one of two routes: the ascending series for x <= max(8, |p| + 2), exact
-trigonometric seeds plus order recurrence beyond it (any other order raises
-ValueError).
+(NonConvergence beyond either); and, for |p| <= 20.5 and 1e-2 <= x <= 1e4,
+J_p for half-integer p (any other order raises ValueError) within 1e-13
+|H1_|p|(x)|, and H1_p within 1e-13 relative.
 
 References
 ----------
@@ -584,13 +582,14 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
     two local rates (the fast rate |c-(a+b+1)t|/|t(1-t)| would make the
     large-|c| connection sub-series take thousands of panels).
 
-    Walk.  At every end the walk checks G(s) = F(s z/|z|) and G' for
-    overflow and rounding amplification, then applies the next panel's 2x2
-    transfer, kept in memo.  The run of unsolved panels from the one asked
-    for is solved in one _solve_panels call: the plan, then halves.  A panel
-    whose top two Chebyshev coefficients of F exceed _PANEL_TAIL of F's
-    local amplitude is halved, with its memo slot; planned panels and halves
-    count against _MAX_TERMS.
+    Walk.  In rounds, each from one _solve_panels call: the plan, then the
+    halves of the round before.  A round carries G(s) = F(s z/|z|) and G'
+    through all its panels' 2x2 transfers from the start, then reads as
+    arrays F's local amplitude, the rounding amplification (below) and F's
+    top two Chebyshev coefficients per panel.  Overflow or amplification
+    refuse at the ends up to the first panel whose coefficients exceed
+    _PANEL_TAIL of that amplitude; the next round halves every such panel
+    (halves count against _MAX_TERMS, as planned panels do).
 
     Error budget.  Rounding is amplified by the growth of a partner solution
     against F.  The Wronskian W = t^(-c) (1-t)^(c-a-b-1) (up to a constant)
@@ -618,58 +617,57 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
     ab = a * b
     length = abs(z)
     unit = z / length
-    ends = _plan_panels(ab, z, q * length)
-    g, dg = f, unit * (df * (ab / c))  # (G, G'), G' = unit F'
+    ends = np.array(_plan_panels(ab, z, q * length))
+    start = (f, unit * (df * (ab / c)))  # (G, G'), G' = unit F'
     wronskian_exp = c - (a + b) - 1.0  # W ~ t^(-c) (1-t)^(c-a-b-1)
-    sqrt, hypot, log, clog, inf = math.sqrt, math.hypot, math.log, cmath.log, math.inf
-    log_limit = log(_AMPLIFY_LIMIT)
-    growth_min = inf
-    memo = [None] * (len(ends) - 1)  # each panel's transfer, once solved
-    i = 0
+    panels = np.empty((len(ends) - 1, 4, 2), dtype=complex)
+    todo = np.arange(len(panels))  # the panels a round solves: the plan, then halves
     while True:
-        pos = ends[i]
-        if not abs(g) + abs(dg) < inf:
-            raise NonConvergence(f"2F1 continuation overflowed at |t|={ends[i - 1]:.3g}")
-        t = unit * pos
-        freq = sqrt(abs(ab / (t * (1.0 - t))))
-        amp = hypot(abs(g), abs(dg) / freq)
-        # log |W| / (A^2 freq): the partner's size against F, up to a constant,
-        # in plain floats: they leave the peak memory ~0.3 MB below numpy's
-        growth = (wronskian_exp * clog(1.0 - t) - c * clog(t)).real - 2.0 * log(amp) - log(freq)
-        if growth < growth_min:
-            growth_min = growth
-        elif growth - growth_min > log_limit:
-            raise NonConvergence(
-                f"2F1 continuation: rounding error outgrew its budget by |t|={pos:.3g} "
-                f"(a partner solution outgrows F; ill-conditioned parameters)"
-            )
-        if i + 1 == len(ends):
-            return g
-        if len(ends) > _MAX_TERMS + 1:
+        if len(panels) > _MAX_TERMS:
             raise NonConvergence(
                 f"2F1 continuation: more than {_MAX_TERMS} panels needed to reach |z|={length:.3g}"
             )
-        if memo[i] is None:  # solve the run of unsolved panels from here
-            j = i + 1
-            while j < len(memo) and memo[j] is None:
-                j += 1
-            memo[i:j] = _solve_panels(a, b, c, unit, np.array(ends[i : j + 1])).tolist()
-        (c1, c2), (d1, d2), (u1, u2), (v1, v2) = memo[i]
-        bound = _PANEL_TAIL * amp
-        if abs(c1 * g + c2 * dg) <= bound and abs(d1 * g + d2 * dg) <= bound:
+        panels[todo] = _solve_panels(a, b, c, unit, ends[todo], ends[todo + 1])
+        g, dg = start
+        carried = [start]
+        for _, _, (u1, u2), (v1, v2) in panels.tolist():
             g, dg = u1 * g + u2 * dg, v1 * g + v2 * dg
-            i += 1
-        else:
-            ends.insert(i + 1, 0.5 * (pos + ends[i + 1]))
-            memo[i : i + 1] = [None, None]
+            carried.append((g, dg))
+        gs, dgs = np.array(carried).T
+        with np.errstate(all="ignore"):  # past a refused panel, G is provisional
+            t = unit * ends
+            freq = np.sqrt(np.abs(ab / (t * (1.0 - t))))
+            amp = np.hypot(np.abs(gs), np.abs(dgs) / freq)
+            tails = np.abs(panels[:, :2, 0] * gs[:-1, None] + panels[:, :2, 1] * dgs[:-1, None])
+            refused = ~(tails <= _PANEL_TAIL * amp[:-1, None]).all(axis=1)
+            reach = refused.argmax() + 1 if refused.any() else len(ends)
+            # log |W| / (A^2 freq): the partner's size against F, up to a constant
+            growth = (wronskian_exp * np.log(1.0 - t) - c * np.log(t)).real - 2.0 * np.log(amp) - np.log(freq)
+            growth = growth[:reach]
+            overflow = ~np.isfinite(amp[:reach])
+            bad = overflow | (growth - np.minimum.accumulate(growth) > math.log(_AMPLIFY_LIMIT))
+        if bad.any():
+            k = bad.argmax()
+            raise NonConvergence(
+                f"2F1 continuation overflowed at |t|={ends[max(k - 1, 0)]:.3g}" if overflow[k] else
+                f"2F1 continuation: rounding error outgrew its budget by |t|={ends[k]:.3g} "
+                "(a partner solution outgrows F; ill-conditioned parameters)"
+            )
+        if not refused.any():
+            return g
+        # walk again from the start, every refused panel halved
+        split = np.flatnonzero(refused) + 1
+        ends = np.insert(ends, split, 0.5 * (ends[split - 1] + ends[split]))
+        panels = np.insert(panels, split, 0.0, axis=0)
+        todo = np.flatnonzero(np.insert(refused, split, True))
 
 
 def _solve_panels(
-    a: complex, b: complex, c: complex, unit: complex, ends: np.ndarray
+    a: complex, b: complex, c: complex, unit: complex, starts: np.ndarray, ends: np.ndarray
 ) -> np.ndarray:
-    """Per panel between consecutive ends, for the solutions with (G, G') =
-    (1, 0) and (0, 1) at its start: the top two Chebyshev coefficients of G,
-    G at its end and G' at its end, as a (panels, 4, 2) array.
+    """Per panel from starts to ends, for the solutions with (G, G') = (1, 0)
+    and (0, 1) at its start: the top two Chebyshev coefficients of G, G at
+    its end and G' at its end, as a (panels, 4, 2) array.
 
     G(s) = F(s unit) solves G'' + p G' + q G = 0 with p = unit (c - (a+b+1)t)
     / (t(1-t)) and q = -unit^2 ab / (t(1-t)), t = s unit.  On a panel of half
@@ -679,7 +677,6 @@ def _solve_panels(
     (I + hp J + h^2 q J^2) sigma = -hp h G'_0 - h^2 q (G_0 + h G'_0 (x+1)),
     one batched solve per _PANEL_BATCH panels.
     """
-    starts, ends = ends[:-1], ends[1:]
     out = []
     for k in range(0, len(starts), _PANEL_BATCH):
         s0, s1 = starts[k : k + _PANEL_BATCH], ends[k : k + _PANEL_BATCH]
@@ -747,16 +744,15 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
       families up to epsilon of a few hundred and the small-curvature
       expansion's tiny z, take this route.
     * continuation: a series that the fixed-point passes cannot sum within
-      _PASS_BUDGET, or at all (beyond 10 000 terms), is replaced by a
-      continuation along z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0.
-      It starts from a point on the ray to its argument where the series
-      cancels by at most 10 (_CANCEL_START), plans panels of 5 radians of
-      the local frequency up to the argument and walks them by Chebyshev
-      collocation of degree 24, solved in batches, halving a panel whose
-      top Chebyshev coefficients exceed 1e-14 (_PANEL_TAIL) of F's local
-      amplitude.  Large |Im a|, |Im b| at large epsilon take this route at
-      interior z.  Where it refuses, fixed-point passes run again, each
-      within 17 520 000 term-bits (_RESCUE_BUDGET, ~350 ms).
+      _PASS_BUDGET, or at all (beyond 10 000 terms), is continued along
+      z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0 from a point on the ray where
+      the series cancels by at most 10 (_CANCEL_START), by Chebyshev
+      collocation of degree 24 on panels of 5 radians of the local
+      frequency, halving in rounds the panels whose top Chebyshev
+      coefficients exceed 1e-14 (_PANEL_TAIL) of F's local amplitude.
+      Large |Im a|, |Im b| at large epsilon take this route at interior z.
+      Where it refuses, fixed-point passes run again, each within
+      17 520 000 term-bits (_RESCUE_BUDGET, ~350 ms).
 
     The route follows from the arguments, from the cancellation and peak
     term the float series measures and from the pass budget; there is no
@@ -807,7 +803,7 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
 # --- Bessel functions -------------------------------------------------------
 
 _SERIES_X_MAX = 8.0
-# Term budget of the power series used for x <= _SERIES_X_MAX.
+# Term budget of the power series.
 _SERIES_TERMS = 200
 
 
@@ -865,10 +861,12 @@ def bessel_j(p: float, x: float) -> float:
     """Bessel function of the first kind J_p(x) for half-integer p and x >= 0.
 
     The package needs only the orders p = +/-(j + 1/2), which take one of two
-    routes: the ascending power series for x <= max(8, |p| + 2), and beyond
-    that the exact trigonometric seeds J_{1/2}, J_{-1/2} carried to p by the
-    order recurrence (upward for p > 0, downward for p < 0), which is stable
-    there because x exceeds the order.
+    routes: the ascending power series for x <= max(8, 0.85 |p|) (nearer the
+    turning point x = |p| it cancels), and beyond that the exact
+    trigonometric seeds J_{1/2}, J_{-1/2} carried to p by the order
+    recurrence (upward for p > 0, downward for p < 0).  Within 1e-13
+    |H^(1)_|p|(x)|, an envelope free of J's zeros, for |p| <= 20.5 and
+    1e-2 <= x <= 1e4.
 
     Raises
     ------
@@ -883,7 +881,7 @@ def bessel_j(p: float, x: float) -> float:
         if p > 0.0:
             return 0.0
         raise ValueError("bessel_j at x=0 diverges for negative order")
-    if x <= _SERIES_X_MAX or x <= abs(p) + 2.0:
+    if x <= _SERIES_X_MAX or x <= 0.85 * abs(p):
         return _bessel_series(p, x)
     return _bessel_half_integer(p, x)
 
@@ -894,7 +892,8 @@ def hankel1(p: float, x: float) -> complex:
     H^(1)_p = i (e^{-i pi p} J_p - J_{-p}) / sin(pi p), where for half-integer
     p both sin(pi p) = (-1)^(p - 1/2) and e^{-i pi p} = -i (-1)^(p - 1/2) are
     exact; J_{+/-p} take the routes of bessel_j.  For p = 1/2 this reduces to
-    -i sqrt(2/(pi x)) e^{ix}.
+    -i sqrt(2/(pi x)) e^{ix}.  Accuracy: 1e-13 relative for |p| <= 20.5 and
+    1e-2 <= x <= 1e4.
 
     Raises
     ------

@@ -1,11 +1,14 @@
 """Exact rational/polynomial layer: factored coefficients and indicial roots."""
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dswave.oracle import classify_singularities
 from dswave.rational_ode import (
     MAX_MULTIPLICITY,
     FactoredRational,
@@ -60,6 +63,41 @@ def test_rational_sqrt():
     assert rational_sqrt(Fraction(0)) == Fraction(0)
     assert rational_sqrt(Fraction(2)) is None
     assert rational_sqrt(Fraction(-1, 4)) is None
+
+
+def test_rational_sqrt_over_seeded_squares_and_non_squares():
+    # a^2 / b^2 returns a / b; a^2 + 1, never a square for a > 0, and its
+    # quotients by b^2 return None
+    rng = random.Random(2026)
+    for _ in range(200):
+        a, b = rng.randrange(1, 10 ** rng.randrange(1, 60)), rng.randrange(1, 10 ** rng.randrange(1, 60))
+        assert rational_sqrt(Fraction(a * a, b * b)) == Fraction(a, b)
+        assert rational_sqrt(Fraction(a * a + 1)) is None
+        assert rational_sqrt(Fraction(a * a + 1, b * b)) is None
+        assert rational_sqrt(Fraction(b * b, a * a + 1)) is None
+
+
+def test_classify_tells_a_long_non_square_discriminant_without_isqrt(monkeypatch):
+    # p = 1 / (x (x - r)^1000), r a 91-digit rational: the indicial
+    # discriminant at x = 0 has a numerator and a denominator of ~180 000
+    # digits, and no isqrt of either is taken to find it is not a square
+    r = "1" + "234567890" * 10 + "/7"
+    coeffs = {
+        "p": {"numerator": [1], "denominator": {"const": 1, "roots": [["0", 1], [r, 1000]]}},
+        "q": {"numerator": [1], "denominator": {"const": 1, "roots": [["0", 2]]}},
+    }
+    calls = []
+    isqrt = math.isqrt
+    monkeypatch.setattr(math, "isqrt", lambda n: calls.append(n) or isqrt(n))
+    report = classify_singularities(coeffs)
+    assert not calls
+    assert report.classification == "other(3)"
+    assert [(p.location, p.kind) for p in report.points] == [
+        (Fraction(0), "regular"), (Fraction(r), "irregular"), ("infinity", "regular")
+    ]
+    root = complex(0.5, math.sqrt(0.75))
+    assert report.points[0].exponents == (root, root.conjugate())
+    assert report.points[2].exponents == (root - 1, root.conjugate() - 1)
 
 
 def test_indicial_roots_rational_pair():

@@ -6,7 +6,6 @@ pasted verbatim; tolerances reflect the double-precision implementation.
 from __future__ import annotations
 
 import cmath
-import collections
 import math
 import os
 import random
@@ -490,24 +489,24 @@ def test_hyp2f1_continuation_is_right_or_refuses():
     assert rel(got, expected) < 1e-10
 
 
+def _solves(monkeypatch):
+    """The _solve_panels calls made from here on, as a list of their panel
+    counts; each call goes through to the solve."""
+    calls = []
+    solve = special._solve_panels
+    monkeypatch.setattr(special, "_solve_panels", lambda *args: calls.append(len(args[4])) or solve(*args))
+    return calls
+
+
 def _halved(monkeypatch, a, b, c, z, evaluate=hyp2f1):
-    """evaluate(a, b, c, z), and the number of points on the continuation's
-    path where it checked the Wronskian growth more than once: the walk
-    stands again at the start of a panel it refused and halved."""
-    seen = collections.Counter()
-
-    class Logged:
-        def __getattr__(self, name):
-            return getattr(cmath, name)
-
-        def log(self, x):
-            seen[x] += 1
-            return cmath.log(x)
-
-    monkeypatch.setattr(special, "cmath", Logged())
+    """evaluate(a, b, c, z), and the number of panels the continuation
+    halved: each adds two panels to those its plans hold."""
+    plans = []
+    plan = special._plan_panels
+    monkeypatch.setattr(special, "_plan_panels", lambda *args: plans.append(plan(*args)) or plans[-1])
+    solves = _solves(monkeypatch)
     value = evaluate(a, b, c, z)
-    # each check takes log(t) and log(1-t)
-    return value, sum(n > 1 for n in seen.values()) // 2
+    return value, (sum(solves) - sum(len(ends) - 1 for ends in plans)) // 2
 
 
 def _continued(a, b, c, z):
@@ -537,6 +536,21 @@ def test_hyp2f1_continuation_halves_a_panel_whose_tail_is_too_large(monkeypatch)
     got, halved = _halved(monkeypatch, 1 - 300j, 1 - 200j, 2.0, 0.4)
     assert halved >= 1
     assert rel(got, expected) < 1e-11
+
+
+@pytest.mark.parametrize("family", ["regular", "singular"])
+@pytest.mark.parametrize("j", [1, 8])
+def test_hyp2f1_continuation_solves_each_round_of_halves_in_one_call(monkeypatch, family, j):
+    # epsilon=200, m=100 at z=0.49: the continuation halves panels, and the
+    # walk solves the plan in one call and every half of a round in one
+    # more.  hyp2f1 sums these series in fixed point, so the continuation is
+    # called directly
+    ans = make_ansatz(HorizonUnitsParams(epsilon=200.0, m=100.0, j=j), family)
+    point = (ans.a, ans.b, ans.c, 0.49 + 0j)
+    solves = _solves(monkeypatch)
+    got = _continued(*point)
+    assert len(solves) <= 2, solves
+    assert rel(got, complex(extended_series("hyp2f1", list(point)))) < 1e-12
 
 
 def test_hyp2f1_continuation_start_shrinks_past_an_over_budget_series(monkeypatch):
@@ -732,7 +746,7 @@ def test_bessel_frozen_values(p, x, expected):
 
 
 def test_bessel_half_integer_orders_against_oracle():
-    # both routes (series up to x = max(8, |p|+2), seeds plus recurrence
+    # both routes (series up to x = max(8, 0.85 |p|), seeds plus recurrence
     # beyond) over p = +/-(j + 1/2), against the big-float series oracle
     for j in range(8):
         for p in (j + 0.5, -(j + 0.5)):
@@ -740,6 +754,25 @@ def test_bessel_half_integer_orders_against_oracle():
                 ref = complex(extended_series("bessel", [p, x])).real
                 scale = max(abs(ref), math.sqrt(2.0 / (math.pi * x)))
                 assert abs(bessel_j(p, x) - ref) < 1e-13 * scale, (p, x)
+
+
+def test_bessel_and_hankel_contract_over_a_seeded_grid():
+    # the docstring contract, against mpmath at 40 digits: J_{+/-p} within
+    # 1e-13 of the envelope |H1_p(x)| (J's zeros would blow up a relative
+    # bound) and H1_p within 1e-13 relative.  60 points with j <= 20 and x
+    # log-uniform in [1e-2, 1e4], and 20 with 8 <= j <= 20 and x in
+    # [0.8 p, p + 2] around the turning point, where the series cancels
+    rng = random.Random(2026)
+    points = [(rng.randrange(21) + 0.5, 10 ** rng.uniform(-2.0, 4.0)) for _ in range(60)]
+    for _ in range(20):
+        p = rng.randrange(8, 21) + 0.5
+        points.append((p, rng.uniform(0.8 * p, p + 2.0)))
+    with mp.workdps(40):
+        for p, x in points:
+            ref = complex(mp.hankel1(p, x))
+            for order in (p, -p):
+                assert abs(bessel_j(order, x) - float(mp.besselj(order, x))) <= 1e-13 * abs(ref), (order, x)
+            assert rel(hankel1(p, x), ref) <= 1e-13, (p, x)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -2.0, 0.3, 2.25, math.nan, math.inf])
