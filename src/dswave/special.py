@@ -24,14 +24,15 @@ the float series measures:
   is the float series' own reading.  Beyond it, where that reading is
   rounding noise, the loss is taken as log2 of the peak term plus
   _SMALL_SUM_BITS (the peak from a log-space sum of the term ratios where
-  the float terms overflow), and the pass runs only within a budget of
-  terms x bits (hyp2f1 states the rule).  A pass that measures more loss
-  than its precision covers is repeated above the measured loss;
-* continuation: where the fixed-point passes are over budget, or cannot
-  succeed at any precision, F is carried along the hypergeometric ODE from
-  a point where the series is benign, by Chebyshev-panel collocation [4]
-  with one batched solve per round of panels.  Where it refuses,
-  fixed-point passes run up to a larger budget.
+  the float terms overflow).  Every pass, the first one included, runs only
+  within a budget of terms x bits (hyp2f1 states the rule).  A pass that
+  measures more loss than its precision covers is repeated above the
+  measured loss;
+* continuation: where a pass is over budget, or none can succeed at any
+  precision, F is carried along the hypergeometric ODE from a point where
+  the series is benign, by Chebyshev-panel collocation [4] with one batched
+  solve per round of panels.  Where it refuses, the passes go on up to a
+  larger budget.
 
 Accuracy contract: log_gamma within 1e-13 max(1, |log Gamma(z)|) over
 |z| <= 1e7 (away from poles), modulo 2 pi i (see its branch note), so
@@ -353,7 +354,15 @@ def _log2_peak(a: complex, b: complex, c: complex, z: complex) -> tuple[float, i
 
 def _gauss_series(a: complex, b: complex, c: complex, z: complex) -> complex:
     """The Gauss series at z by the route _series_sum's reading selects: the
-    float sum, fixed-point passes, or the continuation (see hyp2f1)."""
+    float sum, fixed-point passes, or the continuation (see hyp2f1).
+
+    One loop of fixed-point passes over `terms` terms, the first covering a
+    loss of `bits` bits and each next one the loss its predecessor measured,
+    each priced at terms x (_GUARD_BITS + bits) against the budget.  The
+    first pass over _PASS_BUDGET calls the continuation once; where it
+    refuses, the passes go on from the same bits within _RESCUE_BUDGET, and
+    a pass over that, or one no precision can make succeed, re-raises the
+    refusal."""
     total, cancel, peak, terms = _series_sum(a, b, c, z)
     if cancel <= _CANCEL_RETRY:
         return total
@@ -367,40 +376,21 @@ def _gauss_series(a: complex, b: complex, c: complex, z: complex) -> complex:
         else:
             log_peak = math.log2(peak)
         bits = 1 + math.ceil(log_peak) + _SMALL_SUM_BITS
-    value, bits = _fixed_point_passes(a, b, c, z, terms, bits, _PASS_BUDGET, cancel > _FIXED_LIMIT)
-    if value is not None:
-        return value
-    try:
-        return _ode_continuation(a, b, c, z, cancel)
-    except NonConvergence:
-        if bits is None:
-            raise
-        value, _ = _fixed_point_passes(a, b, c, z, terms, bits, _RESCUE_BUDGET, True)
-        if value is None:
-            raise
-        return value
-
-
-def _fixed_point_passes(
-    a: complex, b: complex, c: complex, z: complex, terms: int, bits: int, budget: float, price_first: bool
-) -> tuple[complex | None, int | None]:
-    """Fixed-point passes of the Gauss series over `terms` terms, the first
-    covering a loss of `bits` bits and each next one the loss its
-    predecessor measured, while terms x (_GUARD_BITS + bits) stays within
-    budget (the first pass unchecked unless price_first).  Returns (the
-    value, bits), (None, the bits of the pass the budget stopped), or (None,
-    None) where no precision can succeed."""
-    priced = price_first
-    while terms < _MAX_TERMS:
-        if priced and terms * (_GUARD_BITS + bits) > budget:
-            return None, bits
+    budget, refusal = _PASS_BUDGET, None
+    while True:
+        # a pass that no precision can make succeed is over every budget
+        if terms >= _MAX_TERMS or terms * (_GUARD_BITS + bits) > budget:
+            if refusal is not None:
+                raise refusal
+            try:
+                return _ode_continuation(a, b, c, z, cancel)
+            except NonConvergence as exc:
+                budget, refusal = _RESCUE_BUDGET, exc
+                continue
         value, lost = _fixed_point_sum(a, b, c, z, bits)
         if value is not None:
-            return value, bits
-        if lost == math.inf:
-            break
-        bits, priced = 1 + math.ceil(lost), True
-    return None, None
+            return value
+        bits = 1 + math.ceil(lost) if lost < math.inf else math.inf
 
 
 def _fixed_point_sum(a: complex, b: complex, c: complex, z: complex, bits: int) -> tuple[complex | None, float]:
@@ -733,16 +723,15 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
       bits (_GUARD_BITS) above the bits it lost, from the exact binary
       values of its arguments; the tail past 2^-24 of the sum is summed in
       doubles.  Up to 2^48 (_FIXED_LIMIT) the lost bits are the float
-      series' reading, and the first pass always runs.  Beyond it they are
-      log2 of the peak term plus 20 (_SMALL_SUM_BITS, for |F| down to
-      2^-20).  A pass that measures more loss than its precision covers is
-      repeated above the measured loss.  The budget rule: a pass costs
-      terms x (64 + bits) term-bits, and every pass beyond 2^48, and every
-      repeat, runs only where that is at most 100 000 (_PASS_BUDGET, ~2 ms);
-      otherwise the continuation runs.  The relative error is the rounding
-      to double plus ~2^-64 per term.  Large |Im a|, |Im b|, as in the wave
-      families up to epsilon of a few hundred and the small-curvature
-      expansion's tiny z, take this route.
+      series' reading.  Beyond it they are log2 of the peak term plus 20
+      (_SMALL_SUM_BITS, for |F| down to 2^-20).  A pass that measures more
+      loss than its precision covers is repeated above the measured loss.
+      The budget rule: a pass costs terms x (64 + bits) term-bits, and
+      every pass, the first one included, runs only where that is at most
+      100 000 (_PASS_BUDGET, ~2 ms); otherwise the continuation runs.  The
+      relative error is the rounding to double plus ~2^-64 per term.  Large
+      |Im a|, |Im b|, as in the wave families up to epsilon of a few hundred
+      and the small-curvature expansion's tiny z, take this route.
     * continuation: a series that the fixed-point passes cannot sum within
       _PASS_BUDGET, or at all (beyond 10 000 terms), is continued along
       z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0 from a point on the ray where
@@ -751,8 +740,8 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
       frequency, halving in rounds the panels whose top Chebyshev
       coefficients exceed 1e-14 (_PANEL_TAIL) of F's local amplitude.
       Large |Im a|, |Im b| at large epsilon take this route at interior z.
-      Where it refuses, fixed-point passes run again, each within
-      17 520 000 term-bits (_RESCUE_BUDGET, ~350 ms).
+      Where it refuses, the fixed-point passes go on from the same
+      precision, each within 17 520 000 term-bits (_RESCUE_BUDGET, ~350 ms).
 
     The route follows from the arguments, from the cancellation and peak
     term the float series measures and from the pass budget; there is no
@@ -809,7 +798,10 @@ _SERIES_TERMS = 200
 
 def _bessel_series(p: float, x: float) -> float:
     # (x/2)^p / Gamma(p+1) * sum_n (-x^2/4)^n / (n! (p+1)_n)
-    lead = math.exp(p * math.log(0.5 * x) - log_gamma(complex(p + 1.0)).real)
+    try:
+        lead = math.exp(p * math.log(0.5 * x) - log_gamma(complex(p + 1.0)).real)
+    except OverflowError:
+        raise NonConvergence(f"J_{p:g}({x:g}) is beyond double range") from None
     if p + 1.0 < 0.0 and math.floor(p + 1.0) % 2 != 0:
         # Gamma is negative on alternating intervals of the negative axis.
         lead = -lead
@@ -830,25 +822,15 @@ def _bessel_half_seed(x: float) -> tuple[float, float]:
 
 
 def _bessel_half_integer(p: float, x: float) -> float:
+    # from the seed of p's sign, in steps s = sign(p) of the order:
+    # J_{nu+s} = (2 nu / x) J_nu - J_{nu-s}, upward for p > 0, downward for p < 0
     jp, jm = _bessel_half_seed(x)  # J_{1/2}, J_{-1/2}
-    if p == 0.5:
-        return jp
-    if p == -0.5:
-        return jm
-    if p > 0.0:
-        # upward in order: J_{nu+1} = (2 nu / x) J_nu - J_{nu-1}
-        prev, cur = jm, jp
-        nu = 0.5
-        while nu < p - 0.25:
-            prev, cur = cur, (2.0 * nu / x) * cur - prev
-            nu += 1.0
-        return cur
-    # downward: J_{nu-1} = (2 nu / x) J_nu - J_{nu+1}
-    prev, cur = jp, jm
-    nu = -0.5
-    while nu > p + 0.25:
+    step = 1.0 if p > 0.0 else -1.0
+    prev, cur = (jm, jp) if p > 0.0 else (jp, jm)
+    nu = 0.5 * step
+    while abs(p - nu) > 0.25:
         prev, cur = cur, (2.0 * nu / x) * cur - prev
-        nu -= 1.0
+        nu += step
     return cur
 
 
@@ -872,6 +854,8 @@ def bessel_j(p: float, x: float) -> float:
     ------
     ValueError
         If p is not a half-integer, x < 0, or x = 0 with negative order.
+    NonConvergence
+        If the series' lead (x/2)^p / Gamma(p+1) is beyond double range.
     """
     if not _is_half_integer(p):
         raise ValueError(f"bessel_j: order p={p} is not a half-integer")

@@ -691,6 +691,15 @@ def test_wave_beyond_double_range_is_a_numerics_failure_naming_j_and_r(capsys, a
     assert f"j={j}" in line and f"r={r}" in line, line
 
 
+def test_flat_limit_bessel_beyond_double_range_names_kr(capsys):
+    # J_-20.5 at kr = 1e-20 is beyond double range: the error names that
+    # Bessel value, not a generic overflow
+    rc, out, err = run(capsys, "flat-limit", "--mu=2", "--j=20", "--kr=1e-20")
+    assert rc == 4 and out == ""
+    line = one_error_line(err)
+    assert "1e-20" in line and "overflow" not in line, line
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -355,22 +355,31 @@ def test_hyp2f1_keeps_the_continuation_beyond_the_budget(monkeypatch):
 
 
 def test_pass_budget_edge_decides_between_pass_and_continuation(monkeypatch):
-    # the e200_r0.5 standing wave cancels beyond 2^48, and its first pass
-    # returns the value: a budget of exactly its term-bits keeps the pass,
-    # one term-bit less sends the series to the continuation
-    point = _standing_point(200.0, 1, 0.5)
-    _, cancel, peak, terms = special._series_sum(*point)
-    assert special._FIXED_LIMIT < cancel < math.inf
-    term_bits = terms * (special._GUARD_BITS + 1 + math.ceil(math.log2(peak)) + special._SMALL_SUM_BITS)
-    assert term_bits <= special._PASS_BUDGET
+    # each standing wave's first pass returns the value: a budget of exactly
+    # its term-bits keeps the pass, one term-bit less sends the series to the
+    # continuation.  The e200_r0.5 one cancels beyond 2^48 and takes its bits
+    # from the peak term; the (50, 1, 0.5) one cancels by 2^30.6 and takes
+    # them from that reading (72 terms x 96 bits), priced all the same
     calls = _counted_continuation(monkeypatch)
-    monkeypatch.setattr(special, "_PASS_BUDGET", term_bits)
-    ref = complex(extended_series("hyp2f1", list(point)))
-    assert rel(hyp2f1(*point), ref) < 2e-15
-    assert not calls
-    monkeypatch.setattr(special, "_PASS_BUDGET", term_bits - 1)
-    assert rel(hyp2f1(*point), ref) < 1e-11
-    assert len(calls) == 1
+    for eps, continued_tol in ((200.0, 1e-11), (50.0, 1e-12)):
+        point = _standing_point(eps, 1, 0.5)
+        _, cancel, peak, terms = special._series_sum(*point)
+        if cancel > special._FIXED_LIMIT:
+            assert cancel < math.inf
+            bits = 1 + math.ceil(math.log2(peak)) + special._SMALL_SUM_BITS
+        else:
+            assert cancel > special._CANCEL_RETRY
+            bits = 1 + math.ceil(math.log2(cancel))
+        term_bits = terms * (special._GUARD_BITS + bits)
+        assert term_bits <= special._PASS_BUDGET
+        monkeypatch.setattr(special, "_PASS_BUDGET", term_bits)
+        ref = complex(extended_series("hyp2f1", list(point)))
+        assert rel(hyp2f1(*point), ref) < 2e-15, eps
+        assert not calls, eps
+        monkeypatch.setattr(special, "_PASS_BUDGET", term_bits - 1)
+        assert rel(hyp2f1(*point), ref) < continued_tol, eps
+        assert len(calls) == 1, eps
+        calls.clear()
 
 
 def test_refused_continuation_is_rescued_by_a_fixed_point_pass(monkeypatch):
@@ -781,6 +790,13 @@ def test_bessel_and_hankel_take_half_integer_orders_only(p):
         bessel_j(p, 1.5)
     with pytest.raises(ValueError, match="half-integer"):
         hankel1(p, 1.5)
+
+
+def test_bessel_series_beyond_double_range_is_a_nonconvergence():
+    # the lead (x/2)^p / Gamma(p+1) of J_-20.5(1e-20) is ~e^957: the series
+    # names the order and the argument instead of leaking an OverflowError
+    with pytest.raises(NonConvergence, match=r"J_-20\.5\(1e-20\) is beyond double range"):
+        bessel_j(-20.5, 1e-20)
 
 
 def test_bessel_half_integer_closed_form():
