@@ -19,7 +19,8 @@ the float series measures:
 * fixed point: whenever one of those series measures a ratio above
   _CANCEL_RETRY between its largest term and its sum, the same series is
   summed again in Python-integer fixed point, _GUARD_BITS (64) bits above
-  the bits it lost, from the exact binary values of a, b, c and z (the
+  the bits it lost, with the term ratio kept exact from the binary values
+  of a, b, c and z, so that one floor per term is its only rounding (the
   precision raising of Johansson [3]).  Up to _FIXED_LIMIT (2^48) the loss
   is the float series' own reading.  Beyond it, where that reading is
   rounding noise, the loss is taken as log2 of the peak term plus
@@ -253,13 +254,16 @@ _GUARD_BITS = 64
 _SMALL_SUM_BITS = 20
 # Budgets of a fixed-point pass in term-bits, terms x (_GUARD_BITS + bits),
 # as hyp2f1 states the rule: before the continuation, and where it refuses.
-# A term-bit took ~0.02 us on a 2-core Intel Xeon VM, Python 3.11, so a pass
-# within _PASS_BUDGET takes up to ~2 ms: the wave-grid benchmark's passes take
-# at most 0.75 ms, and the continuations it keeps would need passes of 6.8 ms
-# or more.  _RESCUE_BUDGET, ~350 ms, is about the longest walk the
-# continuation accepts.
+# With exact term ratios a term-bit takes ~7-15 ns up to ~1 000 bits and
+# ~2.5-5 ns beyond ~1 500 bits (2-core Intel Xeon VM, Python 3.11), so a
+# pass within _PASS_BUDGET takes up to ~1.3 ms.  The wave-grid benchmark's
+# passes cost at most 38 000 term-bits, and the continuations it keeps would
+# need passes of 337 000 or more (2.5-3.1 ms, against ~2.2 ms for the
+# continuation).  _RESCUE_BUDGET, ~0.26-0.33 s, is about the longest walk
+# the continuation accepts: the rescue passes at epsilon = 3000, j = 20,
+# 5 999 terms x 3 447 bits and 6 264 x 3 508, took 58-93 ms.
 _PASS_BUDGET = 100_000
-_RESCUE_BUDGET = 17_520_000
+_RESCUE_BUDGET = 120_000_000
 # Cancellation allowed in the series that start the continuation.
 _CANCEL_START = 10.0
 # A panel of the continuation's path spans at most this fraction of the
@@ -397,12 +401,15 @@ def _fixed_point_sum(a: complex, b: complex, c: complex, z: complex, bits: int) 
     """The Gauss series summed in integer fixed point, covering a loss of
     `bits` bits: (its value or None, the bits it measured lost).
 
-    A value v is held as the integer v 2^prec.  The working precision is
-    _GUARD_BITS above `bits`, and is raised until a, b, c and z, exact
-    binary fractions, convert exactly.  The term ratio (a+n)(b+n) z /
-    ((c+n)(n+1)) is kept as a numerator ABz + n Sz + n^2 z, with ABz = abz
-    and Sz = (a+b)z rounded once, and a denominator c + n(c+1) + n^2, both
-    updated by additions.  Once a term is past the peak and below 2^-24 of
+    A value v is held as the integer v 2^prec, prec = _GUARD_BITS + bits.
+    a, b, c and z are binary fractions x = X / 2^e_x, so the term ratio
+    (a+n)(b+n) z / ((c+n)(n+1)) is exactly N(n) / (D(n) 2^shift), shift =
+    e_a + e_b + e_z - e_c: N(n) = (A + n 2^e_a)(B + n 2^e_b) Z is a Gaussian
+    integer (~170 bits for the wave families) and D(n) = (C + n 2^e_c)(n+1)
+    a small one, real for real c, both updated by second differences.  A
+    term t is then (t N >> shift) // D, for complex c (t N conj(D) >> shift)
+    // |D|^2, with the divisor made positive: one floor per term, the only
+    rounding of the pass.  Once a term is past the peak and below 2^-24 of
     the sum, _float_tail sums the rest in doubles; where a tail term rises
     above that, as past a negative c, the fixed-point sum goes on from there.
 
@@ -413,32 +420,35 @@ def _fixed_point_sum(a: complex, b: complex, c: complex, z: complex, bits: int) 
     units of 2^-prec times the peak, so the sum keeps ~2^-_GUARD_BITS times
     the term count, relative, before its rounding to double.
     """
-    ratios = [x.as_integer_ratio() for x in (a.real, a.imag, b.real, b.imag, c.real, c.imag, z.real, z.imag)]
-    prec = max(_GUARD_BITS + bits, max(den.bit_length() - 1 for _, den in ratios))
-    ar, ai, br, bi, cr, ci, zr, zi = (num << (prec + 1 - den.bit_length()) for num, den in ratios)
-    one = 1 << prec
-    # ab z and (a+b) z, rounded to the working precision
+    ar, ai, ua = _binary(a)
+    br, bi, ub = _binary(b)
+    cr, ci, uc = _binary(c)
+    zr, zi, uz = _binary(z)
+    # a negative shift goes into Z
+    shift = (ua * ub * uz).bit_length() - uc.bit_length()
+    if shift < 0:
+        zr, zi, shift = zr << -shift, zi << -shift, 0
+    # N(n) = AB Z + n (A ub + B ua) Z + n^2 ua ub Z
     abr, abi = ar * br - ai * bi, ar * bi + ai * br
-    half = one << prec >> 1
-    nr = (abr * zr - abi * zi + half) >> 2 * prec
-    ni = (abr * zi + abi * zr + half) >> 2 * prec
-    sr, si = ar + br, ai + bi
-    dnr = ((sr * zr - si * zi + (one >> 1)) >> prec) + zr  # N(n+1) - N(n) = Sz + (2n+1) z
-    dni = ((sr * zi + si * zr + (one >> 1)) >> prec) + zi
-    zr2, zi2 = 2 * zr, 2 * zi
-    dr, di = cr, ci  # D(n) = (c+n)(n+1); D(n+1) - D(n) = c + 2n + 2
-    ddr, two = cr + 2 * one, 2 * one
+    sr, si = ar * ub + br * ua + ua * ub, ai * ub + bi * ua
+    nr, ni = abr * zr - abi * zi, abr * zi + abi * zr
+    dnr, dni = sr * zr - si * zi, sr * zi + si * zr  # N(1) - N(0)
+    ddnr, ddni = 2 * ua * ub * zr, 2 * ua * ub * zi
+    dr, di = cr, ci  # D(n+1) - D(n) = C + 2 uc (n+1)
+    ddr, two = cr + 2 * uc, 2 * uc
+    one = 1 << (_GUARD_BITS + bits)
     tr, ti = one, 0
     fr, fi = one, 0
     peak = one
     tail, resume = 0.0, 0
     for n in range(_MAX_TERMS):
-        pr, pi = tr * nr - ti * ni, tr * ni + ti * nr
-        if di == 0:
-            tr, ti = pr // dr, pi // dr
+        if di:
+            mr, mi, den = nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di
+        elif dr > 0:
+            mr, mi, den = nr, ni, dr
         else:
-            den = dr * dr + di * di
-            tr, ti = (pr * dr + pi * di) // den, (pi * dr - pr * di) // den
+            mr, mi, den = -nr, -ni, -dr
+        tr, ti = (tr * mr - ti * mi >> shift) // den, (tr * mi + ti * mr >> shift) // den
         fr += tr
         fi += ti
         mag = abs(tr) + abs(ti)
@@ -453,8 +463,8 @@ def _fixed_point_sum(a: complex, b: complex, c: complex, z: complex, bits: int) 
                 break
         nr += dnr
         ni += dni
-        dnr += zr2
-        dni += zi2
+        dnr += ddnr
+        dni += ddni
         dr += ddr
         di += ci
         ddr += two
@@ -464,9 +474,15 @@ def _fixed_point_sum(a: complex, b: complex, c: complex, z: complex, bits: int) 
     if size == 0:
         return None, math.inf
     lost = math.log2(peak) - math.log2(size)
-    if lost > prec - _GUARD_BITS:
+    if lost > bits:
         return None, lost
     return _to_double(fr, fi, one) + tail, lost
+
+
+def _binary(x: complex) -> tuple[int, int, int]:
+    """(re, im, den) with x = (re + i im) / den exactly, den a power of 2."""
+    (p, q), (r, s) = x.real.as_integer_ratio(), x.imag.as_integer_ratio()
+    return (p * (s // q), r, s) if q < s else (p, r * (q // s), q)
 
 
 def _to_double(re: int, im: int, one: int) -> complex:
@@ -720,15 +736,16 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     * fixed point: a series of either route (the direct one, or one of the
       two connection series) whose largest term exceeds its sum by more than
       1e3 (_CANCEL_RETRY) is summed again in Python-integer fixed point, 64
-      bits (_GUARD_BITS) above the bits it lost, from the exact binary
-      values of its arguments; the tail past 2^-24 of the sum is summed in
-      doubles.  Up to 2^48 (_FIXED_LIMIT) the lost bits are the float
-      series' reading.  Beyond it they are log2 of the peak term plus 20
-      (_SMALL_SUM_BITS, for |F| down to 2^-20).  A pass that measures more
-      loss than its precision covers is repeated above the measured loss.
+      bits (_GUARD_BITS) above the bits it lost, with the term ratio exact
+      from the binary values of its arguments and one floor per term; the
+      tail past 2^-24 of the sum is summed in doubles.  Up to 2^48
+      (_FIXED_LIMIT) the lost bits are the float series' reading.  Beyond
+      it they are log2 of the peak term plus 20 (_SMALL_SUM_BITS, for |F|
+      down to 2^-20).  A pass that measures more loss than its precision
+      covers is repeated above the measured loss.
       The budget rule: a pass costs terms x (64 + bits) term-bits, and
       every pass, the first one included, runs only where that is at most
-      100 000 (_PASS_BUDGET, ~2 ms); otherwise the continuation runs.  The
+      100 000 (_PASS_BUDGET, ~1.3 ms); otherwise the continuation runs.  The
       relative error is the rounding to double plus ~2^-64 per term.  Large
       |Im a|, |Im b|, as in the wave families up to epsilon of a few hundred
       and the small-curvature expansion's tiny z, take this route.
@@ -741,7 +758,8 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
       coefficients exceed 1e-14 (_PANEL_TAIL) of F's local amplitude.
       Large |Im a|, |Im b| at large epsilon take this route at interior z.
       Where it refuses, the fixed-point passes go on from the same
-      precision, each within 17 520 000 term-bits (_RESCUE_BUDGET, ~350 ms).
+      precision, each within 120 000 000 term-bits (_RESCUE_BUDGET,
+      ~0.3 s).
 
     The route follows from the arguments, from the cancellation and peak
     term the float series measures and from the pass budget; there is no

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import re
 import time
@@ -127,6 +128,21 @@ def test_wave_large_epsilon_where_the_series_overflows(capsys):
                 value = to_out * u_out + to_in * u_in
             got = complex(float(row[1]), float(row[2]))
             assert float(abs(got - value) / envelope) < 1e-10, row[0]
+
+
+def test_wave_singular_family_at_epsilon_3000_is_rescued(capsys):
+    # at both radii the continuation refuses the 2F1 series, and a rescue
+    # pass (~6 000 terms at ~3 400 bits) returns it: exit 0 with two finite
+    # rows, in under 5 s
+    start = time.perf_counter()
+    rc, out, err = run(
+        capsys, "wave", "--epsilon", "3000", "--m", "750", "--j", "20", "--kind", "g",
+        "--r-min", "0.69", "--r-max", "0.7", "--grid", "2",
+    )
+    assert time.perf_counter() - start < 5.0
+    assert rc == 0, err
+    _, rows = csv_rows(out)
+    assert len(rows) == 2 and all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 # --- reflect -----------------------------------------------------------------

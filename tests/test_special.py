@@ -234,6 +234,9 @@ _FALLING_POINT = (1.25 - 4.739169857020787j, 1.25 - 11.025978846371784j, 2.5 + 0
 # at n = 25, and rise again to 4e4 at n = 53, past n = -c; the continuation
 # refuses this point
 _NEGATIVE_C_HUMP = (-1.76 - 2.48j, 0.31 - 119.74j, -37.5 + 0j, 0.12 + 0j)
+# c = 0.1 has 55 fractional bits, more than a, b and z together, so the
+# exact term ratio's power of two goes into its numerator; real and complex c
+_FINE_C = [(-30.5 + 0j, 1.0 + 0j, 0.1 + 0j, 0.25 + 0j), (-30.5 + 0j, 2.5 + 0j, 0.1 + 0.3j, 0.25 + 0j)]
 
 
 def _fixed_point_grid():
@@ -241,7 +244,7 @@ def _fixed_point_grid():
     four kinds taking turns: the regular wave family (real c > 0), the
     singular family (c < 0), complex c of ~1e3 against |Im a| ~ 400, and
     the expansion audit's tiny z ~ 1e-9 .. 1e-6 with |Im a| up to ~1e5;
-    then the audit at X = 1e-6 and the two points above."""
+    then the audit at X = 1e-6 and the four points above."""
     rng = random.Random(2026)
     grid = []
     for k in range(20):
@@ -266,7 +269,7 @@ def _fixed_point_grid():
     ep = ExpansionParams(2.86, 1e-6, 1)
     ans = make_ansatz(ep.horizon_params(), "regular")
     grid.append((ans.a, ans.b, ans.c, complex((10.0 / ep.k * ep.X) ** 2)))
-    return grid + [_FALLING_POINT, _NEGATIVE_C_HUMP]
+    return grid + [_FALLING_POINT, _NEGATIVE_C_HUMP] + _FINE_C
 
 
 def _no_continuation(*args):
@@ -469,6 +472,99 @@ def test_fixed_point_sum_falls_back_past_the_term_budget(monkeypatch):
     monkeypatch.setattr(special, "_series_sum", lambda *args: (0j, cancel, peak, terms))
     monkeypatch.setattr(special, "_ode_continuation", lambda *args: 7.0)
     assert hyp2f1(a, b, c, z) == 7.0
+
+
+def _first_pass(a, b, c, z):
+    """(terms, bits) of the first fixed-point pass _gauss_series prices."""
+    _, cancel, peak, terms = special._series_sum(a, b, c, z)
+    if cancel <= special._FIXED_LIMIT:
+        return terms, 1 + math.ceil(math.log2(cancel))
+    if peak == math.inf:
+        log_peak, terms = special._log2_peak(a, b, c, z)
+    else:
+        log_peak = math.log2(peak)
+    return terms, 1 + math.ceil(log_peak) + special._SMALL_SUM_BITS
+
+
+# the singular family at (epsilon, m, j) = (3000, 750, 20): c = -19.5
+_EPS3000 = make_ansatz(HorizonUnitsParams(epsilon=3000.0, m=750.0, j=20), "singular")
+
+
+def _exact_pass_grid():
+    """Seeded (a, b, c, z) whose passes run at ~120 to ~3 500 bits: ten
+    standing series of both families in turn (real c, negative for the
+    singular one) with epsilon in ten log bands of [60, 3000], mu in
+    [1.5, 4], j <= 20 and r in [0.6, 0.7]; four connection sub-series of
+    running waves (complex c) with epsilon in [500, 2000] and r in
+    [0.75, 0.85]; then the epsilon = 3000 singular point at r = 0.7."""
+    rng = random.Random(2026)
+    grid = []
+    lo, hi = math.log10(60.0), math.log10(3000.0)
+    for k in range(10):
+        eps = 10.0 ** (lo + (k + rng.random()) * (hi - lo) / 10)
+        hp = HorizonUnitsParams(epsilon=eps, m=eps / rng.uniform(1.5, 4.0), j=rng.randrange(21))
+        ans = make_ansatz(hp, ("regular", "singular")[k % 2])
+        grid.append((ans.a, ans.b, ans.c, complex(rng.uniform(0.6, 0.7) ** 2)))
+    for k in range(4):
+        eps = 10.0 ** rng.uniform(math.log10(500.0), math.log10(2000.0))
+        hp = HorizonUnitsParams(epsilon=eps, m=eps / rng.uniform(1.5, 4.0), j=rng.randrange(21))
+        ans = make_ansatz(hp, "regular")
+        s, w = ans.c - ans.a - ans.b, complex(1.0 - rng.uniform(0.75, 0.85) ** 2)
+        grid.append((ans.a, ans.b, 1.0 - s, w) if k % 2 == 0 else (ans.c - ans.a, ans.c - ans.b, 1.0 + s, w))
+    return grid + [(_EPS3000.a, _EPS3000.b, _EPS3000.c, complex(0.7**2))]
+
+
+def test_exact_ratio_pass_over_a_seeded_grid_of_precisions():
+    # each series summed as _gauss_series sums it, retried above the loss
+    # it measured, is within 2e-15 of the big-float series at 30 digits
+    # where that is affordable (up to 600 bits of loss), and beyond that of
+    # the pass 60 bits higher
+    precisions, complex_c = [], 0
+    for a, b, c, z in _exact_pass_grid():
+        _, bits = _first_pass(a, b, c, z)
+        while True:
+            value, lost = special._fixed_point_sum(a, b, c, z, bits)
+            if value is not None:
+                break
+            assert lost < math.inf, (a, b, c, z, bits)
+            bits = 1 + math.ceil(lost)
+        precisions.append(special._GUARD_BITS + bits)
+        complex_c += c.imag != 0.0
+        if bits <= 600:
+            ref = complex(extended_series("hyp2f1", [a, b, c, z]))
+        else:
+            ref, _ = special._fixed_point_sum(a, b, c, z, bits + 60)
+        assert rel(value, ref) < 2e-15, (a, b, c, z, bits)
+    assert min(precisions) < 128 and max(precisions) > 3400 and complex_c == 4, precisions
+
+
+def test_refused_continuation_at_epsilon_3000_is_rescued_within_the_budget(monkeypatch):
+    # at r = 0.69 and 0.7 the continuation refuses near its start (a partner
+    # solution z^20.5 outgrows F), and the rescue pass, ~6 000 terms at
+    # ~3 400 bits or 21-22 M term-bits, is within _RESCUE_BUDGET.  Each value
+    # is within 1e-12 of the pass 60 bits higher, and each point takes under
+    # 5 s
+    refusals = []
+    continuation = special._ode_continuation
+
+    def counted(*args):
+        try:
+            return continuation(*args)
+        except NonConvergence as exc:
+            refusals.append(exc)
+            raise
+
+    monkeypatch.setattr(special, "_ode_continuation", counted)
+    for r in (0.69, 0.7):
+        point = (_EPS3000.a, _EPS3000.b, _EPS3000.c, complex(r * r))
+        terms, bits = _first_pass(*point)
+        assert special._PASS_BUDGET < terms * (special._GUARD_BITS + bits) <= special._RESCUE_BUDGET
+        start = time.perf_counter()
+        got = hyp2f1(*point)
+        assert time.perf_counter() - start < 5.0, r
+        ref, _ = special._fixed_point_sum(*point, bits + 60)
+        assert rel(got, ref) < 1e-12, r
+    assert len(refusals) == 2 and all("outgrew its budget" in str(exc) for exc in refusals)
 
 
 def test_hyp2f1_continuation_retakes_steps_that_excite_the_fast_partner():
