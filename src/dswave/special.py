@@ -32,8 +32,11 @@ the float series measures:
 * continuation: where a pass is over budget, or none can succeed at any
   precision, F is carried along the hypergeometric ODE from a point where
   the series is benign, by Chebyshev-panel collocation [4] with one batched
-  solve per round of panels.  Where it refuses, the passes go on up to a
-  larger budget.
+  solve per round of panels.  Where both connection series go there and
+  the second one, Kummer's partner of the first, can start early enough on
+  the path (|c-a-b|^2 < |ab|(1-z)), one walk carries both.  Where it
+  refuses, the passes go on up to a larger budget, past the 10 000 terms
+  of a first pass where that budget allows.
 
 Accuracy contract: log_gamma within 1e-13 max(1, |log Gamma(z)|) over
 |z| <= 1e7 (away from poles), modulo 2 pi i (see its branch note), so
@@ -41,7 +44,9 @@ relative where |log Gamma| >= 1 and absolute near its zeros z = 1 and z = 2;
 series summation to a fixed relative tolerance of 1e-15 (_REL_TOL) within
 a budget of 10 000 terms (_MAX_TERMS), up to _CANCEL_RETRY of cancellation;
 the fixed-point series to the rounding of its result to double plus
-~2^-64 times its term count, relative (2e-15 on the tested grids); the
+~2^-64 times its term count, relative (2e-15 on the tested grids), within
+10 000 terms for a first pass and, for a rescue pass, within as many as
+_RESCUE_BUDGET affords at its precision; the
 continuation with an estimated rounding amplification of at most
 _AMPLIFY_LIMIT and a walk of at most _MAX_TERMS panels, halves included
 (NonConvergence beyond either); and, for |p| <= 20.5 and 1e-2 <= x <= 1e4,
@@ -261,7 +266,8 @@ _SMALL_SUM_BITS = 20
 # need passes of 337 000 or more (2.5-3.1 ms, against ~2.2 ms for the
 # continuation).  _RESCUE_BUDGET, ~0.26-0.33 s, is about the longest walk
 # the continuation accepts: the rescue passes at epsilon = 3000, j = 20,
-# 5 999 terms x 3 447 bits and 6 264 x 3 508, took 58-93 ms.
+# 5 999 terms x 3 447 bits and 6 264 x 3 508, took 58-93 ms, and the one at
+# epsilon = 5000, r = 0.7, 10 320 terms x 5 714 bits, ~0.2 s.
 _PASS_BUDGET = 100_000
 _RESCUE_BUDGET = 120_000_000
 # Cancellation allowed in the series that start the continuation.
@@ -285,9 +291,10 @@ _AMPLIFY_LIMIT = 1e5
 _CONNECTION_THRESHOLD = 0.5
 # A series stops after two consecutive terms below this fraction of its sum ...
 _REL_TOL = 1e-15
-# ... and raises NonConvergence after this many terms (the fixed-point pass
-# returns None instead); the continuation also caps its panels, halved ones
-# included, at this count.
+# ... and raises NonConvergence after this many terms (a first fixed-point
+# pass returns None instead; a rescue pass may go as far as _RESCUE_BUDGET
+# affords); the continuation also caps its panels, halved ones included, at
+# this count.
 _MAX_TERMS = 10_000
 
 
@@ -333,16 +340,17 @@ def _series_sum(a: complex, b: complex, c: complex, z: complex) -> tuple[complex
     return total, peak / size, peak, n + 1
 
 
-def _log2_peak(a: complex, b: complex, c: complex, z: complex) -> tuple[float, int]:
+def _log2_peak(a: complex, b: complex, c: complex, z: complex, limit: int | None = None) -> tuple[float, int]:
     """log2 of the peak |term| of the Gauss series, from a running sum of
     log2 |term ratio| that cannot overflow, and the number of terms up to
-    the first past the peak below _REL_TOL (_MAX_TERMS if none is, or if a
-    ratio itself is beyond double range)."""
+    the first past the peak below _REL_TOL (`limit`, by default _MAX_TERMS,
+    if none is within it, or if a ratio itself is beyond double range)."""
+    limit = _MAX_TERMS if limit is None else limit
     log2 = math.log2
     az = abs(z)
     floor = log2(_REL_TOL)
     level = peak = 0.0
-    for n in range(_MAX_TERMS):
+    for n in range(limit):
         ratio = abs((a + n) * (b + n)) * az / (abs(c + n) * (n + 1.0))
         if ratio == 0.0:  # a terminating series
             return peak, n + 1
@@ -353,53 +361,96 @@ def _log2_peak(a: complex, b: complex, c: complex, z: complex) -> tuple[float, i
             peak = level
         elif level < floor:
             return peak, n + 1
-    return peak, _MAX_TERMS
+    return peak, limit
 
 
 def _gauss_series(a: complex, b: complex, c: complex, z: complex) -> complex:
     """The Gauss series at z by the route _series_sum's reading selects: the
-    float sum, fixed-point passes, or the continuation (see hyp2f1).
+    float sum, fixed-point passes, or the continuation (see hyp2f1)."""
+    value, walk = _summed(a, b, c, z)
+    return value if walk is None else _continued(a, b, c, z, *walk)
+
+
+def _summed(
+    a: complex, b: complex, c: complex, z: complex
+) -> tuple[complex | None, tuple[float, float, int] | None]:
+    """(F, None) from the float series or from fixed-point passes within
+    _PASS_BUDGET, else (None, walk): the series goes to the continuation,
+    and walk = (cancel, bits, terms) is what _continued takes from it.
 
     One loop of fixed-point passes over `terms` terms, the first covering a
     loss of `bits` bits and each next one the loss its predecessor measured,
-    each priced at terms x (_GUARD_BITS + bits) against the budget.  The
-    first pass over _PASS_BUDGET calls the continuation once; where it
-    refuses, the passes go on from the same bits within _RESCUE_BUDGET, and
-    a pass over that, or one no precision can make succeed, re-raises the
-    refusal."""
+    each priced at terms x (_GUARD_BITS + bits) against the budget; the
+    first pass over it, or one no precision can make succeed, sends the
+    series to the continuation."""
     total, cancel, peak, terms = _series_sum(a, b, c, z)
     if cancel <= _CANCEL_RETRY:
-        return total
+        return total, None
+    bits, terms = _first_bits(a, b, c, z, cancel, peak, terms)
+    value, bits = _passes(a, b, c, z, bits, terms, _PASS_BUDGET, _MAX_TERMS)
+    return value, None if value is not None else (cancel, bits, terms)
+
+
+def _first_bits(
+    a: complex, b: complex, c: complex, z: complex, cancel: float, peak: float, terms: int
+) -> tuple[int, int]:
+    """(bits, terms) of the first fixed-point pass, from the float series'
+    cancellation, peak term and term count."""
     if cancel <= _FIXED_LIMIT:
         # one bit more: the fixed-point pass measures |re| + |im|, within
         # sqrt(2) of |.|
-        bits = 1 + math.ceil(math.log2(cancel))
+        return 1 + math.ceil(math.log2(cancel)), terms
+    if peak == math.inf:
+        log_peak, terms = _log2_peak(a, b, c, z)
     else:
-        if peak == math.inf:
-            log_peak, terms = _log2_peak(a, b, c, z)
-        else:
-            log_peak = math.log2(peak)
-        bits = 1 + math.ceil(log_peak) + _SMALL_SUM_BITS
-    budget, refusal = _PASS_BUDGET, None
-    while True:
-        # a pass that no precision can make succeed is over every budget
-        if terms >= _MAX_TERMS or terms * (_GUARD_BITS + bits) > budget:
-            if refusal is not None:
-                raise refusal
-            try:
-                return _ode_continuation(a, b, c, z, cancel)
-            except NonConvergence as exc:
-                budget, refusal = _RESCUE_BUDGET, exc
-                continue
-        value, lost = _fixed_point_sum(a, b, c, z, bits)
+        log_peak = math.log2(peak)
+    return 1 + math.ceil(log_peak) + _SMALL_SUM_BITS, terms
+
+
+def _passes(
+    a: complex, b: complex, c: complex, z: complex, bits: float, terms: int, budget: float, limit: int
+) -> tuple[complex | None, float]:
+    """Fixed-point passes of at most `limit` terms from `bits` up, each
+    above the loss the one before measured, while a pass's price terms x
+    (_GUARD_BITS + bits) fits `budget`: (the value or None, the bits of the
+    pass that was not run).  A series of `limit` terms or more is one no
+    precision can make succeed."""
+    while terms < limit and terms * (_GUARD_BITS + bits) <= budget:
+        value, lost = _fixed_point_sum(a, b, c, z, bits, limit)
         if value is not None:
-            return value
+            return value, bits
         bits = 1 + math.ceil(lost) if lost < math.inf else math.inf
+    return None, bits
 
 
-def _fixed_point_sum(a: complex, b: complex, c: complex, z: complex, bits: int) -> tuple[complex | None, float]:
+def _continued(
+    a: complex, b: complex, c: complex, z: complex, cancel: float, bits: float, terms: int
+) -> complex:
+    """The continuation of a series _summed sent to it.  Where it refuses,
+    the passes go on from the same bits within _RESCUE_BUDGET, each over as
+    many terms as that budget affords at those bits, but no fewer than
+    _MAX_TERMS (a series of _MAX_TERMS terms or more has them counted
+    again up to that limit first); a pass over the budget, or one no
+    precision can make succeed, re-raises the refusal."""
+    try:
+        return _ode_continuation(a, b, c, z, cancel)
+    except NonConvergence:
+        limit = max(_MAX_TERMS, int(_RESCUE_BUDGET // (_GUARD_BITS + bits)))
+        if terms >= _MAX_TERMS:
+            log_peak, terms = _log2_peak(a, b, c, z, limit)
+            bits = max(bits, 1 + math.ceil(log_peak) + _SMALL_SUM_BITS)
+        value, _ = _passes(a, b, c, z, bits, terms, _RESCUE_BUDGET, limit)
+        if value is None:
+            raise
+        return value
+
+
+def _fixed_point_sum(
+    a: complex, b: complex, c: complex, z: complex, bits: int, limit: int | None = None
+) -> tuple[complex | None, float]:
     """The Gauss series summed in integer fixed point, covering a loss of
-    `bits` bits: (its value or None, the bits it measured lost).
+    `bits` bits, over at most `limit` terms (by default _MAX_TERMS): (its
+    value or None, the bits it measured lost).
 
     A value v is held as the integer v 2^prec, prec = _GUARD_BITS + bits.
     a, b, c and z are binary fractions x = X / 2^e_x, so the term ratio
@@ -416,10 +467,11 @@ def _fixed_point_sum(a: complex, b: complex, c: complex, z: complex, bits: int) 
     The value is None when the loss this pass measures, log2(peak / |sum|),
     exceeds what its precision covers (the caller may retry above the
     measured loss), and None with an infinite loss when the sum is zero or
-    the series runs past _MAX_TERMS.  Otherwise each term carries a few
+    the series runs past `limit`.  Otherwise each term carries a few
     units of 2^-prec times the peak, so the sum keeps ~2^-_GUARD_BITS times
     the term count, relative, before its rounding to double.
     """
+    limit = _MAX_TERMS if limit is None else limit
     ar, ai, ua = _binary(a)
     br, bi, ub = _binary(b)
     cr, ci, uc = _binary(c)
@@ -441,7 +493,7 @@ def _fixed_point_sum(a: complex, b: complex, c: complex, z: complex, bits: int) 
     fr, fi = one, 0
     peak = one
     tail, resume = 0.0, 0
-    for n in range(_MAX_TERMS):
+    for n in range(limit):
         if di:
             mr, mi, den = nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di
         elif dr > 0:
@@ -457,7 +509,8 @@ def _fixed_point_sum(a: complex, b: complex, c: complex, z: complex, bits: int) 
         if mag > peak:
             peak = mag
         elif n >= resume and mag << 24 < abs(fr) + abs(fi):
-            rest, resume = _float_tail(a, b, c, z, n + 1, _to_double(tr, ti, one), _to_double(fr, fi, one))
+            term, total = _to_double(tr, ti, one), _to_double(fr, fi, one)
+            rest, resume = _float_tail(a, b, c, z, n + 1, term, total, limit)
             if rest is not None:
                 tail = rest
                 break
@@ -494,20 +547,22 @@ def _to_double(re: int, im: int, one: int) -> complex:
         raise NonConvergence("2F1 series: its sum is beyond double range") from None
 
 
-def _float_tail(a: complex, b: complex, c: complex, z: complex, n: int, term: complex, total: complex):
+def _float_tail(
+    a: complex, b: complex, c: complex, z: complex, n: int, term: complex, total: complex, limit: int
+):
     """(sum of the Gauss series terms after term n, the index it stopped
     at), summed in doubles from term n until two terms fall below _REL_TOL
     |total|; the sum is None when a term rises above 2^-24 of total or the
-    series runs past _MAX_TERMS."""
-    limit = 2.0**-24 * (abs(total.real) + abs(total.imag))
+    series runs past `limit` terms."""
+    rise = 2.0**-24 * (abs(total.real) + abs(total.imag))
     small = _REL_TOL * abs(total)
     tail = 0.0
     small_streak = 0
-    for n in range(n, _MAX_TERMS):
+    for n in range(n, limit):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         tail += term
         mag = abs(term)
-        if mag > limit:
+        if mag > rise:
             return None, n
         if mag <= small:
             small_streak += 1
@@ -515,7 +570,7 @@ def _float_tail(a: complex, b: complex, c: complex, z: complex, n: int, term: co
                 return tail, n
         else:
             small_streak = 0
-    return None, _MAX_TERMS
+    return None, limit
 
 
 def _chebyshev_panel(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -572,7 +627,8 @@ def _plan_panels(ab: complex, z: complex, start: float) -> list[float]:
 
 def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: float) -> complex:
     """F(a, b; c; z) along z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0: one plan of
-    Chebyshev panels [4] and one walk over them.
+    Chebyshev panels [4] and one walk over them (_kummer_continuation walks
+    the same way with a second solution).
 
     Start.  The float series at z lost log10(cancel) digits, and that loss
     grows with |z|.  The start z0 = q z on the ray to z is shrunk by the
@@ -581,21 +637,29 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
     infinite cancellation.  It is not a fixed small multiple of 1/|ab|: with
     c < 0 the partner solution z^(1-c) amplifies the start-up rounding by up
     to (z/z0)^(1-c), so the start is kept as far out as the cancellation
-    allows.
+    allows.  A walk that also carries that partner (_kummer_continuation)
+    starts it at its own such start, but no nearer 0 than |1-c|^2/|ab|:
+    inside that point its log-derivative (1-c)/t outruns the local
+    frequency sqrt|ab/t| that sizes the panels, and the panels would have to
+    resolve it.
 
     Plan.  _plan_panels cuts the path into panels of _PANEL_PHASE radians of
     the local frequency sqrt|ab/(t(1-t))|, the geometric mean of the ODE's
     two local rates (the fast rate |c-(a+b+1)t|/|t(1-t)| would make the
     large-|c| connection sub-series take thousands of panels).
 
-    Walk.  In rounds, each from one _solve_panels call: the plan, then the
-    halves of the round before.  A round carries G(s) = F(s z/|z|) and G'
-    through all its panels' 2x2 transfers from the start, then reads as
-    arrays F's local amplitude, the rounding amplification (below) and F's
-    top two Chebyshev coefficients per panel.  Overflow or amplification
-    refuse at the ends up to the first panel whose coefficients exceed
-    _PANEL_TAIL of that amplitude; the next round halves every such panel
-    (halves count against _MAX_TERMS, as planned panels do).
+    Walk.  _walk carries one or two solutions of the equation, each from
+    its own start, a panel end, through the same panel transfers.  It goes
+    in rounds, each from one _solve_panels call: the plan, then the halves
+    of the round before.  A round carries each solution's G(s) = F(s z/|z|)
+    and G' through all its panels' 2x2 transfers from that solution's start,
+    then reads as arrays its local amplitude, the rounding amplification
+    (below) and its top two Chebyshev coefficients per panel.  Overflow or
+    amplification refuse, for each solution from its own start, at the ends
+    up to the first panel whose coefficients exceed _PANEL_TAIL of either
+    solution's amplitude; the next round halves every panel where either
+    solution's coefficients do (halves count against _MAX_TERMS, as planned
+    panels do).
 
     Error budget.  Rounding is amplified by the growth of a partner solution
     against F.  The Wronskian W = t^(-c) (1-t)^(c-a-b-1) (up to a constant)
@@ -608,6 +672,19 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
     Greengard, SIAM J. Numer. Anal. 28 (1991) (spectral integration);
     Michel & Stoitsov, arXiv:0708.0116.
     """
+    ab = a * b
+    length = abs(z)
+    unit = z / length
+    q, f, df = _start(a, b, c, z, cancel)
+    ends = np.array(_plan_panels(ab, z, q * length))
+    # (G, G'), G' = unit F'
+    return _walk(a, b, c, unit, ends, [(ends[0], f, unit * (df * (ab / c)))])[0]
+
+
+def _start(a: complex, b: complex, c: complex, z: complex, cancel: float) -> tuple[float, complex, complex]:
+    """(q, F, F'/(ab/c)) at the continuation's start q z, the first point of
+    the shrinking q = 1, q/log10(cancel), ... (each step at least halving)
+    where the series of both cancel by at most _CANCEL_START."""
     q = 1.0
     while True:
         lost = math.log10(cancel) if cancel < math.inf else 308.0
@@ -619,12 +696,79 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
         except NonConvergence:  # a series over the term budget: start further in
             cancel = math.inf
         if cancel <= _CANCEL_START:
-            break
+            return q, f, df
+
+
+def _kummer_continuation(
+    a: complex, b: complex, c: complex, z: complex, cancel: float,
+    partner: tuple[complex, complex, complex], partner_cancel: float,
+) -> tuple[complex, complex] | None:
+    """F(a, b; c; z) and z^(1-c) F(a2, b2; c2; z), (a2, b2, c2) = partner =
+    (a-c+1, b-c+1, 2-c), Kummer's two solutions at 0 of one equation (DLMF
+    15.10.2), from one plan and one walk; None where the partner cannot
+    start or the walk refuses.
+
+    F starts where _ode_continuation would start it.  The partner starts at
+    the larger of its own such start and |1-c|^2/|ab|: nearer 0 its
+    log-derivative (1-c)/t outruns the local frequency sqrt|ab/t| that sizes
+    the panels.  Its start values there come from the float series where
+    they cancel by at most _CANCEL_START, else from fixed-point passes
+    within _PASS_BUDGET.  One plan from the earlier start, with the later
+    one as a panel end, and one walk carry both, each checked from its own
+    start (see _ode_continuation).
+    """
     ab = a * b
     length = abs(z)
     unit = z / length
-    ends = np.array(_plan_panels(ab, z, q * length))
-    start = (f, unit * (df * (ab / c)))  # (G, G'), G' = unit F'
+    e = 1.0 - c
+    a2, b2, c2 = partner
+    q, f, df = _start(a, b, c, z, cancel)
+    q2, f2, df2 = _start(a2, b2, c2, z, partner_cancel)
+    at = max(q2 * length, abs(e) ** 2 / abs(ab))
+    if at > q2 * length:
+        f2, df2 = _start_value(a2, b2, c2, at * unit), _start_value(a2 + 1.0, b2 + 1.0, c2 + 1.0, at * unit)
+        if f2 is None or df2 is None:
+            return None
+    ends = np.unique(_plan_panels(ab, z, min(q * length, at)) + [max(q * length, at)])
+    t0 = at * unit
+    try:
+        lead = cmath.exp(e * cmath.log(t0))
+    except OverflowError:
+        return None
+    df2 = lead * (e / t0 * f2 + df2 * (a2 * b2 / c2))  # d/dt t^e F2
+    if not (cmath.isfinite(lead * f2) and cmath.isfinite(df2)):
+        return None
+    starts = [(q * length, f, unit * (df * (ab / c))), (at, lead * f2, unit * df2)]
+    try:
+        return tuple(_walk(a, b, c, unit, ends, starts))
+    except NonConvergence:
+        return None
+
+
+def _start_value(a: complex, b: complex, c: complex, t: complex) -> complex | None:
+    """F(a, b; c; t) from the float series where it cancels by at most
+    _CANCEL_START, else from fixed-point passes within _PASS_BUDGET; None
+    where neither serves."""
+    try:
+        total, cancel, peak, terms = _series_sum(a, b, c, t)
+    except NonConvergence:
+        return None
+    if cancel <= _CANCEL_START:
+        return total
+    bits, terms = _first_bits(a, b, c, t, cancel, peak, terms)
+    return _passes(a, b, c, t, bits, terms, _PASS_BUDGET, _MAX_TERMS)[0]
+
+
+def _walk(
+    a: complex, b: complex, c: complex, unit: complex, ends: np.ndarray,
+    starts: list[tuple[float, complex, complex]],
+) -> list[complex]:
+    """G = F(s unit) at the last of `ends` for each solution of the
+    equation of F(a, b; c; t) in `starts`, given as (s0, G, G') at its
+    start s0, one of `ends`: the rounds, halving and refusals of
+    _ode_continuation."""
+    ab = a * b
+    length = ends[-1]
     wronskian_exp = c - (a + b) - 1.0  # W ~ t^(-c) (1-t)^(c-a-b-1)
     panels = np.empty((len(ends) - 1, 4, 2), dtype=complex)
     todo = np.arange(len(panels))  # the panels a round solves: the plan, then halves
@@ -634,33 +778,40 @@ def _ode_continuation(a: complex, b: complex, c: complex, z: complex, cancel: fl
                 f"2F1 continuation: more than {_MAX_TERMS} panels needed to reach |z|={length:.3g}"
             )
         panels[todo] = _solve_panels(a, b, c, unit, ends[todo], ends[todo + 1])
-        g, dg = start
-        carried = [start]
-        for _, _, (u1, u2), (v1, v2) in panels.tolist():
-            g, dg = u1 * g + u2 * dg, v1 * g + v2 * dg
-            carried.append((g, dg))
-        gs, dgs = np.array(carried).T
+        rows = panels.tolist()
+        refused = np.zeros(len(panels), dtype=bool)
+        carried = []
         with np.errstate(all="ignore"):  # past a refused panel, G is provisional
             t = unit * ends
             freq = np.sqrt(np.abs(ab / (t * (1.0 - t))))
-            amp = np.hypot(np.abs(gs), np.abs(dgs) / freq)
-            tails = np.abs(panels[:, :2, 0] * gs[:-1, None] + panels[:, :2, 1] * dgs[:-1, None])
-            refused = ~(tails <= _PANEL_TAIL * amp[:-1, None]).all(axis=1)
+            log_w = (wronskian_exp * np.log(1.0 - t) - c * np.log(t)).real
+            for s0, g, dg in starts:
+                k = np.searchsorted(ends, s0)
+                states = [(g, dg)]
+                for _, _, (u1, u2), (v1, v2) in rows[k:]:
+                    g, dg = u1 * g + u2 * dg, v1 * g + v2 * dg
+                    states.append((g, dg))
+                gs, dgs = np.array(states).T
+                amp = np.hypot(np.abs(gs), np.abs(dgs) / freq[k:])
+                tails = np.abs(panels[k:, :2, 0] * gs[:-1, None] + panels[k:, :2, 1] * dgs[:-1, None])
+                refused[k:] |= ~(tails <= _PANEL_TAIL * amp[:-1, None]).all(axis=1)
+                carried.append((k, g, amp))
             reach = refused.argmax() + 1 if refused.any() else len(ends)
-            # log |W| / (A^2 freq): the partner's size against F, up to a constant
-            growth = (wronskian_exp * np.log(1.0 - t) - c * np.log(t)).real - 2.0 * np.log(amp) - np.log(freq)
-            growth = growth[:reach]
-            overflow = ~np.isfinite(amp[:reach])
-            bad = overflow | (growth - np.minimum.accumulate(growth) > math.log(_AMPLIFY_LIMIT))
-        if bad.any():
-            k = bad.argmax()
-            raise NonConvergence(
-                f"2F1 continuation overflowed at |t|={ends[max(k - 1, 0)]:.3g}" if overflow[k] else
-                f"2F1 continuation: rounding error outgrew its budget by |t|={ends[k]:.3g} "
-                "(a partner solution outgrows F; ill-conditioned parameters)"
-            )
+            for k, _, amp in carried:
+                n = max(reach - k, 0)  # the ends this solution reached before a refused panel
+                # log |W| / (A^2 freq): the partner's size against G, up to a constant
+                growth = log_w[k : k + n] - 2.0 * np.log(amp[:n]) - np.log(freq[k : k + n])
+                overflow = ~np.isfinite(amp[:n])
+                bad = overflow | (growth - np.minimum.accumulate(growth) > math.log(_AMPLIFY_LIMIT))
+                if bad.any():
+                    i = bad.argmax()
+                    raise NonConvergence(
+                        f"2F1 continuation overflowed at |t|={ends[max(k + i - 1, 0)]:.3g}" if overflow[i] else
+                        f"2F1 continuation: rounding error outgrew its budget by |t|={ends[k + i]:.3g} "
+                        "(a partner solution outgrows F; ill-conditioned parameters)"
+                    )
         if not refused.any():
-            return g
+            return [g for _, g, _ in carried]
         # walk again from the start, every refused panel halved
         split = np.flatnonzero(refused) + 1
         ends = np.insert(ends, split, 0.5 * (ends[split - 1] + ends[split]))
@@ -757,16 +908,24 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
       frequency, halving in rounds the panels whose top Chebyshev
       coefficients exceed 1e-14 (_PANEL_TAIL) of F's local amplitude.
       Large |Im a|, |Im b| at large epsilon take this route at interior z.
-      Where it refuses, the fixed-point passes go on from the same
+      The connection route pairs its two series where both would take it
+      and |c-a-b|^2 < |ab| (1-z): the second series times (1-z)^(c-a-b) is
+      Kummer's partner of the first (DLMF 15.10.2), so one plan and one
+      walk carry both, the partner from no nearer 0 than |c-a-b|^2/|ab|.
+      Running waves at large epsilon take it; standing waves at z > 1/2,
+      with c-a-b ~ -i epsilon, do not.  Where the paired walk refuses,
+      each series takes its own walk.
+      Where a walk refuses, the fixed-point passes go on from the same
       precision, each within 120 000 000 term-bits (_RESCUE_BUDGET,
-      ~0.3 s).
+      ~0.3 s), and a rescue pass may sum more than 10 000 terms where that
+      budget affords them at its precision.
 
     The route follows from the arguments, from the cancellation and peak
     term the float series measures and from the pass budget; there is no
     setting that selects it.  Every series stops at a fixed relative
     tolerance of 1e-15 (_REL_TOL) and may sum at most 10 000 terms
-    (_MAX_TERMS); the continuation's walk carries at most as many panels,
-    halved ones included.
+    (_MAX_TERMS), a rescue pass excepted; the continuation's walk carries
+    at most as many panels, halved ones included.
 
     Raises
     ------
@@ -798,8 +957,27 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     )
     if use_connection:
         w = 1.0 - z.real
-        f1 = _gauss_series(a, b, 1.0 - s, w)
-        f2 = _gauss_series(c - a, c - b, 1.0 + s, w)
+        first, second = (a, b, 1.0 - s, w), (c - a, c - b, 1.0 + s, w)
+        f1, walk1 = _summed(*first)
+        f2 = walk2 = None
+        if walk1 is not None and abs(s) ** 2 < abs(a * b) * w:
+            # the second series is w^s times Kummer's partner of the first
+            # one: where both would walk, one walk may carry both
+            try:
+                f2, walk2 = _summed(*second)
+            except NonConvergence:
+                _continued(*first, *walk1)  # the first series' refusal comes first
+                raise
+            pair = None if walk2 is None else _kummer_continuation(*first, walk1[0], second[:3], walk2[0])
+            if pair is not None:
+                g1, g2 = connection_gammas(a, b, c)
+                return g1 * pair[0] + g2 * pair[1]
+        if walk1 is not None:
+            f1 = _continued(*first, *walk1)
+        if walk2 is not None:
+            f2 = _continued(*second, *walk2)
+        elif f2 is None:
+            f2 = _gauss_series(*second)
         g1, g2 = connection_gammas(a, b, c)
         return g1 * f1 + g2 * (w ** s) * f2
     if abs(z) < 1.0:

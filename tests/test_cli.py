@@ -145,6 +145,23 @@ def test_wave_singular_family_at_epsilon_3000_is_rescued(capsys):
     assert len(rows) == 2 and all(math.isfinite(float(v)) for row in rows for v in row)
 
 
+def test_wave_singular_family_at_epsilon_5000_is_rescued_past_the_term_cap(capsys):
+    # at r = 0.7 the continuation refuses and the rescue pass sums 10 320
+    # terms at ~5 700 bits, more than the first passes' 10 000: exit 0 with
+    # two finite rows.  At epsilon = 10 000 the pass, ~20 400 terms at
+    # ~11 200 bits, is over the rescue budget: exit 4 and one error line
+    args = ("--j", "20", "--kind", "g", "--r-min", "0.69", "--r-max", "0.7", "--grid", "2")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "wave", "--epsilon", "5000", "--m", "1250", *args)
+    assert time.perf_counter() - start < 5.0
+    assert rc == 0, err
+    _, rows = csv_rows(out)
+    assert len(rows) == 2 and all(math.isfinite(float(v)) for row in rows for v in row)
+    rc, out, err = run(capsys, "wave", "--epsilon", "10000", "--m", "2500", *args)
+    assert rc == 4 and out == ""
+    assert "rounding error outgrew its budget" in one_error_line(err), err
+
+
 # --- reflect -----------------------------------------------------------------
 
 

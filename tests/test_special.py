@@ -33,7 +33,7 @@ from dswave.special import (
     log_gamma,
     log_gamma_diff,
 )
-from dswave.waves import make_ansatz
+from dswave.waves import eval_running, make_ansatz
 
 
 def rel(x: complex, y: complex) -> float:
@@ -567,6 +567,160 @@ def test_refused_continuation_at_epsilon_3000_is_rescued_within_the_budget(monke
     assert len(refusals) == 2 and all("outgrew its budget" in str(exc) for exc in refusals)
 
 
+# the singular family at (epsilon, m, j) = (5000, 1250, 20): c = -19.5
+_EPS5000 = make_ansatz(HorizonUnitsParams(epsilon=5000.0, m=1250.0, j=20), "singular")
+
+
+def test_rescue_pass_sums_past_the_first_pass_term_cap():
+    # at r = 0.7 the series needs 10 320 terms at ~5 700 bits, 59 M
+    # term-bits: more terms than _MAX_TERMS, within _RESCUE_BUDGET.  The
+    # continuation refuses, and the rescue pass counts its terms past
+    # 10 000 and returns the double of the pass 60 bits higher, as it does
+    # at r = 0.69 (9 883 terms)
+    counts = []
+    for r in (0.69, 0.7):
+        point = (_EPS5000.a, _EPS5000.b, _EPS5000.c, complex(r * r))
+        log_peak, terms = special._log2_peak(*point, 2 * special._MAX_TERMS)
+        bits = 1 + math.ceil(log_peak) + special._SMALL_SUM_BITS
+        assert terms * (special._GUARD_BITS + bits) <= special._RESCUE_BUDGET
+        ref, _ = special._fixed_point_sum(*point, bits + 60, 2 * special._MAX_TERMS)
+        assert hyp2f1(*point) == ref, r
+        counts.append(terms)
+    assert counts[0] < special._MAX_TERMS < counts[1], counts
+
+
+def _running_point(eps, m, j, direction, r):
+    """(a, b, c, z) of hyp2f1 in the running wave of the regular family."""
+    ans = make_ansatz(HorizonUnitsParams(epsilon=eps, m=m, j=j), "regular")
+    if direction == "out":
+        return ans.a, ans.b, ans.a + ans.b - ans.c + 1.0, complex(1.0 - r * r)
+    return ans.c - ans.a, ans.c - ans.b, ans.c - ans.a - ans.b + 1.0, complex(1.0 - r * r)
+
+
+def _connection_series(a, b, c, z):
+    """The two series of hyp2f1's z -> 1-z route: F(a, b; 1-s; w) and
+    F(c-a, c-b; 1+s; w), s = c-a-b, w = 1-z."""
+    s, w = c - a - b, 1.0 - z.real
+    return (a, b, 1.0 - s, w), (c - a, c - b, 1.0 + s, w)
+
+
+def _counted(monkeypatch, name):
+    """The calls of special.<name> made from here on, as a list of their
+    arguments; each call goes through."""
+    calls = []
+    function = getattr(special, name)
+    monkeypatch.setattr(special, name, lambda *args: calls.append(args) or function(*args))
+    return calls
+
+
+# eval_running at (epsilon, m, j, r) = (1000, 500, 1, 0.5), the reference of
+# test_wave_accuracy_grid_against_oracle (mpmath at 45 digits)
+_E1000_RUNNING = {
+    "out": complex(-1.0414040590141052, 1.8311459728695607),
+    "in": complex(-1.0414040590141052, -1.8311459728695607),
+}
+
+
+@pytest.mark.parametrize("direction", ["out", "in"])
+def test_running_wave_series_share_one_walk(monkeypatch, direction):
+    # both connection series of the e1000_r0.5 running wave are over the
+    # pass budget, and |1-c|^2 = 2.25 < |ab| w = 4.7e4: one plan and one walk
+    # carry F and its Kummer partner, where each series used to walk alone
+    plans, walks = _counted(monkeypatch, "_plan_panels"), _counted(monkeypatch, "_walk")
+    ans = make_ansatz(HorizonUnitsParams(epsilon=1000.0, m=500.0, j=1), "regular")
+    got = eval_running(ans, direction, 0.5)
+    assert len(plans) == 1 and len(walks) == 1
+    assert len(walks[0][5]) == 2
+    assert rel(got, _E1000_RUNNING[direction]) < 1e-12
+
+
+def test_standing_wave_series_that_fail_the_partner_rule_walk_alone(monkeypatch):
+    # the regular standing wave at (epsilon, m, j, r) = (2000, 500, 0, 0.8):
+    # both connection series are over the pass budget, but s ~ -2000i makes
+    # |1-c|^2 = 4e6 > |ab| w = 3.4e5.  Two walks, bit for bit the two direct
+    # continuations
+    ans = make_ansatz(HorizonUnitsParams(epsilon=2000.0, m=500.0, j=0), "regular")
+    point = (ans.a, ans.b, ans.c, complex(0.8**2))
+    first, second = _connection_series(*point)
+    values = []
+    for series in (first, second):
+        value, walk = special._summed(*series)
+        assert value is None and walk is not None
+        values.append(special._ode_continuation(*series, walk[0]))
+    pairs, walks = _counted(monkeypatch, "_kummer_continuation"), _counted(monkeypatch, "_walk")
+    got = hyp2f1(*point)
+    assert not pairs and len(walks) == 2
+    g1, g2 = special.connection_gammas(*point[:3])
+    s, w = point[2] - point[0] - point[1], first[3]
+    assert got == g1 * values[0] + g2 * (w**s) * values[1]
+
+
+def test_refused_paired_walk_falls_back_to_one_walk_per_series(monkeypatch):
+    # a paired walk that refuses leaves each series to its own walk and
+    # rescue: the same double as those, and where they refuse, the message
+    # of the first series' refusal
+    point = _running_point(1000.0, 500.0, 1, "out", 0.5)
+    first, second = _connection_series(*point)
+    g1, g2 = special.connection_gammas(*point[:3])
+    s, w = point[2] - point[0] - point[1], first[3]
+    alone = g1 * special._gauss_series(*first) + g2 * (w**s) * special._gauss_series(*second)
+    walk = special._walk
+
+    def refusing(*args):
+        if len(args[5]) == 2:
+            raise NonConvergence("refused")
+        return walk(*args)
+
+    monkeypatch.setattr(special, "_walk", refusing)
+    pairs = _counted(monkeypatch, "_kummer_continuation")
+    assert hyp2f1(*point) == alone
+    assert len(pairs) == 1
+    monkeypatch.setattr(special, "_AMPLIFY_LIMIT", 1.0)
+    monkeypatch.setattr(special, "_RESCUE_BUDGET", 0)
+    with pytest.raises(NonConvergence) as alone_refusal:
+        special._gauss_series(*first)
+    with pytest.raises(NonConvergence) as refusal:
+        hyp2f1(*point)
+    assert str(refusal.value) == str(alone_refusal.value)
+    assert "outgrew its budget" in str(refusal.value) and len(pairs) == 2
+
+
+def _walk_from_own_starts(eps, m, j, r):
+    """The equation of the first connection series of the running wave
+    (a, b, c, w), the panel ends and the (start, G, G') of F and of its
+    Kummer partner, each at its own start: the partner nearer 0 than
+    |1-c|^2/|ab|, where _kummer_continuation would start it."""
+    first, second = _connection_series(*_running_point(eps, m, j, "out", r))
+    a, b, c, w = first
+    e = 1.0 - c
+    q, f, df = special._start(*first, special._summed(*first)[1][0])
+    q2, f2, df2 = special._start(*second, special._summed(*second)[1][0])
+    assert q2 * w < abs(e) ** 2 / abs(a * b)
+    ends = np.unique(special._plan_panels(a * b, complex(w), min(q, q2) * w) + [max(q, q2) * w])
+    t0 = q2 * w
+    dg2 = t0**e * (e / t0 * f2 + df2 * (second[0] * second[1] / second[2]))
+    starts = [(q * w, f, df * (a * b / c)), (t0, t0**e * f2, dg2)]
+    return (a, b, c, w), ends, starts
+
+
+def test_paired_walk_checks_the_partner_from_its_own_start(monkeypatch):
+    # a partner started at its own start, nearer 0 than |1-c|^2/|ab|:
+    # at (epsilon, m, j, r) = (1000, 250, 20, 0.5) its amplification check
+    # refuses the walk, where F alone on the same panels returns; at
+    # (2000, 1333, 20, 0.7) its Chebyshev tails halve panels that F's accept
+    (a, b, c, w), ends, starts = _walk_from_own_starts(1000.0, 250.0, 20, 0.5)
+    assert cmath.isfinite(special._walk(a, b, c, 1 + 0j, ends, starts[:1])[0])
+    with pytest.raises(NonConvergence, match="outgrew its budget"):
+        special._walk(a, b, c, 1 + 0j, ends, starts)
+    (a, b, c, w), ends, starts = _walk_from_own_starts(2000.0, 2000.0 / 1.5, 20, 0.7)
+    solves = _solves(monkeypatch)
+    special._walk(a, b, c, 1 + 0j, ends, starts[:1])
+    alone = sum(solves)
+    solves.clear()
+    special._walk(a, b, c, 1 + 0j, ends, starts)
+    assert sum(solves) > alone
+
+
 def test_hyp2f1_continuation_retakes_steps_that_excite_the_fast_partner():
     # |c| = 1e4 against |ab| = 2.5e5: the partner z^(1-c) varies ~30 times
     # faster than the local frequency that sizes the panels, while F is the
@@ -762,15 +916,22 @@ def test_runtime_path_does_not_import_mpmath():
     assert proc.returncode == 0, proc.stderr
 
 
+# points of _continuation_grid before its running waves
+_STANDING_GRID = 26
+
+
 def _continuation_grid():
-    """26 seeded (a, b, c, z) of the two standing-wave families: epsilon
-    log-uniform in [10, 1e4], mu in [1.5, 5], j < 4, the families taking
-    turns; points 0-11 on the direct route (z < 1/2), 12-23 on the z -> 1-z
-    connection, and 24-25 at complex z, with epsilon up to 316 there so that
-    F stays within double range."""
+    """38 seeded (a, b, c, z).  26 of the two standing-wave families:
+    epsilon log-uniform in [10, 1e4], mu in [1.5, 5], j < 4, the families
+    taking turns; points 0-11 on the direct route (z < 1/2), 12-23 on the
+    z -> 1-z connection, and 24-25 at complex z, with epsilon up to 316
+    there so that F stays within double range.  Then 12 running waves, out
+    and in taking turns, whose two connection series share one walk:
+    epsilon log-uniform in [350, 2000], mu in [1.5, 4], j <= 20 and r in
+    [0.3, 0.7]."""
     rng = random.Random(2026)
     grid = []
-    for k in range(26):
+    for k in range(_STANDING_GRID):
         eps = 10.0 ** (rng.uniform(1.0, 4.0) if k < 24 else rng.uniform(1.5, 2.5))
         mu = rng.uniform(1.5, 5.0)
         j = rng.randrange(4)
@@ -779,6 +940,17 @@ def _continuation_grid():
         r = rng.uniform(0.72, 0.98) if 12 <= k < 24 else rng.uniform(0.2, 0.7)
         z = cmath.rect(r * r, rng.uniform(-0.6, 0.6)) if k >= 24 else r * r
         grid.append((ans.a, ans.b, ans.c, z))
+    while len(grid) < _STANDING_GRID + 12:
+        eps = 10.0 ** rng.uniform(math.log10(350.0), math.log10(2000.0))
+        m, j, r = eps / rng.uniform(1.5, 4.0), rng.randrange(21), rng.uniform(0.3, 0.7)
+        point = _running_point(eps, m, j, ("out", "in")[len(grid) % 2], r)
+        # kept where both series' first passes are over the pass budget and
+        # |1-c|^2 < |ab| w for the first one: where the walk is shared
+        first, second = _connection_series(*point)
+        a, b, c, w = first
+        priced = [t * (special._GUARD_BITS + bits) for t, bits in (_first_pass(*first), _first_pass(*second))]
+        if min(priced) > special._PASS_BUDGET and abs(1.0 - c) ** 2 < abs(a * b) * w:
+            grid.append(point)
     return grid
 
 
@@ -815,9 +987,46 @@ _GRID_FROZEN = {
 def test_hyp2f1_over_a_seeded_continuation_grid():
     # every point within 1e-10 of its reference, hyp2f1 called directly; at
     # large epsilon both routes end in the continuation
-    for k, (a, b, c, z) in enumerate(_continuation_grid()):
+    for k, (a, b, c, z) in enumerate(_continuation_grid()[:_STANDING_GRID]):
         ref = _GRID_FROZEN[k] if k in _GRID_FROZEN else _grid_reference(a, b, c, z)
         assert rel(hyp2f1(a, b, c, z), ref) < 1e-10, (k, a, b, c, z)
+
+
+def _exact_series(a, b, c, z):
+    """The Gauss series from a fixed-point pass 60 bits above the first
+    pass hyp2f1 prices, retried above the loss it measures."""
+    _, bits = _first_pass(a, b, c, z)
+    while True:
+        value, lost = special._fixed_point_sum(a, b, c, z, bits + 60)
+        if value is not None:
+            return value
+        bits = 1 + math.ceil(lost)
+
+
+def _paired_reference(a, b, c, z):
+    """DLMF 15.8.4 with mpmath's Gamma at 40 digits and each series from
+    _exact_series (taking the double parameters hyp2f1 gives it as exact)."""
+    first, second = _connection_series(a, b, c, z)
+    f1, f2 = _exact_series(*first), _exact_series(*second)
+    with mp.workdps(40):
+        a, b, c = mp.mpc(a), mp.mpc(b), mp.mpc(c)
+        s = c - a - b
+        g1 = mp.gamma(c) * mp.gamma(s) / (mp.gamma(c - a) * mp.gamma(c - b))
+        g2 = mp.gamma(c) * mp.gamma(-s) / (mp.gamma(a) * mp.gamma(b))
+        return complex(g1 * f1 + g2 * mp.mpf(first[3]) ** mp.mpc(second[2] - 1) * f2)
+
+
+def test_hyp2f1_over_the_paired_running_waves_of_the_continuation_grid(monkeypatch):
+    # each running wave's two series walk together, and each value is within
+    # 1e-11 of its reference; the Gamma rounding of connection_gammas alone
+    # reaches ~5e-12 at epsilon = 2000
+    pairs = []
+    pair = special._kummer_continuation
+    monkeypatch.setattr(special, "_kummer_continuation", lambda *args: pairs.append(pair(*args)) or pairs[-1])
+    for k, (a, b, c, z) in enumerate(_continuation_grid()[_STANDING_GRID:]):
+        got = hyp2f1(a, b, c, z)
+        assert len(pairs) == k + 1 and pairs[-1] is not None, k
+        assert rel(got, _paired_reference(a, b, c, z)) < 1e-11, (k, a, b, c, z)
 
 
 def test_hyp2f1_pole_and_domain_errors():
