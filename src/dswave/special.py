@@ -15,7 +15,10 @@ the float series measures:
 
 * direct: the Gauss series at z, summed in doubles;
 * connection: for real z above 1/2 (and c-a-b not an
-  integer), the z -> 1-z formula DLMF 15.8.4 with two series at 1-z;
+  integer), the z -> 1-z formula DLMF 15.8.4 with two series at 1-z, or
+  with one where the second series is the conjugate of the first (both
+  standing families): its term is then the conjugate of the first's times
+  (1-z)^(c-a-b);
 * fixed point: whenever one of those series measures a ratio above
   _CANCEL_RETRY between its largest term and its sum, the same series is
   summed again in Python-integer fixed point, _GUARD_BITS (64) bits above
@@ -69,6 +72,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 
 import numpy as np
 
@@ -859,17 +863,41 @@ def _solve_panels(
     return np.concatenate(out)
 
 
+_PACK_SIX = struct.Struct("6d").pack
+
+
+def _bits(x: complex, y: complex, w: complex) -> bytes:
+    """The bit patterns of three values' real and imaginary parts: equal
+    only for values that are equal bit for bit, signed zeros included."""
+    return _PACK_SIX(x.real, x.imag, y.real, y.imag, w.real, w.imag)
+
+
+# The last (a, b, c) of connection_gammas, as _bits, and its pair.
+_gammas_memo: tuple[bytes, tuple[complex, complex]] = (b"", (0j, 0j))
+
+
 def connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
     """G(c) G(c-a-b) / (G(c-a) G(c-b)) and G(c) G(a+b-c) / (G(a) G(b)),
     the z -> 1-z connection coefficients (DLMF 15.8.4) of hyp2f1 and
     waves.connect, as exp of log_gamma sums, with a+b-c taken as -(c-a-b).
     Their relative error is the rounding of those sums, ~|sum| * 2^-52:
     ~2e-12 at |Im a|, |Im b| ~ 1e3.
+
+    The pair of the last (a, b, c) is kept, keyed on the bits of a, b and c
+    (log_gamma's branch follows the sign of a zero, so +0.0 and -0.0 are
+    different keys): a grid of radii on one ansatz in hyp2f1's connection
+    route, or waves.connect before eval_standing there, computes it once.
     """
+    global _gammas_memo
+    key = _bits(a, b, c)
+    memo = _gammas_memo  # one read: a concurrent call may replace it
+    if memo[0] == key:
+        return memo[1]
     s = c - a - b
     lg_c = log_gamma(c)
     g1 = cmath.exp(lg_c + log_gamma(s) - log_gamma(c - a) - log_gamma(c - b))
     g2 = cmath.exp(lg_c + log_gamma(-s) - log_gamma(a) - log_gamma(b))
+    _gammas_memo = key, (g1, g2)
     return g1, g2
 
 
@@ -883,7 +911,13 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
       formula (DLMF 15.8.4) with the coefficients of connection_gammas,
       which keeps the series arguments small near z = 1.  It requires c-a-b
       to be non-integer; when it is an integer the direct series is
-      attempted anyway (it converges, slowly, for |z| < 1).
+      attempted anyway (it converges, slowly, for |z| < 1).  Where the
+      second series' parameters (c-a, c-b, 1+s), s = c-a-b, are bit for bit
+      the conjugates of the first's (a, b, 1-s), as for both standing
+      families, F2 is the conjugate of F1 and the coefficient g2 of g1: the
+      first series alone is summed, by whatever route it takes, and with
+      t = g1 F1 the value is t + conj(t) w^s, w = 1-z.  Other inputs, the
+      running waves among them, sum both series.
     * fixed point: a series of either route (the direct one, or one of the
       two connection series) whose largest term exceeds its sum by more than
       1e3 (_CANCEL_RETRY) is summed again in Python-integer fixed point, 64
@@ -912,8 +946,8 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
       and |c-a-b|^2 < |ab| (1-z): the second series times (1-z)^(c-a-b) is
       Kummer's partner of the first (DLMF 15.10.2), so one plan and one
       walk carry both, the partner from no nearer 0 than |c-a-b|^2/|ab|.
-      Running waves at large epsilon take it; standing waves at z > 1/2,
-      with c-a-b ~ -i epsilon, do not.  Where the paired walk refuses,
+      Running waves at large epsilon take it; standing waves at z > 1/2
+      sum their first series alone (above).  Where the paired walk refuses,
       each series takes its own walk.
       Where a walk refuses, the fixed-point passes go on from the same
       precision, each within 120 000 000 term-bits (_RESCUE_BUDGET,
@@ -958,6 +992,10 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     if use_connection:
         w = 1.0 - z.real
         first, second = (a, b, 1.0 - s, w), (c - a, c - b, 1.0 + s, w)
+        if _bits(*second[:3]) == _bits(a.conjugate(), b.conjugate(), (1.0 - s).conjugate()):
+            # the second series is the conjugate of the first, and g2 of g1
+            t = connection_gammas(a, b, c)[0] * _gauss_series(*first)
+            return t + t.conjugate() * w**s
         f1, walk1 = _summed(*first)
         f2 = walk2 = None
         if walk1 is not None and abs(s) ** 2 < abs(a * b) * w:

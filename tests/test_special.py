@@ -33,7 +33,7 @@ from dswave.special import (
     log_gamma,
     log_gamma_diff,
 )
-from dswave.waves import eval_running, make_ansatz
+from dswave.waves import eval_running, eval_standing, make_ansatz
 
 
 def rel(x: complex, y: complex) -> float:
@@ -634,13 +634,14 @@ def test_running_wave_series_share_one_walk(monkeypatch, direction):
     assert rel(got, _E1000_RUNNING[direction]) < 1e-12
 
 
-def test_standing_wave_series_that_fail_the_partner_rule_walk_alone(monkeypatch):
-    # the regular standing wave at (epsilon, m, j, r) = (2000, 500, 0, 0.8):
-    # both connection series are over the pass budget, but s ~ -2000i makes
+def test_series_that_fail_the_partner_rule_walk_alone(monkeypatch):
+    # the regular standing wave at (epsilon, m, j, r) = (2000, 500, 0, 0.8),
+    # with Re a nudged off c/2 so that its two connection series are not
+    # conjugates: both are over the pass budget, but s ~ 2000i makes
     # |1-c|^2 = 4e6 > |ab| w = 3.4e5.  Two walks, bit for bit the two direct
     # continuations
     ans = make_ansatz(HorizonUnitsParams(epsilon=2000.0, m=500.0, j=0), "regular")
-    point = (ans.a, ans.b, ans.c, complex(0.8**2))
+    point = (ans.a + 2.0**-10, ans.b, ans.c, complex(0.8**2))
     first, second = _connection_series(*point)
     values = []
     for series in (first, second):
@@ -653,6 +654,101 @@ def test_standing_wave_series_that_fail_the_partner_rule_walk_alone(monkeypatch)
     g1, g2 = special.connection_gammas(*point[:3])
     s, w = point[2] - point[0] - point[1], first[3]
     assert got == g1 * values[0] + g2 * (w**s) * values[1]
+
+
+def _standing_connection_grid(n, seed):
+    """(epsilon, a, b, c, z) of n standing waves on hyp2f1's connection
+    route, the two families in turn: epsilon log-uniform in [10, 2000],
+    m = epsilon / U(1.5, 4), j <= 20 and r in (0.71, 0.995)."""
+    rng = random.Random(seed)
+    grid = []
+    for k in range(n):
+        eps = 10.0 ** rng.uniform(1.0, math.log10(2000.0))
+        m, j, r = eps / rng.uniform(1.5, 4.0), rng.randrange(21), rng.uniform(0.71, 0.995)
+        ans = make_ansatz(HorizonUnitsParams(epsilon=eps, m=m, j=j), ("regular", "singular")[k % 2])
+        grid.append((eps, ans.a, ans.b, ans.c, complex(r * r)))
+    return grid
+
+
+def test_standing_waves_sum_one_conjugate_connection_series(monkeypatch):
+    # the second connection series of a standing wave is the conjugate of
+    # the first, and g2 of g1: each call sums the first series alone.  Its
+    # value is within 1e-12 of the envelope |g1 F1| + |g2 w^s F2| of the
+    # two-series sum, and where the big-float series is affordable (epsilon
+    # <= 250) within that sum's own error against it, or within the Gamma
+    # rounding connection_gammas states (~2^-52 times its log-Gamma sum)
+    summed = _counted(monkeypatch, "_summed")
+    for eps, a, b, c, z in _standing_connection_grid(48, 31):
+        first, second = _connection_series(a, b, c, z)
+        s, w = c - a - b, first[3]
+        g1, g2 = special.connection_gammas(a, b, c)
+        t1 = g1 * special._gauss_series(*first)
+        t2 = g2 * (w**s) * special._gauss_series(*second)
+        envelope = abs(t1) + abs(t2)
+        summed.clear()
+        got = hyp2f1(a, b, c, z)
+        assert summed == [first], (eps, a, b, c, z)
+        assert abs(got - (t1 + t2)) <= 1e-12 * envelope, (eps, a, b, c, z)
+        if eps <= 250.0:
+            ref = _grid_reference(a, b, c, z.real)
+            rounding = 2.0**-52 * sum(abs(log_gamma(x)) for x in (c, s, c - a, c - b))
+            err = abs(got - ref) / envelope
+            assert err <= max(abs(t1 + t2 - ref) / envelope, rounding), (eps, a, b, c, z, err)
+
+
+def test_running_waves_still_sum_both_connection_series(monkeypatch):
+    # a running wave's second connection series is no conjugate of its
+    # first: at z > 1/2 both are summed, on the float, fixed-point and
+    # paired-walk routes alike
+    summed = _counted(monkeypatch, "_summed")
+    for wave in [(20.0, 10.0, 2, "out", 0.6), (200.0, 100.0, 1, "in", 0.4), (1000.0, 500.0, 1, "out", 0.5)]:
+        point = _running_point(*wave)
+        summed.clear()
+        hyp2f1(*point)
+        assert summed == list(_connection_series(*point)), wave
+
+
+def _fresh_gammas(monkeypatch, a, b, c):
+    """connection_gammas(a, b, c) computed with an empty memo."""
+    monkeypatch.setattr(special, "_gammas_memo", (b"", (0j, 0j)))
+    return special.connection_gammas(a, b, c)
+
+
+def test_connection_gammas_memo_returns_the_pair_it_would_compute(monkeypatch):
+    # a seeded grid, each point called twice in a row, the second call a
+    # memo hit; c = x + 0.0j is followed by x - 0.0j, and log_gamma's branch
+    # follows the sign of that zero, so neither may be handed the other's pair
+    rng = random.Random(23)
+    grid = []
+    for _ in range(20):
+        a = complex(rng.uniform(-3.0, 3.0), rng.uniform(-50.0, 50.0))
+        b = complex(rng.uniform(-3.0, 3.0), rng.uniform(-50.0, 50.0))
+        x = rng.uniform(-5.0, 5.0)
+        grid += [(a, b, complex(x, 0.0)), (a, b, complex(x, -0.0))]
+    fresh = [_fresh_gammas(monkeypatch, *point) for point in grid]
+    # repr of a double is exact and keeps the sign of a zero
+    assert any(repr(plus) != repr(minus) for plus, minus in zip(fresh[::2], fresh[1::2]))
+    calls = _counted(monkeypatch, "log_gamma")
+    for point, pair in zip(grid, fresh):
+        for hit in (False, True):
+            before = len(calls)
+            assert repr(special.connection_gammas(*point)) == repr(pair), point
+            assert (len(calls) == before) == hit, point
+
+
+@pytest.mark.parametrize("family", ["regular", "singular"])
+def test_a_standing_grid_on_one_ansatz_computes_the_gamma_pair_once(monkeypatch, family):
+    # 19 radii, five of them (r >= 0.75) on the connection route, make the
+    # log_gamma calls of one connection_gammas call
+    ans = make_ansatz(HorizonUnitsParams(epsilon=30.0, m=15.0, j=2), family)
+    calls = _counted(monkeypatch, "log_gamma")
+    _fresh_gammas(monkeypatch, ans.a, ans.b, ans.c)
+    once = len(calls)
+    monkeypatch.setattr(special, "_gammas_memo", (b"", (0j, 0j)))
+    calls.clear()
+    for r in np.linspace(0.05, 0.95, 19):
+        eval_standing(ans, float(r))
+    assert once > 0 and len(calls) == once
 
 
 def test_refused_paired_walk_falls_back_to_one_walk_per_series(monkeypatch):
