@@ -337,11 +337,12 @@ def _parse_sweep(text: str, units: str) -> tuple[str, list[float]]:
         raise ConfigError("--sweep needs start <= stop and step > 0")
     if (stop - start) / step >= MAX_POINTS:
         raise ConfigError(f"--sweep {text!r} exceeds the limit of {MAX_POINTS} points")
-    values = []
-    v = start
-    while v <= stop + 1e-9 * step:
+    # every step must move the value, so the loop ends within ~MAX_POINTS
+    values = [start]
+    while (v := start + len(values) * step) <= stop + 1e-9 * step:
+        if v <= values[-1]:
+            raise ConfigError(f"--sweep step {step:g} is below the spacing of doubles near {name}={v:g}")
         values.append(v)
-        v = start + len(values) * step
     return name, values
 
 
@@ -438,6 +439,11 @@ def cmd_expand(args: argparse.Namespace) -> int:
             f"r_max * X = {grid[-1] * X} >= 1: outside the series' reach"
         )
     ep = ExpansionParams(mu, X, j)
+    # the second-order remainder is read on a decade ladder of X, down to X/100
+    ladder = [X, X / 10.0, X / 100.0]
+    eps = mu / ladder[-1] if ladder[-1] > 0.0 else math.inf
+    if not math.isfinite(eps * eps):
+        raise ConfigError(f"(mu/X)^2 at X/100 is beyond double range: mu={mu:g}, X={X:g}")
     dec = decompose_hypergeometric(ep, grid)
 
     # closed-form vs term-by-term first order, relative to the leading order
@@ -447,8 +453,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
         for r, f1 in zip(grid, dec.F1)
     )
 
-    # second-order remainder must shrink like X^2: slope over a decade ladder
-    ladder = [X, X / 10.0, X / 100.0]
+    # second-order remainder must shrink like X^2: slope over the ladder
     decs = [dec] + [decompose_hypergeometric(ExpansionParams(mu, x, j), grid) for x in ladder[1:]]
     remainders = [float(np.max(np.abs(d.F2_residual))) * x * x for d, x in zip(decs, ladder)]
     slope = float(

@@ -370,6 +370,12 @@ def first_order_correction_audit(ep: ExpansionParams) -> CorrectionAudit:
     """
     lo_kr, hi_kr = 6.0, 16.0
     n_pts = 64
+    slopes_x = (1e-2, 1e-3, 1e-4)
+    if hi_kr / ep.k * slopes_x[0] >= 1.0:
+        raise ValidityError(
+            f"mu={ep.mu}: the audit's window kr <= {hi_kr:g} reaches past the horizon r = 1/X "
+            f"at X = {slopes_x[0]:g}; mu must exceed {math.hypot(1.0, hi_kr * slopes_x[0]):.6g}"
+        )
     rs = np.linspace(lo_kr / ep.k, hi_kr / ep.k, n_pts)
     psi0 = normalized_out_wave_zero_order(ep, rs)
     basis = np.column_stack(
@@ -382,7 +388,6 @@ def first_order_correction_audit(ep: ExpansionParams) -> CorrectionAudit:
 
     order1 = _order1_weight(ep, rs) * psi0
 
-    slopes_x = (1e-2, 1e-3, 1e-4)
     sub = rs[:: n_pts // 8]
     devs = []
     for x in slopes_x:

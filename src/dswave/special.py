@@ -21,17 +21,13 @@ the float series measures:
   (1-z)^(c-a-b);
 * fixed point: whenever one of those series measures a ratio above
   _CANCEL_RETRY between its largest term and its sum, the same series is
-  summed again in Python-integer fixed point, _GUARD_BITS (64) bits above
-  the bits it lost, with the term ratio kept exact from the binary values
-  of a, b, c and z, so that one floor per term is its only rounding (the
-  precision raising of Johansson [3]).  Up to _FIXED_LIMIT (2^48) the loss
-  is the float series' own reading.  Beyond it, where that reading is
-  rounding noise, the loss is taken as log2 of the peak term plus
-  _SMALL_SUM_BITS (the peak from a log-space sum of the term ratios where
-  the float terms overflow).  Every pass, the first one included, runs only
-  within a budget of terms x bits (hyp2f1 states the rule).  A pass that
-  measures more loss than its precision covers is repeated above the
-  measured loss;
+  summed again in Python-integer fixed point, with the term ratio kept
+  exact from the binary values of a, b, c and z, so that one floor per term
+  is its only rounding (the precision raising of Johansson [3]).  One rule,
+  stated in hyp2f1, sizes the first pass from the peak term, whatever the
+  float series' cancellation, and prices every pass against a budget of
+  terms x bits.  A pass that measures more loss than its precision covers
+  is repeated above the measured loss;
 * continuation: where a pass is over budget, or none can succeed at any
   precision, F is carried along the hypergeometric ODE from a point where
   the series is benign, by Chebyshev-panel collocation [4] with one batched
@@ -252,13 +248,8 @@ def gamma_ratio_asymptotic(z: complex, A: complex, B: complex, order: int = 1) -
 # violently oscillatory long before it converges), and the series is summed
 # again in integer fixed point, or F is continued along its ODE.
 _CANCEL_RETRY = 1e3
-# Up to this cancellation the float series measures its loss, and the series
-# is summed again in fixed point with _GUARD_BITS bits above it.  Beyond it
-# the float sum is rounding noise: its reading stops near 2^52, while the
-# fixed-point pass measures 53 to 733 bits on the wave-grid benchmark.  There
-# the precision is set from the peak term instead, _SMALL_SUM_BITS above it
-# for a sum below 1 (log2 |F| stays within +-17 on that grid).
-_FIXED_LIMIT = 2.0**48
+# A fixed-point pass works at _GUARD_BITS bits above the loss it covers; the
+# first covers the peak term plus _SMALL_SUM_BITS (the rule hyp2f1 states).
 _GUARD_BITS = 64
 _SMALL_SUM_BITS = 20
 # Budgets of a fixed-point pass in term-bits, terms x (_GUARD_BITS + bits),
@@ -376,39 +367,35 @@ def _gauss_series(a: complex, b: complex, c: complex, z: complex) -> complex:
 
 
 def _summed(
-    a: complex, b: complex, c: complex, z: complex
+    a: complex, b: complex, c: complex, z: complex, cancel_limit: float = _CANCEL_RETRY
 ) -> tuple[complex | None, tuple[float, float, int] | None]:
-    """(F, None) from the float series or from fixed-point passes within
-    _PASS_BUDGET, else (None, walk): the series goes to the continuation,
-    and walk = (cancel, bits, terms) is what _continued takes from it.
+    """(F, None) from the float series where it cancels by at most
+    `cancel_limit` (_CANCEL_START for the paired walk's partner start
+    values), or from fixed-point passes within _PASS_BUDGET, else (None,
+    walk): the series goes to the continuation, and walk = (cancel, bits,
+    terms) is what _continued takes from it.
 
-    One loop of fixed-point passes over `terms` terms, the first covering a
-    loss of `bits` bits and each next one the loss its predecessor measured,
+    One loop of fixed-point passes over `terms` terms, the first covering
+    _peak_bits of the peak term (from the log-space sum where the float
+    terms overflow) and each next one the loss its predecessor measured,
     each priced at terms x (_GUARD_BITS + bits) against the budget; the
     first pass over it, or one no precision can make succeed, sends the
     series to the continuation."""
     total, cancel, peak, terms = _series_sum(a, b, c, z)
-    if cancel <= _CANCEL_RETRY:
+    if cancel <= cancel_limit:
         return total, None
-    bits, terms = _first_bits(a, b, c, z, cancel, peak, terms)
-    value, bits = _passes(a, b, c, z, bits, terms, _PASS_BUDGET, _MAX_TERMS)
-    return value, None if value is not None else (cancel, bits, terms)
-
-
-def _first_bits(
-    a: complex, b: complex, c: complex, z: complex, cancel: float, peak: float, terms: int
-) -> tuple[int, int]:
-    """(bits, terms) of the first fixed-point pass, from the float series'
-    cancellation, peak term and term count."""
-    if cancel <= _FIXED_LIMIT:
-        # one bit more: the fixed-point pass measures |re| + |im|, within
-        # sqrt(2) of |.|
-        return 1 + math.ceil(math.log2(cancel)), terms
     if peak == math.inf:
         log_peak, terms = _log2_peak(a, b, c, z)
     else:
         log_peak = math.log2(peak)
-    return 1 + math.ceil(log_peak) + _SMALL_SUM_BITS, terms
+    value, bits = _passes(a, b, c, z, _peak_bits(log_peak), terms, _PASS_BUDGET, _MAX_TERMS)
+    return value, None if value is not None else (cancel, bits, terms)
+
+
+def _peak_bits(log_peak: float) -> int:
+    """The loss the first fixed-point pass covers, for a peak term of
+    2^log_peak: the rule hyp2f1 states."""
+    return 1 + math.ceil(log_peak) + _SMALL_SUM_BITS
 
 
 def _passes(
@@ -442,7 +429,7 @@ def _continued(
         limit = max(_MAX_TERMS, int(_RESCUE_BUDGET // (_GUARD_BITS + bits)))
         if terms >= _MAX_TERMS:
             log_peak, terms = _log2_peak(a, b, c, z, limit)
-            bits = max(bits, 1 + math.ceil(log_peak) + _SMALL_SUM_BITS)
+            bits = max(bits, _peak_bits(log_peak))
         value, _ = _passes(a, b, c, z, bits, terms, _RESCUE_BUDGET, limit)
         if value is None:
             raise
@@ -730,7 +717,11 @@ def _kummer_continuation(
     q2, f2, df2 = _start(a2, b2, c2, z, partner_cancel)
     at = max(q2 * length, abs(e) ** 2 / abs(ab))
     if at > q2 * length:
-        f2, df2 = _start_value(a2, b2, c2, at * unit), _start_value(a2 + 1.0, b2 + 1.0, c2 + 1.0, at * unit)
+        try:
+            f2 = _summed(a2, b2, c2, at * unit, _CANCEL_START)[0]
+            df2 = _summed(a2 + 1.0, b2 + 1.0, c2 + 1.0, at * unit, _CANCEL_START)[0]
+        except NonConvergence:
+            return None
         if f2 is None or df2 is None:
             return None
     ends = np.unique(_plan_panels(ab, z, min(q * length, at)) + [max(q * length, at)])
@@ -747,20 +738,6 @@ def _kummer_continuation(
         return tuple(_walk(a, b, c, unit, ends, starts))
     except NonConvergence:
         return None
-
-
-def _start_value(a: complex, b: complex, c: complex, t: complex) -> complex | None:
-    """F(a, b; c; t) from the float series where it cancels by at most
-    _CANCEL_START, else from fixed-point passes within _PASS_BUDGET; None
-    where neither serves."""
-    try:
-        total, cancel, peak, terms = _series_sum(a, b, c, t)
-    except NonConvergence:
-        return None
-    if cancel <= _CANCEL_START:
-        return total
-    bits, terms = _first_bits(a, b, c, t, cancel, peak, terms)
-    return _passes(a, b, c, t, bits, terms, _PASS_BUDGET, _MAX_TERMS)[0]
 
 
 def _walk(
@@ -920,20 +897,23 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
       running waves among them, sum both series.
     * fixed point: a series of either route (the direct one, or one of the
       two connection series) whose largest term exceeds its sum by more than
-      1e3 (_CANCEL_RETRY) is summed again in Python-integer fixed point, 64
-      bits (_GUARD_BITS) above the bits it lost, with the term ratio exact
-      from the binary values of its arguments and one floor per term; the
-      tail past 2^-24 of the sum is summed in doubles.  Up to 2^48
-      (_FIXED_LIMIT) the lost bits are the float series' reading.  Beyond
-      it they are log2 of the peak term plus 20 (_SMALL_SUM_BITS, for |F|
-      down to 2^-20).  A pass that measures more loss than its precision
-      covers is repeated above the measured loss.
-      The budget rule: a pass costs terms x (64 + bits) term-bits, and
-      every pass, the first one included, runs only where that is at most
-      100 000 (_PASS_BUDGET, ~1.3 ms); otherwise the continuation runs.  The
-      relative error is the rounding to double plus ~2^-64 per term.  Large
-      |Im a|, |Im b|, as in the wave families up to epsilon of a few hundred
-      and the small-curvature expansion's tiny z, take this route.
+      1e3 (_CANCEL_RETRY) is summed again in Python-integer fixed point,
+      with the term ratio exact from the binary values of its arguments and
+      one floor per term; the tail past 2^-24 of the sum is summed in
+      doubles.
+      The pass rule: the first pass covers a loss of 1 + ceil(log2 peak)
+      + 20 (_SMALL_SUM_BITS) bits, enough for |F| down to 2^-20, whatever
+      the float series' cancellation; the peak term is the float series'
+      or, where its terms overflow, that of a log-space sum of the term
+      ratios.  A pass works at 64 bits (_GUARD_BITS) above the loss it
+      covers, and one that measures more loss than it covers is repeated
+      above the measured loss.  A pass costs terms x (64 + bits)
+      term-bits, and every pass, the first one included, runs only where
+      that is at most 100 000 (_PASS_BUDGET, ~1.3 ms); otherwise the
+      continuation runs.  The relative error is the rounding to double plus
+      ~2^-64 per term.  Large |Im a|, |Im b|, as in the wave families up to
+      epsilon of a few hundred and the small-curvature expansion's tiny z,
+      take this route.
     * continuation: a series that the fixed-point passes cannot sum within
       _PASS_BUDGET, or at all (beyond 10 000 terms), is continued along
       z(1-z)F'' + [c-(a+b+1)z]F' - abF = 0 from a point on the ray where

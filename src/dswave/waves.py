@@ -149,6 +149,11 @@ def eval_running(ans: WaveAnsatz, direction: str, r: float) -> complex:
         raise DomainError(f"eval_running: r={r} outside (0, 1)")
     z = r * r
     w = 1.0 - z
+    if w == 1.0:
+        raise DomainError(
+            f"eval_running: r={r} is too near the origin: 1 - r^2 rounds to 1, "
+            "where the running waves' series in 1 - r^2 do not converge"
+        )
     if direction == "out":
         third = ans.a + ans.b - ans.c + 1.0
         series = hyp2f1(ans.a, ans.b, third, w)

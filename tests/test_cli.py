@@ -657,6 +657,20 @@ def one_error_line(err: str) -> str:
         (("flat-limit", "--mu=2", "--j=1", "--scales=1e3", "--fixed-kappa=inf"), "fixed_kappa"),
         (("flat-limit", "--mu=2", "--j=1", "--kr=nan"), "kr"),
         (("flat-limit", "--mu=2", "--j=1", "--kr=inf"), "kr"),
+        # (mu/X)^2 beyond double range at X (1.5e-162, 1e-158), at the X/100
+        # rung of the remainder ladder alone (1e-152), or with k = inf
+        # (mu = 1e300)
+        (("expand", "--mu=2", "--X=1.5e-162", "--j=0"), "X"),
+        (("expand", "--mu=2", "--X=1e-158", "--j=0"), "X"),
+        (("expand", "--mu=2", "--X=1e-152", "--j=0"), "X"),
+        (("expand", "--mu=1e300", "--X=1e-3", "--j=0"), "mu"),
+        # the audit's kr window at X = 1e-2 reaches past the horizon
+        (("expand", "--mu=1.01", "--X=0.01", "--j=0"), "mu"),
+        # 1 - r^2 rounds to 1 below r ~ 7.45e-9
+        (("wave", "--epsilon=100", "--m=50", "--j=1", "--kind=out", "--r-min=1e-9", "--r-max=2e-9", "--grid=2"), "r"),
+        (("wave", "--epsilon=100", "--m=50", "--j=1", "--kind=in", "--r-min=1e-9", "--r-max=2e-9", "--grid=2"), "r"),
+        (("wave", "--epsilon=100", "--m=50", "--j=1", "--kind=f", "--residuals", "--r-min=1e-9", "--r-max=2e-9",
+          "--grid=2"), "r"),
     ],
 )
 def test_non_finite_or_negative_parameters_exit_2_naming_them(capsys, argv, name):
@@ -740,6 +754,9 @@ def test_flat_limit_bessel_beyond_double_range_names_kr(capsys):
         ("reflect", "--m=10", "--j=1", "--no-flux", "--sweep", "epsilon=20:nan:1"),
         ("wave", "--epsilon=20", "--m=10", "--j=1", "--kind=f", "--grid", str(10**12)),
         ("potential", "--m=5", "--j=1", "--grid", "10001"),
+        # steps below the spacing of doubles at 1e300 and at 1e17
+        ("reflect", "--m=10", "--j=1", "--no-flux", "--sweep", "epsilon=1e300:1e300:1"),
+        ("reflect", "--m=10", "--j=1", "--no-flux", "--sweep", "epsilon=1e17:1e17:1"),
     ],
 )
 def test_long_or_non_finite_lists_are_refused_before_they_are_built(capsys, argv):

@@ -282,7 +282,7 @@ def test_hyp2f1_fixed_point_route_against_the_oracle(monkeypatch):
     monkeypatch.setattr(special, "_ode_continuation", _no_continuation)
     for a, b, c, z in _fixed_point_grid():
         _, cancel, _, _ = special._series_sum(a, b, c, z)
-        assert special._CANCEL_RETRY < cancel <= special._FIXED_LIMIT, (a, b, c, z, cancel)
+        assert cancel > special._CANCEL_RETRY, (a, b, c, z, cancel)
         ref = complex(extended_series("hyp2f1", [a, b, c, z]))
         assert rel(hyp2f1(a, b, c, z), ref) < 2e-15, (a, b, c, z)
 
@@ -333,8 +333,7 @@ def _counted_continuation(monkeypatch):
 
 
 def test_hyp2f1_takes_the_fixed_point_pass_within_the_budget(monkeypatch):
-    # beyond 2^48 the route follows the pass budget: an e200_r0.5 standing
-    # wave (~160 terms at ~200 working bits) and both connection sub-series
+    # the route follows the pass budget: an e200_r0.5 standing wave (~160 terms at ~200 working bits) and both connection sub-series
     # of an e1000_r0.9 running wave at mu = 3, at w = 0.19 (~150 terms at
     # ~150 bits), are within 1e5 term-bits and summed in fixed point
     w = complex(1.0 - 0.9**2)
@@ -344,7 +343,7 @@ def test_hyp2f1_takes_the_fixed_point_pass_within_the_budget(monkeypatch):
     monkeypatch.setattr(special, "_ode_continuation", _no_continuation)
     for a, b, c, z in points:
         _, cancel, _, _ = special._series_sum(a, b, c, z)
-        assert special._FIXED_LIMIT < cancel < math.inf, (a, b, c, z, cancel)
+        assert special._CANCEL_RETRY < cancel < math.inf, (a, b, c, z, cancel)
         ref = complex(extended_series("hyp2f1", [a, b, c, z]))
         assert rel(special._gauss_series(a, b, c, z), ref) < 2e-15, (a, b, c, z)
 
@@ -360,19 +359,15 @@ def test_hyp2f1_keeps_the_continuation_beyond_the_budget(monkeypatch):
 def test_pass_budget_edge_decides_between_pass_and_continuation(monkeypatch):
     # each standing wave's first pass returns the value: a budget of exactly
     # its term-bits keeps the pass, one term-bit less sends the series to the
-    # continuation.  The e200_r0.5 one cancels beyond 2^48 and takes its bits
-    # from the peak term; the (50, 1, 0.5) one cancels by 2^30.6 and takes
-    # them from that reading (72 terms x 96 bits), priced all the same
+    # continuation.  The e200_r0.5 one cancels by more than 2^48, the
+    # (50, 1, 0.5) one by 2^30.6; both take their bits from the peak term
+    # (72 terms x 108 bits for the second one)
     calls = _counted_continuation(monkeypatch)
     for eps, continued_tol in ((200.0, 1e-11), (50.0, 1e-12)):
         point = _standing_point(eps, 1, 0.5)
         _, cancel, peak, terms = special._series_sum(*point)
-        if cancel > special._FIXED_LIMIT:
-            assert cancel < math.inf
-            bits = 1 + math.ceil(math.log2(peak)) + special._SMALL_SUM_BITS
-        else:
-            assert cancel > special._CANCEL_RETRY
-            bits = 1 + math.ceil(math.log2(cancel))
+        assert special._CANCEL_RETRY < cancel < math.inf
+        bits = 1 + math.ceil(math.log2(peak)) + special._SMALL_SUM_BITS
         term_bits = terms * (special._GUARD_BITS + bits)
         assert term_bits <= special._PASS_BUDGET
         monkeypatch.setattr(special, "_PASS_BUDGET", term_bits)
@@ -383,6 +378,20 @@ def test_pass_budget_edge_decides_between_pass_and_continuation(monkeypatch):
         assert rel(hyp2f1(*point), ref) < continued_tol, eps
         assert len(calls) == 1, eps
         calls.clear()
+
+
+def test_first_pass_covers_the_peak_term_whatever_the_cancellation(monkeypatch):
+    # the regular standing series at (epsilon, m, j, r) = (50, 25, 1, 0.5)
+    # cancels by 2^30.6, and its peak term is 2^22.x: the first pass covers
+    # 1 + 23 + _SMALL_SUM_BITS = 44 bits, not the 32 the float series'
+    # cancellation reads, and returns the big-float value
+    point = _standing_point(50.0, 1, 0.5)
+    _, cancel, peak, _ = special._series_sum(*point)
+    assert 1 + math.ceil(math.log2(cancel)) == 32 and math.ceil(math.log2(peak)) == 23
+    passes = _counted(monkeypatch, "_fixed_point_sum")
+    got = hyp2f1(*point)
+    assert [call[4] for call in passes] == [44]
+    assert rel(got, complex(extended_series("hyp2f1", list(point)))) < 2e-15
 
 
 def test_refused_continuation_is_rescued_by_a_fixed_point_pass(monkeypatch):
@@ -476,9 +485,7 @@ def test_fixed_point_sum_falls_back_past_the_term_budget(monkeypatch):
 
 def _first_pass(a, b, c, z):
     """(terms, bits) of the first fixed-point pass _gauss_series prices."""
-    _, cancel, peak, terms = special._series_sum(a, b, c, z)
-    if cancel <= special._FIXED_LIMIT:
-        return terms, 1 + math.ceil(math.log2(cancel))
+    _, _, peak, terms = special._series_sum(a, b, c, z)
     if peak == math.inf:
         log_peak, terms = special._log2_peak(a, b, c, z)
     else:
@@ -699,13 +706,16 @@ def test_standing_waves_sum_one_conjugate_connection_series(monkeypatch):
 def test_running_waves_still_sum_both_connection_series(monkeypatch):
     # a running wave's second connection series is no conjugate of its
     # first: at z > 1/2 both are summed, on the float, fixed-point and
-    # paired-walk routes alike
+    # paired-walk routes alike (the paired walk also sums its partner's
+    # start values, away from w, under the start bound _CANCEL_START)
     summed = _counted(monkeypatch, "_summed")
     for wave in [(20.0, 10.0, 2, "out", 0.6), (200.0, 100.0, 1, "in", 0.4), (1000.0, 500.0, 1, "out", 0.5)]:
         point = _running_point(*wave)
+        series = _connection_series(*point)
         summed.clear()
         hyp2f1(*point)
-        assert summed == list(_connection_series(*point)), wave
+        assert [call for call in summed if call[3] == series[0][3]] == list(series), wave
+        assert all(call[4:] == (special._CANCEL_START,) for call in summed if call[3] != series[0][3]), wave
 
 
 def _fresh_gammas(monkeypatch, a, b, c):
