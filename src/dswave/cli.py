@@ -35,7 +35,8 @@ Exit codes
 2  configuration / input errors (bad flags, malformed config or fixture
    files, an unwritable --output, non-finite or negative parameters, a
    potential beyond double range, grids or sweeps longer than MAX_POINTS,
-   out-of-domain or repeating radii, expansion validity violations)
+   out-of-domain or repeating radii, expansion validity violations, an
+   expansion X^2 remainder below the rounding floor)
 3  regime / physical-validity errors (evanescent mode, far-field regime
    guard, unsupported mass, non-positive barrier factor)
 4  numerical non-convergence (series or integrator failure, far-field
@@ -61,6 +62,7 @@ from .expansion import (
     decompose_hypergeometric,
     first_order_correction_audit,
     first_order_series,
+    remainder_ladder,
 )
 from .model import (
     HorizonUnitsParams,
@@ -71,7 +73,7 @@ from .model import (
 from .oracle import StepFailure, classify_singularities
 from .reflection import RegimeError, far_field_reflection, horizon_flux_balance
 from .special import NonConvergence
-from .waves import EvanescentMode, UnsupportedMass, connection_residual, eval_running, eval_standing, flat_limit_convergence, make_ansatz
+from .waves import EvanescentMode, UnsupportedMass, connection_check, eval_running, eval_standing, flat_limit_convergence, make_ansatz
 
 __all__ = ["main", "build_parser", "ConfigError"]
 
@@ -301,15 +303,18 @@ def cmd_wave(args: argparse.Namespace) -> int:
         raise ConfigError(f"--kind must be one of {sorted(_WAVE_KINDS)}, got {kind!r}")
     grid = [float(r) for r in _r_grid(args, 0.05, 0.95, 19)]
     ans = make_ansatz(hp, "singular" if kind == "g" else "regular")
-    if kind in ("f", "g"):
-        values = [eval_standing(ans, r) for r in grid]
-    else:
-        values = [eval_running(ans, kind, r) for r in grid]
     rows = []
-    for r, v in zip(grid, values):
-        named = [("r", r), ("u", v)]
+    for r in grid:
         if args.residuals:
-            named.append(("connection_residual", connection_residual(ans, r)))
+            # the residual evaluates the standing and both running waves; the
+            # row's value is one of those three
+            standing, out, inc, residual = connection_check(ans, r)
+            u = {"out": out, "in": inc}.get(kind, standing)
+            named = [("r", r), ("u", u), ("connection_residual", residual)]
+        elif kind in ("f", "g"):
+            named = [("r", r), ("u", eval_standing(ans, r))]
+        else:
+            named = [("r", r), ("u", eval_running(ans, kind, r))]
         header, row = _columns(named)
         rows.append(row)
     _emit_table(args, {**echo, "kind": kind}, header, rows)
@@ -427,6 +432,15 @@ def cmd_flat_limit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _stage(label: str):
+    """Prefix the message of a NonConvergence raised inside with label."""
+    try:
+        yield
+    except NonConvergence as exc:
+        raise NonConvergence(f"{label}: {exc}") from exc
+
+
 def cmd_expand(args: argparse.Namespace) -> int:
     mu = _require(args.mu, "mu")
     X = _require(args.X, "X")
@@ -444,23 +458,34 @@ def cmd_expand(args: argparse.Namespace) -> int:
     eps = mu / ladder[-1] if ladder[-1] > 0.0 else math.inf
     if not math.isfinite(eps * eps):
         raise ConfigError(f"(mu/X)^2 at X/100 is beyond double range: mu={mu:g}, X={X:g}")
-    dec = decompose_hypergeometric(ep, grid)
+    with _stage(f"mu={mu}, X={X}"):
+        # F0, G0 and the first-order weight depend on mu, j and r only: this
+        # one decomposition at X supplies them to every rung of the ladder
+        with _stage("decomposition at X"):
+            dec = decompose_hypergeometric(ep, grid)
 
-    # closed-form vs term-by-term first order, relative to the leading order
-    scale = float(np.max(np.abs(dec.F0)))
-    identity_err = max(
-        abs(first_order_series(ep, float(r), "regular") - f1) / scale
-        for r, f1 in zip(grid, dec.F1)
-    )
+        # closed-form vs term-by-term first order, relative to the leading order
+        scale = float(np.max(np.abs(dec.F0)))
+        identity_err = max(
+            abs(first_order_series(ep, float(r), "regular") - f1) / scale
+            for r, f1 in zip(grid, dec.F1)
+        )
 
-    # second-order remainder must shrink like X^2: slope over the ladder
-    decs = [dec] + [decompose_hypergeometric(ExpansionParams(mu, x, j), grid) for x in ladder[1:]]
-    remainders = [float(np.max(np.abs(d.F2_residual))) * x * x for d, x in zip(decs, ladder)]
-    slope = float(
-        np.polyfit(np.log10(ladder), np.log10(remainders), 1)[0]
-    )
+        # second-order remainder must shrink like X^2: slope over the ladder,
+        # whose lower rungs evaluate only the regular Gauss factor again
+        remainders = remainder_ladder(ep, dec, ladder[1:])
+        floor = 100.0 * 2.0**-52 * scale
+        if remainders[-1] < floor:
+            raise ConfigError(
+                f"mu={mu}, X={X}: the X^2 remainder at X/100 is {remainders[-1]:.3g}, below the "
+                f"rounding floor 100*2^-52*max|F0| = {floor:.3g}, so its log-slope would read "
+                f"rounding noise; use a larger X"
+            )
+        slope = float(
+            np.polyfit(np.log10(ladder), np.log10(remainders), 1)[0]
+        )
 
-    audit = first_order_correction_audit(ep)
+        audit = first_order_correction_audit(ep)
     doc = {
         "inputs": {"mu": mu, "X": X, "j": j, "r_min": float(grid[0]), "r_max": float(grid[-1]), "grid": int(grid.size)},
         "first_order_identity_error": identity_err,

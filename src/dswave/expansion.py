@@ -19,6 +19,12 @@ arithmetic.  The singular-family Gbar mirrors everything with p -> -p.
 F2 is defined operationally as the Richardson residual
 (Fbar - F0 - X F1)/X^2 against the exact double-precision series.
 
+F0, G0 and the first-order weight F1/F0 = G1/G0 depend on mu, j and r
+only, never on X.  remainder_ladder therefore reads the X^2 remainder at
+lower rungs x of an X ladder from one decomposition at X: each rung
+evaluates only the regular Gauss factor at z = (r x)^2.  The audit's
+slope likewise evaluates its Bessel limits once for all three X values.
+
 Assembling the normalization factor with the asymptotic channel
 coefficients turns the order-0 wave into a pure outgoing spherical wave,
 -pi i^j sqrt(2/(kr)) H1_p(kr); the first-order correction multiplies both
@@ -32,11 +38,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from .model import HorizonUnitsParams, _check_j
-from .special import bessel_j, hyp2f1, log_gamma
+from .special import NonConvergence, bessel_j, hyp2f1, log_gamma
 from .waves import make_ansatz
 
 __all__ = [
@@ -51,6 +58,7 @@ __all__ = [
     "truncated_wave_parameter",
     "first_order_series",
     "decompose_hypergeometric",
+    "remainder_ladder",
     "normalization_factor",
     "normalized_out_wave_zero_order",
     "first_order_correction_audit",
@@ -278,6 +286,28 @@ def decompose_hypergeometric(ep: ExpansionParams, r_grid) -> ExpansionDecomposit
     )
 
 
+def remainder_ladder(
+    ep: ExpansionParams, dec: ExpansionDecomposition, lower: Sequence[float]
+) -> list[float]:
+    """max|F2_residual| x^2 at X and at each lower rung x of the X ladder.
+
+    dec is decompose_hypergeometric(ep, r_grid).  Its F0 and F1 do not
+    depend on X, so they serve every rung, and a rung evaluates only the
+    exact regular factor at z = (r x)^2; the remainder is formed exactly as
+    decompose_hypergeometric forms F2_residual at X = x.
+    """
+    remainders = [float(np.max(np.abs(dec.F2_residual))) * ep.X * ep.X]
+    for x in lower:
+        reg = make_ansatz(ExpansionParams(ep.mu, x, ep.j).horizon_params(), "regular")
+        try:
+            Fe = np.array([hyp2f1(reg.a, reg.b, reg.c, complex((r * x) ** 2)) for r in dec.r_grid])
+        except NonConvergence as exc:
+            raise NonConvergence(f"rung x={x:g}: {exc}") from exc
+        residual = (Fe - dec.F0 - x * dec.F1) * (1.0 / (x * x))
+        remainders.append(float(np.max(np.abs(residual))) * x * x)
+    return remainders
+
+
 def _first_order_factor(ep: ExpansionParams) -> complex:
     # shared O(X) correction to both channel coefficients
     return 1.0 + complex(
@@ -388,15 +418,19 @@ def first_order_correction_audit(ep: ExpansionParams) -> CorrectionAudit:
 
     order1 = _order1_weight(ep, rs) * psi0
 
+    # the Bessel limits do not depend on X: one evaluation serves every slope X
     sub = rs[:: n_pts // 8]
+    f0_sub = [_bessel_limit(ep.k, ep.p, r) for r in sub]
     devs = []
     for x in slopes_x:
-        epx = ExpansionParams(ep.mu, x, ep.j)
-        reg = make_ansatz(epx.horizon_params(), "regular")
+        reg = make_ansatz(ExpansionParams(ep.mu, x, ep.j).horizon_params(), "regular")
         dev = 0.0
-        for r in sub:
-            f_exact = hyp2f1(reg.a, reg.b, reg.c, complex((r * x) ** 2))
-            dev = max(dev, abs(f_exact - _bessel_limit(epx.k, epx.p, r)))
+        try:
+            for r, f0 in zip(sub, f0_sub):
+                f_exact = hyp2f1(reg.a, reg.b, reg.c, complex((r * x) ** 2))
+                dev = max(dev, abs(f_exact - f0))
+        except NonConvergence as exc:
+            raise NonConvergence(f"audit at X={x:g}: {exc}") from exc
         devs.append(dev)
     logs_x = np.log10(np.asarray(slopes_x))
     logs_d = np.log10(np.asarray(devs))

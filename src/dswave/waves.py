@@ -32,6 +32,7 @@ __all__ = [
     "eval_standing",
     "eval_running",
     "connect",
+    "connection_check",
     "connection_residual",
     "flat_limit_reference",
     "normalized_out_wave",
@@ -179,17 +180,24 @@ def connect(ans: WaveAnsatz) -> ConnectionCoefficients:
     return ConnectionCoefficients(to_out=to_out, to_in=to_in)
 
 
-def connection_residual(ans: WaveAnsatz, r: float) -> float:
-    """Relative residual |standing - (to_out U_out + to_in U_in)| / |standing|."""
+def connection_check(ans: WaveAnsatz, r: float) -> tuple[complex, complex, complex, float]:
+    """Standing wave, U_out and U_in at radius r, and their connection residual.
+
+    The residual is |standing - (to_out U_out + to_in U_in)| / |standing|
+    (absolute where the standing wave vanishes); each wave is evaluated once.
+    """
     cc = connect(ans)
     standing = eval_standing(ans, r)
-    combo = cc.to_out * eval_running(ans, "out", r) + cc.to_in * eval_running(
-        ans, "in", r
-    )
+    out = eval_running(ans, "out", r)
+    inc = eval_running(ans, "in", r)
+    gap = abs(standing - (cc.to_out * out + cc.to_in * inc))
     scale = abs(standing)
-    if scale == 0.0:
-        return abs(standing - combo)
-    return abs(standing - combo) / scale
+    return standing, out, inc, (gap / scale if scale != 0.0 else gap)
+
+
+def connection_residual(ans: WaveAnsatz, r: float) -> float:
+    """Relative residual |standing - (to_out U_out + to_in U_in)| / |standing|."""
+    return connection_check(ans, r)[3]
 
 
 def flat_limit_reference(hp: HorizonUnitsParams, k: float, r: float) -> complex:

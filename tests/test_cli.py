@@ -1,6 +1,7 @@
 """Command-line interface: formats, config precedence, exit codes."""
 from __future__ import annotations
 
+import collections
 import json
 import math
 import pathlib
@@ -8,9 +9,11 @@ import re
 import time
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import dswave
+from dswave import cli, expansion, waves
 from dswave.cli import main
 from dswave.model import HorizonUnitsParams
 from dswave.special import NonConvergence
@@ -75,6 +78,37 @@ def test_wave_connection_residual_column(capsys):
     header, rows = csv_rows(out)
     assert header[-1] == "connection_residual"
     assert all(float(row[-1]) < 1e-10 for row in rows)
+
+
+def _count_calls(monkeypatch, counts, module, name):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("kind", ["f", "g", "out", "in"])
+def test_wave_residual_rows_reuse_the_residuals_waves(capsys, monkeypatch, kind):
+    argv = ("wave", "--epsilon", "10", "--m", "5", "--j", "1", "--kind", kind, "--grid", "7")
+    ans = make_ansatz(HorizonUnitsParams(epsilon=10.0, m=5.0, j=1), "singular" if kind == "g" else "regular")
+    expected = []
+    for r in (float(r) for r in np.linspace(0.05, 0.95, 7)):
+        u = waves.eval_standing(ans, r) if kind in ("f", "g") else waves.eval_running(ans, kind, r)
+        res = waves.connection_residual(ans, r)
+        expected.append(",".join(cli._fmt(v) for v in (r, u.real, u.imag, res)))
+    counts = collections.Counter()
+    _count_calls(monkeypatch, counts, waves, "hyp2f1")
+    rc, out, _ = run(capsys, *argv, "--residuals")
+    # one standing and two running waves per radius, the row's value among them
+    assert rc == 0 and counts["hyp2f1"] == 3 * 7
+    assert out.splitlines()[1:] == expected
+    counts.clear()
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and counts["hyp2f1"] == 7
+    assert out.splitlines()[1:] == [",".join(row.split(",")[:3]) for row in expected]
 
 
 def test_wave_in_is_conjugate_of_out(capsys):
@@ -291,6 +325,71 @@ def test_expand_report(capsys):
 def test_expand_validity_exit(capsys):
     rc, _, err = run(capsys, "expand", "--mu", "2", "--X", "0.5", "--j", "0")
     assert rc == 2 and err
+
+
+@pytest.mark.parametrize("grid", [15, 8])
+def test_expand_computes_each_x_independent_profile_once(capsys, monkeypatch, grid):
+    counts = collections.Counter()
+    _count_calls(monkeypatch, counts, cli, "decompose_hypergeometric")
+    _count_calls(monkeypatch, counts, expansion, "hyp2f1")
+    _count_calls(monkeypatch, counts, expansion, "_bessel_limit")
+    rc, _, _ = run(capsys, "expand", "--mu", "2.5", "--X", "3e-3", "--j", "1", "--grid", str(grid))
+    assert rc == 0
+    # 2n + n + n factors at X, X/10 and X/100, 3 x 8 in the audit's slope;
+    # 2n limits at X, 2 x 64 for the audit's order-0 wave and 8 for its slope
+    assert counts == {
+        "decompose_hypergeometric": 1,
+        "hyp2f1": 4 * grid + 24,
+        "_bessel_limit": 2 * grid + 136,
+    }
+
+
+def test_expand_refuses_a_remainder_below_the_rounding_floor(capsys):
+    # at X = 1e-6 the X/100 rung's remainder is ~1e-15, rounding noise of
+    # Fe - F0 - x F1, and its log-slope would print 1.84 instead of 2
+    rc, out, err = run(capsys, "expand", "--mu", "2", "--X", "1e-6", "--j", "1")
+    line = one_error_line(err)
+    assert rc == 2 and out == ""
+    assert line.startswith("error: mu=2.0, X=1e-06: the X^2 remainder at X/100 is 1.62e-15")
+    assert "rounding floor 100*2^-52*max|F0| = 2.06e-14" in line
+    rc, out, _ = run(capsys, "expand", "--mu", "2", "--X", "1e-5", "--j", "1", "--format", "json")
+    assert rc == 0 and abs(json.loads(out)["remainder"]["log_slope"] - 2.0) < 0.01
+
+
+@pytest.mark.parametrize("mu", ["1e5", "1e150"])
+def test_expand_continuation_failure_names_mu_x_and_stage(capsys, mu):
+    rc, out, err = run(capsys, "expand", "--mu", mu, "--X", "0.01", "--j", "1")
+    line = one_error_line(err)
+    assert rc == 4 and out == ""
+    assert line.startswith(f"error: mu={float(mu)}, X=0.01: decomposition at X: 2F1 continuation"), line
+
+
+@pytest.mark.parametrize(
+    "fail_at, stage",
+    [
+        (0, "decomposition at X"),
+        (30, "rung x=0.0001"),
+        (45, "rung x=1e-05"),
+        (60, "audit at X=0.01"),
+        (68, "audit at X=0.001"),
+        (83, "audit at X=0.0001"),
+    ],
+)
+def test_expand_names_the_stage_whose_series_failed(capsys, monkeypatch, fail_at, stage):
+    # 15 radii: 30 factors at X, 15 per lower rung, then 8 per audit X
+    calls = []
+    real = expansion.hyp2f1
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == fail_at + 1:
+            raise NonConvergence("forced")
+        return real(*args)
+
+    monkeypatch.setattr(expansion, "hyp2f1", failing)
+    rc, out, err = run(capsys, "expand", "--mu", "2", "--X", "1e-3", "--j", "0")
+    assert rc == 4 and out == ""
+    assert one_error_line(err) == f"error: mu=2.0, X=0.001: {stage}: forced"
 
 
 # --- classify ----------------------------------------------------------------

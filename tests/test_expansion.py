@@ -18,10 +18,12 @@ from dswave.expansion import (
     first_order_series,
     normalization_factor,
     normalized_out_wave_zero_order,
+    remainder_ladder,
     sum_identity,
     truncated_wave_parameter,
 )
-from dswave.special import hankel1, log_gamma
+from dswave import expansion
+from dswave.special import hankel1, hyp2f1, log_gamma
 from dswave.waves import make_ansatz
 
 EP = ExpansionParams(2.0, 1e-3, 1)
@@ -203,3 +205,46 @@ def test_first_order_audit():
     assert 0.9 < aud.first_order_slope < 1.1
     assert aud.kr_window == (6.0, 16.0)
     assert aud.n_points == 64
+
+
+def test_remainder_ladder_matches_full_decompositions():
+    # F0 and F1 do not depend on X, so rungs that reuse them and evaluate only
+    # the regular factor give the full decomposition's remainder to the bit
+    rng = np.random.default_rng(20250)
+    for _ in range(40):
+        mu = float(rng.uniform(1.05, 5.0))
+        X = float(10.0 ** rng.uniform(-5.0, -1.0))
+        j = int(rng.integers(0, 6))
+        lo = float(rng.uniform(0.1, 1.0))
+        rs = np.linspace(lo, lo + float(rng.uniform(0.5, 3.0)), int(rng.integers(2, 16)))
+        ep = ExpansionParams(mu, X, j)
+        ladder = [X, X / 10.0, X / 100.0]
+        got = remainder_ladder(ep, decompose_hypergeometric(ep, rs), ladder[1:])
+        want = [
+            float(np.max(np.abs(decompose_hypergeometric(ExpansionParams(mu, x, j), rs).F2_residual))) * x * x
+            for x in ladder
+        ]
+        assert list(map(repr, got)) == list(map(repr, want)), (mu, X, j, rs.size)
+
+
+def _audit_slope_with_bessel_limits_per_x(ep: ExpansionParams) -> float:
+    """The audit's slope with the Bessel limits evaluated again at every X."""
+    slopes_x = (1e-2, 1e-3, 1e-4)
+    sub = np.linspace(6.0 / ep.k, 16.0 / ep.k, 64)[::8]
+    devs = []
+    for x in slopes_x:
+        epx = ExpansionParams(ep.mu, x, ep.j)
+        reg = make_ansatz(epx.horizon_params(), "regular")
+        dev = 0.0
+        for r in sub:
+            f_exact = hyp2f1(reg.a, reg.b, reg.c, complex((r * x) ** 2))
+            dev = max(dev, abs(f_exact - expansion._bessel_limit(epx.k, epx.p, r)))
+        devs.append(dev)
+    return float(np.polyfit(np.log10(np.asarray(slopes_x)), np.log10(np.asarray(devs)), 1)[0])
+
+
+@pytest.mark.parametrize("mu, X, j", [(2.0, 1e-3, 0), (1.3, 1e-2, 1), (3.7, 5e-4, 2), (5.0, 1e-5, 5)])
+def test_audit_slope_shares_its_bessel_limits(mu, X, j):
+    ep = ExpansionParams(mu, X, j)
+    aud = first_order_correction_audit(ep)
+    assert repr(aud.first_order_slope) == repr(_audit_slope_with_bessel_limits_per_x(ep))
