@@ -15,10 +15,16 @@ the float series measures:
 
 * direct: the Gauss series at z, summed in doubles;
 * connection: for real z above 1/2 (and c-a-b not an
-  integer), the z -> 1-z formula DLMF 15.8.4 with two series at 1-z, or
-  with one where the second series is the conjugate of the first (both
-  standing families): its term is then the conjugate of the first's times
-  (1-z)^(c-a-b);
+  integer), the z -> 1-z formula DLMF 15.8.4 with one series at 1-z where
+  the second series is the conjugate of the first (both standing
+  families): its term is then the conjugate of the first's times
+  (1-z)^(c-a-b).  Where the two are no such pair (the running waves), the
+  direct series at z is priced against them, in the term-bits of the
+  fixed-point passes below (a float term priced at _FLOAT_TERM_BITS), and
+  the cheaper side is summed (Johansson [3] chooses each route by its cost
+  the same way); where both connection series settle in doubles, or where
+  both sides would need the continuation, the two series at 1-z are
+  summed;
 * fixed point: whenever one of those series measures a ratio above
   _CANCEL_RETRY between its largest term and its sum, the same series is
   summed again in Python-integer fixed point, with the term ratio kept
@@ -265,6 +271,12 @@ _SMALL_SUM_BITS = 20
 # epsilon = 5000, r = 0.7, 10 320 terms x 5 714 bits, ~0.2 s.
 _PASS_BUDGET = 100_000
 _RESCUE_BUDGET = 120_000_000
+# A float series term costs as much as this many term-bits of a pass, in
+# hyp2f1's choice between the direct series and the connection pair: on the
+# 387 float series and 165 passes of the benchmark's running waves (30-230
+# terms, 30-160 bits), a float term took ~0.67 us and a term-bit 14-18 ns
+# (2-core Intel Xeon VM, Python 3.11.7).
+_FLOAT_TERM_BITS = 40
 # Cancellation allowed in the series that start the continuation.
 _CANCEL_START = 10.0
 # A panel of the continuation's path spans at most this fraction of the
@@ -282,7 +294,8 @@ _PANEL_BATCH = 2**17 // (16 * (_PANEL_DEGREE + 1) ** 2)
 # The continuation refuses a path on which a partner solution outgrows F by
 # more than this: its rounding error could then exceed ~1e-10 relative.
 _AMPLIFY_LIMIT = 1e5
-# Real z above this takes the z -> 1-z connection formula.
+# Real z above this takes the z -> 1-z connection formula, or, where its two
+# series are no conjugate pair, the cheaper of it and the direct series.
 _CONNECTION_THRESHOLD = 0.5
 # A series stops after two consecutive terms below this fraction of its sum ...
 _REL_TOL = 1e-15
@@ -359,10 +372,13 @@ def _log2_peak(a: complex, b: complex, c: complex, z: complex, limit: int | None
     return peak, limit
 
 
-def _gauss_series(a: complex, b: complex, c: complex, z: complex) -> complex:
+def _gauss_series(
+    a: complex, b: complex, c: complex, z: complex, reading: tuple | None = None
+) -> complex:
     """The Gauss series at z by the route _series_sum's reading selects: the
-    float sum, fixed-point passes, or the continuation (see hyp2f1)."""
-    value, walk = _summed(a, b, c, z)
+    float sum, fixed-point passes, or the continuation (see hyp2f1).
+    `reading`, where given, is the series' _read, which is not repeated."""
+    value, walk = _summed(a, b, c, z) if reading is None else _passed(a, b, c, z, *reading)
     return value if walk is None else _continued(a, b, c, z, *walk)
 
 
@@ -373,14 +389,18 @@ def _summed(
     `cancel_limit` (_CANCEL_START for the paired walk's partner start
     values), or from fixed-point passes within _PASS_BUDGET, else (None,
     walk): the series goes to the continuation, and walk = (cancel, bits,
-    terms) is what _continued takes from it.
+    terms) is what _continued takes from it: _passed after _read."""
+    return _passed(a, b, c, z, *_read(a, b, c, z, cancel_limit))
 
-    One loop of fixed-point passes over `terms` terms, the first covering
-    _peak_bits of the peak term (from the log-space sum where the float
-    terms overflow) and each next one the loss its predecessor measured,
-    each priced at terms x (_GUARD_BITS + bits) against the budget; the
-    first pass over it, or one no precision can make succeed, sends the
-    series to the continuation."""
+
+def _read(
+    a: complex, b: complex, c: complex, z: complex, cancel_limit: float = _CANCEL_RETRY
+) -> tuple[complex | None, tuple[float, int, int] | None]:
+    """The float series at z, summed once: (F, None) where it cancels by at
+    most `cancel_limit`, else (None, plan).  plan = (cancel, bits, terms)
+    sets the first fixed-point pass: bits = _peak_bits of the peak term
+    (from the log-space sum, and its term count, where the float terms
+    overflow) over the float series' terms."""
     total, cancel, peak, terms = _series_sum(a, b, c, z)
     if cancel <= cancel_limit:
         return total, None
@@ -388,8 +408,41 @@ def _summed(
         log_peak, terms = _log2_peak(a, b, c, z)
     else:
         log_peak = math.log2(peak)
-    value, bits = _passes(a, b, c, z, _peak_bits(log_peak), terms, _PASS_BUDGET, _MAX_TERMS)
+    return None, (cancel, _peak_bits(log_peak), terms)
+
+
+def _passed(
+    a: complex, b: complex, c: complex, z: complex, value: complex | None, plan: tuple[float, int, int] | None
+) -> tuple[complex | None, tuple[float, float, int] | None]:
+    """_summed from a _read (value, plan): the value where the float sum
+    settled the series, else one loop of fixed-point passes over `terms`
+    terms, the first covering the plan's bits and each next one the loss
+    its predecessor measured, each priced at terms x (_GUARD_BITS + bits)
+    against _PASS_BUDGET; the first pass over it, or one no precision can
+    make succeed, sends the series to the continuation."""
+    if plan is None:
+        return value, None
+    cancel, bits, terms = plan
+    value, bits = _passes(a, b, c, z, bits, terms, _PASS_BUDGET, _MAX_TERMS)
     return value, None if value is not None else (cancel, bits, terms)
+
+
+def _price(plan: tuple[float, int, int] | None) -> float:
+    """The term-bits a series still costs after its _read: none where the
+    float sum settled it (plan None), else its first fixed-point pass's
+    terms x (_GUARD_BITS + bits), inf at _MAX_TERMS terms, where no pass can
+    run.  A series priced over _PASS_BUDGET walks (hyp2f1)."""
+    if plan is None:
+        return 0.0
+    _, bits, terms = plan
+    return terms * (_GUARD_BITS + bits) if terms < _MAX_TERMS else math.inf
+
+
+def _float_terms(z: float) -> float:
+    """About the terms a float Gauss series at real z in (0, 1) sums: its
+    terms shrink like z^n once past their peak, and it stops below _REL_TOL
+    of its sum."""
+    return math.log(_REL_TOL) / math.log(z)
 
 
 def _peak_bits(log_peak: float) -> int:
@@ -878,6 +931,80 @@ def connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, comp
     return g1, g2
 
 
+def _read_direct(a: complex, b: complex, c: complex, z: complex) -> tuple[complex | None, tuple | None]:
+    """_read of the direct series at z; one whose float sum runs past
+    _MAX_TERMS terms reads as a series no pass can sum (_price inf)."""
+    try:
+        return _read(a, b, c, z)
+    except NonConvergence:
+        return None, (math.inf, math.inf, _MAX_TERMS)
+
+
+def _priced(
+    a: complex, b: complex, c: complex, z: complex, s: complex,
+    first: tuple[complex, complex, complex, float], second: tuple[complex, complex, complex, float],
+) -> complex:
+    """F(a, b; c; z) at real z in (1/2, 1) from the connection series
+    `first` and `second` at w = 1-z (_connection), or from the direct
+    series at z, whichever hyp2f1's price rule makes cheaper; each float
+    series is summed at most once."""
+    w = first[3]
+    direct = None  # the direct series' _read, once summed
+    if _float_terms(z.real) < 2.0 * _float_terms(w):
+        # the direct float series is the shorter read: it comes first
+        direct = _read_direct(a, b, c, z)
+        if direct[1] is None:
+            return direct[0]
+    read1, read2 = _read(*first), None
+    if read1[1] is None:
+        read2 = _read(*second)
+        price = _price(read2[1])  # none where both settle in doubles
+    else:
+        # the second series, not summed yet, priced as the first: a float
+        # sum as long and a first pass as dear
+        price = 2.0 * _price(read1[1]) + _FLOAT_TERM_BITS * read1[1][2]
+    if direct is None and _FLOAT_TERM_BITS * _float_terms(z.real) < price:
+        direct = _read_direct(a, b, c, z)
+        if direct[1] is None:
+            return direct[0]
+    if direct is not None and _price(direct[1]) <= _PASS_BUDGET and _price(direct[1]) < price:
+        return _gauss_series(a, b, c, z, direct)
+    return _connection(a, b, c, s, first, second, read1, read2)
+
+
+def _connection(
+    a: complex, b: complex, c: complex, s: complex,
+    first: tuple[complex, complex, complex, float], second: tuple[complex, complex, complex, float],
+    read1: tuple, read2: tuple | None,
+) -> complex:
+    """DLMF 15.8.4 from its two series, `first` read (read1) and `second`
+    read where read2 is not None: each by its own route, or the two by one
+    paired walk (_kummer_continuation) where both would walk."""
+    w = first[3]
+    f1, walk1 = _passed(*first, *read1)
+    f2 = walk2 = None
+    if walk1 is not None and abs(s) ** 2 < abs(a * b) * w:
+        # the second series is w^s times Kummer's partner of the first
+        # one: where both would walk, one walk may carry both
+        try:
+            f2, walk2 = _summed(*second)
+        except NonConvergence:
+            _continued(*first, *walk1)  # the first series' refusal comes first
+            raise
+        pair = None if walk2 is None else _kummer_continuation(*first, walk1[0], second[:3], walk2[0])
+        if pair is not None:
+            g1, g2 = connection_gammas(a, b, c)
+            return g1 * pair[0] + g2 * pair[1]
+    if walk1 is not None:
+        f1 = _continued(*first, *walk1)
+    if walk2 is not None:
+        f2 = _continued(*second, *walk2)
+    elif f2 is None:
+        f2 = _gauss_series(*second, read2)
+    g1, g2 = connection_gammas(a, b, c)
+    return g1 * f1 + g2 * (w ** s) * f2
+
+
 def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     """Gauss hypergeometric function F(a, b; c; z) on |z| < 1.
 
@@ -894,7 +1021,23 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
       families, F2 is the conjugate of F1 and the coefficient g2 of g1: the
       first series alone is summed, by whatever route it takes, and with
       t = g1 F1 the value is t + conj(t) w^s, w = 1-z.  Other inputs, the
-      running waves among them, sum both series.
+      running waves among them, take the cheaper side: the two series at w
+      or the direct series at z, each float series summed at most once.
+      Each series is priced by what it still costs once its float sum is
+      read: nothing where that settles it, else its first fixed-point
+      pass's terms x (64 + bits) term-bits (below); one priced over
+      _PASS_BUDGET walks.  A float term costs 40 term-bits
+      (_FLOAT_TERM_BITS), and a float series at real x in (0, 1) sums about
+      log(1e-15)/log x terms.  The direct series is read first where it is
+      the shorter read (about as many terms at z as the two at w together,
+      z ~ 0.618), else the first series at w is.  Then the connection is
+      priced, a second series not read yet as the first (a float sum as
+      long and a pass as dear), and the direct series, if not read yet, is
+      read where its float terms cost less than that: never where both
+      series at w settle in doubles, whose sum is returned.
+      It is taken where its float sum settles it, or where its first pass
+      is within _PASS_BUDGET and priced below the connection; on a tie, or
+      where both sides would walk, the two series at w are summed.
     * fixed point: a series of either route (the direct one, or one of the
       two connection series) whose largest term exceeds its sum by more than
       1e3 (_CANCEL_RETRY) is summed again in Python-integer fixed point,
@@ -926,9 +1069,10 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
       and |c-a-b|^2 < |ab| (1-z): the second series times (1-z)^(c-a-b) is
       Kummer's partner of the first (DLMF 15.10.2), so one plan and one
       walk carry both, the partner from no nearer 0 than |c-a-b|^2/|ab|.
-      Running waves at large epsilon take it; standing waves at z > 1/2
-      sum their first series alone (above).  Where the paired walk refuses,
-      each series takes its own walk.
+      Running waves at large epsilon take it where their direct series at
+      z would walk too; standing waves at z > 1/2 sum their first series
+      alone (above).  Where the paired walk refuses, each series takes its
+      own walk.
       Where a walk refuses, the fixed-point passes go on from the same
       precision, each within 120 000 000 term-bits (_RESCUE_BUDGET,
       ~0.3 s), and a rescue pass may sum more than 10 000 terms where that
@@ -976,28 +1120,7 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
             # the second series is the conjugate of the first, and g2 of g1
             t = connection_gammas(a, b, c)[0] * _gauss_series(*first)
             return t + t.conjugate() * w**s
-        f1, walk1 = _summed(*first)
-        f2 = walk2 = None
-        if walk1 is not None and abs(s) ** 2 < abs(a * b) * w:
-            # the second series is w^s times Kummer's partner of the first
-            # one: where both would walk, one walk may carry both
-            try:
-                f2, walk2 = _summed(*second)
-            except NonConvergence:
-                _continued(*first, *walk1)  # the first series' refusal comes first
-                raise
-            pair = None if walk2 is None else _kummer_continuation(*first, walk1[0], second[:3], walk2[0])
-            if pair is not None:
-                g1, g2 = connection_gammas(a, b, c)
-                return g1 * pair[0] + g2 * pair[1]
-        if walk1 is not None:
-            f1 = _continued(*first, *walk1)
-        if walk2 is not None:
-            f2 = _continued(*second, *walk2)
-        elif f2 is None:
-            f2 = _gauss_series(*second)
-        g1, g2 = connection_gammas(a, b, c)
-        return g1 * f1 + g2 * (w ** s) * f2
+        return _priced(a, b, c, z, s, first, second)
     if abs(z) < 1.0:
         return _gauss_series(a, b, c, z)
     raise ValueError(f"hyp2f1: |z| >= 1 not supported (z={z})")

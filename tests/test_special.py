@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import dswave
-from dswave import special
+from dswave import special, waves
 from dswave.bigfloat import extended_series
 from dswave.expansion import ExpansionParams
 from dswave.model import HorizonUnitsParams
@@ -632,11 +632,13 @@ _E1000_RUNNING = {
 def test_running_wave_series_share_one_walk(monkeypatch, direction):
     # both connection series of the e1000_r0.5 running wave are over the
     # pass budget, and |1-c|^2 = 2.25 < |ab| w = 4.7e4: one plan and one walk
-    # carry F and its Kummer partner, where each series used to walk alone
+    # carry F and its Kummer partner, where each series used to walk alone.
+    # The direct series at w = 0.75 is over the budget too, so the pair stays
     plans, walks = _counted(monkeypatch, "_plan_panels"), _counted(monkeypatch, "_walk")
+    pairs = _counted(monkeypatch, "_kummer_continuation")
     ans = make_ansatz(HorizonUnitsParams(epsilon=1000.0, m=500.0, j=1), "regular")
     got = eval_running(ans, direction, 0.5)
-    assert len(plans) == 1 and len(walks) == 1
+    assert len(pairs) == 1 and len(plans) == 1 and len(walks) == 1
     assert len(walks[0][5]) == 2
     assert rel(got, _E1000_RUNNING[direction]) < 1e-12
 
@@ -705,17 +707,141 @@ def test_standing_waves_sum_one_conjugate_connection_series(monkeypatch):
 
 def test_running_waves_still_sum_both_connection_series(monkeypatch):
     # a running wave's second connection series is no conjugate of its
-    # first: at z > 1/2 both are summed, on the float, fixed-point and
-    # paired-walk routes alike (the paired walk also sums its partner's
-    # start values, away from w, under the start bound _CANCEL_START)
-    summed = _counted(monkeypatch, "_summed")
-    for wave in [(20.0, 10.0, 2, "out", 0.6), (200.0, 100.0, 1, "in", 0.4), (1000.0, 500.0, 1, "out", 0.5)]:
+    # first: where hyp2f1 keeps the connection, both are read once, on the
+    # float (both settle in doubles), fixed-point (the direct series at
+    # w = 0.99 would need ~3 400 float terms) and paired-walk (the direct
+    # series walks too) routes alike.  The other reads are the direct
+    # series, priced and not taken, and the paired walk's partner start
+    # values, away from w, under the start bound _CANCEL_START
+    reads = _counted(monkeypatch, "_read")
+    passes, pairs = _counted(monkeypatch, "_fixed_point_sum"), _counted(monkeypatch, "_kummer_continuation")
+    for wave, route in [
+        ((5.0, 2.5, 0, "out", 0.5), (0, 0)),
+        ((200.0, 100.0, 1, "in", 0.1), (2, 0)),
+        ((1000.0, 500.0, 1, "out", 0.5), (0, 1)),
+    ]:
         point = _running_point(*wave)
         series = _connection_series(*point)
-        summed.clear()
+        reads.clear(), passes.clear(), pairs.clear()
         hyp2f1(*point)
-        assert [call for call in summed if call[3] == series[0][3]] == list(series), wave
-        assert all(call[4:] == (special._CANCEL_START,) for call in summed if call[3] != series[0][3]), wave
+        assert (sum(call[3] == series[0][3] for call in passes), len(pairs)) == route, wave
+        assert [call[:4] for call in reads if call[3] == series[0][3]] == list(series), wave
+        rest = [call for call in reads if call[3] != series[0][3]]
+        assert all(call[:4] == point or call[4:] == (special._CANCEL_START,) for call in rest), wave
+
+
+def test_running_wave_sums_its_own_series_where_that_is_cheaper(monkeypatch):
+    # the out wave at (epsilon, m, j, r) = (40, 20, 0, 0.6): its first
+    # connection series at r^2 needs a fixed-point pass of 9 657 term-bits,
+    # and the direct series at w = 0.64, ~78 float terms of 40 term-bits,
+    # is the cheaper side.  It settles in doubles: one series at w, no pass
+    # and no walk, within 1e-14 of the big-float series (the connection
+    # route's two passes and Gamma pair gave 2.7e-14)
+    point = _running_point(40.0, 20.0, 0, "out", 0.6)
+    floats, passes = _counted(monkeypatch, "_series_sum"), _counted(monkeypatch, "_fixed_point_sum")
+    walks = [_counted(monkeypatch, name) for name in ("_ode_continuation", "_kummer_continuation")]
+    got = hyp2f1(*point)
+    assert [call for call in floats if call[3] == point[3]] == [point]
+    assert not passes and not any(walks)
+    assert rel(got, complex(extended_series("hyp2f1", list(point)))) < 1e-14
+
+
+def test_running_wave_prices_an_unread_second_series_as_the_first(monkeypatch):
+    # (40, 20, 0, 0.4) `out`: the first connection series needs a pass of
+    # 4 653 term-bits, less than the ~198 float terms (7 924 term-bits) of
+    # the direct series at w = 0.84.  Priced with its second series, not
+    # read yet, as a float sum as long and a pass as dear (11 186), the
+    # connection is the dearer side: the direct series is read, settles in
+    # doubles, and the second series is never summed
+    point = _running_point(40.0, 20.0, 0, "out", 0.4)
+    floats, passes = _counted(monkeypatch, "_series_sum"), _counted(monkeypatch, "_fixed_point_sum")
+    hyp2f1(*point)
+    assert floats == [_connection_series(*point)[0], point] and not passes
+
+
+def test_running_wave_near_the_origin_sums_no_direct_series(monkeypatch):
+    # at (200, 100, 1, 0.1) the connection series at r^2 = 0.01 need two
+    # passes of ~4 000 term-bits, less than the ~3 400 float terms (40
+    # term-bits each) the direct series at w = 0.99 would sum before any
+    # pass: it is not summed
+    floats, passes = _counted(monkeypatch, "_series_sum"), _counted(monkeypatch, "_fixed_point_sum")
+    for direction in ("out", "in"):
+        point = _running_point(200.0, 100.0, 1, direction, 0.1)
+        floats.clear(), passes.clear()
+        hyp2f1(*point)
+        assert floats and all(call[3] != point[3] for call in floats), direction
+        assert len(passes) == 2 and all(call[3] != point[3] for call in passes), direction
+
+
+# hyp2f1 of the running waves at (5, 2.5, 0, 0.5) before the direct series
+# was priced against the connection pair
+_E5_RUNNING = {
+    "out": complex(0.9106248125897654, -1.8995381984929567),
+    "in": complex(0.9106248125897656, 1.899538198492957),
+}
+
+
+@pytest.mark.parametrize("direction", ["out", "in"])
+def test_running_wave_whose_connection_series_settle_in_doubles_keeps_its_bits(monkeypatch, direction):
+    # both connection series at r^2 = 0.25 settle in doubles (29 terms
+    # each), and the direct series at w = 0.75 is the longer read: the two
+    # float series of the connection, in that order, and the same double
+    point = _running_point(5.0, 2.5, 0, direction, 0.5)
+    floats = _counted(monkeypatch, "_series_sum")
+    passes = _counted(monkeypatch, "_fixed_point_sum")
+    got = hyp2f1(*point)
+    assert floats == list(_connection_series(*point)) and not passes
+    assert repr(got) == repr(_E5_RUNNING[direction])
+
+
+def _running_wave_grid(n, seed):
+    """(epsilon, a, b, c, z) of n running waves, out and in taking turns:
+    epsilon log-uniform in [5, 1000], mu in [1.2, 5], j <= 20 and r in
+    (0.3, 0.75), where hyp2f1 takes the connection pair, the direct series
+    or the paired walk."""
+    rng = random.Random(seed)
+    grid = []
+    for k in range(n):
+        eps = 10.0 ** rng.uniform(math.log10(5.0), 3.0)
+        m, j, r = eps / rng.uniform(1.2, 5.0), rng.randrange(21), rng.uniform(0.3, 0.75)
+        grid.append((eps, *_running_point(eps, m, j, ("out", "in")[k % 2], r)))
+    return grid
+
+
+def test_running_waves_over_a_seeded_grid_against_the_oracle():
+    # whichever side the price rule takes, every value is within 1e-12 of
+    # the big-float series at w
+    for eps, a, b, c, z in _running_wave_grid(40, 2026):
+        ref = complex(extended_series("hyp2f1", [a, b, c, z]))
+        assert rel(hyp2f1(a, b, c, z), ref) < 1e-12, (eps, a, b, c, z)
+
+
+def test_connection_check_sums_each_wave_at_its_own_argument(monkeypatch):
+    # (epsilon, m, j, r) = (20, 10, 2, 0.65), the radius of the benchmark's
+    # `wave --residuals` calls: the standing wave sums its series at
+    # z = r^2, and the running waves, whose connection series would sum it
+    # (the out wave) and its Euler transform (the in wave) at r^2 again,
+    # sum their own series at w = 1 - r^2
+    r = 0.65
+    ans = make_ansatz(HorizonUnitsParams(epsilon=20.0, m=10.0, j=2), "regular")
+    summed = {}  # wave -> the z of its float series and passes
+    for name in ("_series_sum", "_fixed_point_sum"):
+        function = getattr(special, name)
+        monkeypatch.setattr(special, name, lambda *args, f=function: summed[wave[0]].append(args[3]) or f(*args))
+    wave = [None]
+    for name in ("eval_standing", "eval_running"):
+        function = getattr(waves, name)
+
+        def tagged(*args, f=function, name=name):
+            wave[0] = name
+            summed.setdefault(name, [])
+            return f(*args)
+
+        monkeypatch.setattr(waves, name, tagged)
+    residual = waves.connection_check(ans, r)[3]
+    assert summed["eval_standing"] and set(summed["eval_standing"]) == {r * r}
+    assert summed["eval_running"] and set(summed["eval_running"]) == {1.0 - r * r}
+    assert residual < 1e-12
 
 
 def _fresh_gammas(monkeypatch, a, b, c):
@@ -1123,16 +1249,23 @@ def _paired_reference(a, b, c, z):
 
 
 def test_hyp2f1_over_the_paired_running_waves_of_the_continuation_grid(monkeypatch):
-    # each running wave's two series walk together, and each value is within
-    # 1e-11 of its reference; the Gamma rounding of connection_gammas alone
-    # reaches ~5e-12 at epsilon = 2000
+    # each running wave's two series walk together on the connection route,
+    # called directly, and each value is within 1e-11 of its reference; the
+    # Gamma rounding of connection_gammas alone reaches ~5e-12 at epsilon =
+    # 2000.  hyp2f1 takes that route where the direct series at z walks too,
+    # else the direct series, whose first pass is priced within the budget
+    # (6 of the 12 points), and is held to the same reference
     pairs = []
     pair = special._kummer_continuation
     monkeypatch.setattr(special, "_kummer_continuation", lambda *args: pairs.append(pair(*args)) or pairs[-1])
     for k, (a, b, c, z) in enumerate(_continuation_grid()[_STANDING_GRID:]):
-        got = hyp2f1(a, b, c, z)
-        assert len(pairs) == k + 1 and pairs[-1] is not None, k
-        assert rel(got, _paired_reference(a, b, c, z)) < 1e-11, (k, a, b, c, z)
+        first, second = _connection_series(a, b, c, z)
+        ref = _paired_reference(a, b, c, z)
+        walked = len(pairs)
+        got = special._connection(a, b, c, c - a - b, first, second, special._read(*first), None)
+        assert len(pairs) == walked + 1 and pairs[-1] is not None, k
+        assert rel(got, ref) < 1e-11, (k, a, b, c, z)
+        assert rel(hyp2f1(a, b, c, z), ref) < 1e-11, (k, a, b, c, z)
 
 
 def test_hyp2f1_pole_and_domain_errors():
