@@ -21,13 +21,19 @@ Conventions
   key whose flag the subcommand declares must have that flag's type (``j``
   and ``grid`` whole numbers, which may be written 2.0), whether or not the
   run reads it; ``null`` counts as absent, and other keys are ignored.
-* CSV output: one header row, 17 significant digits, complex values as
-  re_*/im_* column pairs.  JSON output: sorted keys, an ``"inputs"`` block
-  echoing the resolved parameters, complex values as [re, im] pairs.
+* CSV output: one header row, then each row's values written by ``%.17g``
+  and joined by commas; complex values as re_*/im_* column pairs.  JSON
+  output: a 2-space indent, sorted keys, an ``"inputs"`` block echoing the
+  resolved parameters, floats as their shortest round-trip repr, complex
+  values as [re, im] pairs, strings ASCII-escaped, and a final newline
+  (the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``).
   ``classify`` writes JSON only: ``--format csv``, from the flag or the
   config file, exits 2.
   Output is byte-identical for identical configuration (no timestamps,
-  no environment-dependent content).
+  no environment-dependent content).  Every value is written only once the
+  whole text is built; a NaN or an infinity in it ends the call with exit 4
+  and one error line naming its column and row (CSV) or its key (JSON),
+  and nothing is written.
 
 Exit codes
 ----------
@@ -41,7 +47,7 @@ Exit codes
    guard, unsupported mass, non-positive barrier factor)
 4  numerical non-convergence (series or integrator failure, far-field
    amplitudes or other intermediates beyond double range, far-field
-   amplitudes with fewer than ten digits)
+   amplitudes with fewer than ten digits, a non-finite value in the output)
 """
 
 from __future__ import annotations
@@ -93,8 +99,16 @@ class ConfigError(ValueError):
 # ----------------------------------------------------------------- formatting
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+class NonFiniteOutput(ArithmeticError):
+    """A NaN or an infinity reached a writer, which then writes nothing (exit 4).
+
+    ``path`` collects the JSON keys and list indices down to the value,
+    innermost first, as the writer unwinds.
+    """
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.path: list[str | int] = []
 
 
 def _write_text(args: argparse.Namespace, text: str) -> None:
@@ -108,11 +122,24 @@ def _write_text(args: argparse.Namespace, text: str) -> None:
             raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
+# Both writers build the whole text before any of it is written.  "%.17g" and
+# float.__repr__ spell every finite double without an "n" and every NaN or
+# infinity with one ("nan", "inf"), so one substring test over the finished
+# rows or list finds a non-finite value, and a second walk names it.
+
+
 def _csv(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """Header line, then one "%.17g,...,%.17g" line per row."""
+    head = ",".join(header)
+    line = ",".join(["%.17g"] * len(header))
+    text = "\n".join([head] + [line % tuple(row) for row in rows]) + "\n"
+    if text.find("n", len(head)) >= 0:
+        for i, row in enumerate(rows, 1):
+            for name, value in zip(header, row):
+                if not math.isfinite(value):
+                    at = f"row {i}" if name == header[0] else f"{header[0]}={float(row[0])!r} (row {i})"
+                    raise NonFiniteOutput(f"non-finite value {float(value)!r} in output column {name!r} at {at}")
+    return text
 
 
 def _columns(named: Sequence[tuple[str, Any]]) -> tuple[list[str], list[float]]:
@@ -150,8 +177,73 @@ def _complex_pair(obj: Any) -> list[float]:
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+_float_repr = float.__repr__
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json(obj: Any, indent: str) -> str:
+    """obj at this indent, as json.dumps(obj, indent=2, sort_keys=True,
+    default=_complex_pair) writes it, for str keys; NonFiniteOutput for a
+    NaN or an infinity.  No type is two of float, list or tuple, dict, str
+    and int, so the common ones are tested first; only bool, an int, must
+    come before int."""
+    if isinstance(obj, float):
+        text = _float_repr(obj)
+        if "n" in text:
+            raise NonFiniteOutput(text)
+        return text
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        try:
+            body = sep.join(map(_float_repr, obj))  # a list of floats in one join
+        except TypeError:  # an item that is no float
+            body = None
+        if body is None or "n" in body:
+            parts: list[str] = []
+            try:
+                for value in obj:
+                    parts.append(_json(value, inner))
+            except NonFiniteOutput as exc:
+                exc.path.append(len(parts))
+                raise
+            body = sep.join(parts)
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        parts = []
+        try:
+            for key, value in sorted(obj.items()):
+                parts.append(f"{_json_str(key)}: {_json(value, inner)}")
+        except NonFiniteOutput as exc:
+            exc.path.append(key)
+            raise
+        return f"{{\n{inner}{sep.join(parts)}\n{indent}}}"
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    return _json(_complex_pair(obj), indent)
+
+
 def _json_doc(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=_complex_pair) + "\n"
+    """The document, then a newline; NonFiniteOutput names the key of a NaN or infinity."""
+    try:
+        return _json(obj, "") + "\n"
+    except NonFiniteOutput as exc:
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in reversed(exc.path))
+        raise NonFiniteOutput(f"non-finite value {exc} at output key {where.removeprefix('.')!r}") from None
 
 
 # -------------------------------------------------------------- configuration
@@ -286,7 +378,8 @@ def cmd_potential(args: argparse.Namespace) -> int:
             f"the potential overflows at r={grid[overflow.argmax()]:.6g}: m={hp.m:.6g} "
             f"(j={hp.j}) is too large for double precision"
         )
-    _emit_table(args, echo, ("r", "r_star", "U", "F"), list(zip(grid, prof.r_star, prof.U, prof.F)))
+    columns = (grid.tolist(), prof.r_star.tolist(), prof.U.tolist(), prof.F.tolist())
+    _emit_table(args, echo, ("r", "r_star", "U", "F"), list(zip(*columns)))
     if (prof.F <= 0.0).any():
         print("error: barrier factor F <= 0 on the grid", file=sys.stderr)
         return EXIT_REGIME
@@ -464,11 +557,12 @@ def cmd_expand(args: argparse.Namespace) -> int:
         with _stage("decomposition at X"):
             dec = decompose_hypergeometric(ep, grid)
 
-        # closed-form vs term-by-term first order, relative to the leading order
+        # closed-form vs term-by-term first order, relative to the leading order;
+        # in Python scalars, whose overflow warns nobody on stderr
         scale = float(np.max(np.abs(dec.F0)))
         identity_err = max(
-            abs(first_order_series(ep, float(r), "regular") - f1) / scale
-            for r, f1 in zip(grid, dec.F1)
+            abs(first_order_series(ep, r, "regular") - f1) / scale
+            for r, f1 in zip(grid.tolist(), dec.F1.tolist())
         )
 
         # second-order remainder must shrink like X^2: slope over the ladder,
@@ -650,7 +744,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _merge_config(args)
         return args.func(args)
-    except (NonConvergence, StepFailure) as exc:
+    except (NonConvergence, StepFailure, NonFiniteOutput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
     except OverflowError as exc:

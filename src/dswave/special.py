@@ -58,6 +58,13 @@ _AMPLIFY_LIMIT and a walk of at most _MAX_TERMS panels, halves included
 J_p for half-integer p (any other order raises ValueError) within 1e-13
 |H1_|p|(x)|, and H1_p within 1e-13 relative.
 
+One measured exception to the series figures: both series stop after two
+terms below 1e-15 of the sum, which leaves a tail of about
+term/(1 - ratio) where the term ratio nears 1 at the stop.  At
+(eps, m, j, r) = (111.8, 111.8/2.11, 19, 0.336), running wave "in"
+(z = 1 - r^2 = 0.887), the fixed-point pass is 9.0e-15 off
+bigfloat.extended_series at every precision from 30 to 400 bits.
+
 References
 ----------
 .. [1] M. Abramowitz, I. A. Stegun, "Handbook of Mathematical Functions",

@@ -98,7 +98,7 @@ def test_wave_residual_rows_reuse_the_residuals_waves(capsys, monkeypatch, kind)
     for r in (float(r) for r in np.linspace(0.05, 0.95, 7)):
         u = waves.eval_standing(ans, r) if kind in ("f", "g") else waves.eval_running(ans, kind, r)
         res = waves.connection_residual(ans, r)
-        expected.append(",".join(cli._fmt(v) for v in (r, u.real, u.imag, res)))
+        expected.append(",".join(format(v, ".17g") for v in (r, u.real, u.imag, res)))
     counts = collections.Counter()
     _count_calls(monkeypatch, counts, waves, "hyp2f1")
     rc, out, _ = run(capsys, *argv, "--residuals")
@@ -844,6 +844,31 @@ def test_flat_limit_bessel_beyond_double_range_names_kr(capsys):
     assert rc == 4 and out == ""
     line = one_error_line(err)
     assert "1e-20" in line and "overflow" not in line, line
+
+
+_NAN_WAVE = ("wave", "--epsilon", "0.2407", "--m", "363.87", "--j", "0", "--kind", "out",
+             "--r-min", "0.001", "--r-max", "0.8453", "--grid", "3")
+_NAN_EXPAND = ("expand", "--mu", "868", "--X", "1.4e-4", "--j", "14", "--r-min", "0.9", "--r-max", "1.1",
+               "--grid", "3")
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        # hyp2f1 returns nan at r = 0.42315, where eps < m (ROADMAP item 12)
+        (_NAN_WAVE, "in output column 're_u' at r=0.42315 (row 2)"),
+        (_NAN_WAVE + ("--format", "json"), "at output key 'table.rows[1][1]'"),
+        # the float first-order series overflows at mu = 868 (ROADMAP item 13)
+        (_NAN_EXPAND, "at output key 'first_order_identity_error'"),
+    ],
+)
+def test_non_finite_output_exits_4_naming_where_and_writes_nothing(capsys, tmp_path, argv, where):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 4 and out == ""
+    assert one_error_line(err) == f"error: non-finite value nan {where}"
+    target = tmp_path / "out.txt"
+    rc, out, err = run(capsys, *argv, "--output", str(target))
+    assert rc == 4 and out == "" and not target.exists()
 
 
 @pytest.mark.parametrize(

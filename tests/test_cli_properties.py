@@ -1,8 +1,12 @@
 """Property test of the CLI boundary over finite, non-finite and huge flags.
 
-Every run of ``potential``, ``wave`` and ``reflect --no-flux`` ends in exit
-code 0, 2, 3 or 4; a failure writes exactly one ``error:`` line to stderr,
-and a success writes no NaN or infinity.
+Every run of ``potential``, ``wave``, ``reflect --no-flux`` and ``expand``
+ends in exit code 0, 2, 3 or 4; a failure writes exactly one ``error:`` line
+to stderr, a success writes no NaN or infinity, and no run emits a warning
+(which a command-line user would read as extra stderr lines).  Besides the
+edge values, the draws reach the regions that produce NaN: ``wave`` with
+eps < m up to m = 500 (ROADMAP item 12) and ``expand`` with mu up to 1e3,
+j <= 20 and radii near 1 (item 13).
 """
 from __future__ import annotations
 
@@ -10,6 +14,7 @@ import contextlib
 import io
 import math
 import re
+import warnings
 
 import pytest
 
@@ -48,12 +53,37 @@ def invocations(draw) -> list[str]:
     return argv
 
 
-@settings(max_examples=80, deadline=3000, derandomize=True, database=None)
-@given(invocations())
-def test_cli_exit_codes_and_messages(argv):
+@st.composite
+def evanescent_waves(draw) -> list[str]:
+    m = draw(st.floats(min_value=1.0, max_value=500.0))
+    eps = m * draw(st.floats(min_value=0.01, max_value=0.99))
+    argv = ["wave", f"--epsilon={eps!r}", f"--m={m!r}", f"--j={draw(st.integers(0, 20))}",
+            "--kind", draw(st.sampled_from(["f", "g", "out", "in"])), "--grid", "3"]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+@st.composite
+def large_mu_expansions(draw) -> list[str]:
+    mu = draw(st.floats(min_value=1.05, max_value=1e3))
+    x = draw(st.floats(min_value=1e-5, max_value=5e-2))
+    r_min = draw(st.floats(min_value=0.8, max_value=1.0))
+    r_max = draw(st.floats(min_value=1.0, max_value=1.2))
+    argv = ["expand", f"--mu={mu!r}", f"--X={x!r}", f"--j={draw(st.integers(0, 20))}",
+            f"--r-min={r_min!r}", f"--r-max={r_max!r}", "--grid", "3"]
+    if draw(st.booleans()):
+        argv += ["--format", "csv"]
+    return argv
+
+
+def _check(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert not caught, (argv, [str(w.message) for w in caught])
     assert rc in (0, 2, 3, 4), (argv, rc)
     if rc == 0:
         assert err.getvalue() == ""
@@ -61,3 +91,15 @@ def test_cli_exit_codes_and_messages(argv):
     else:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+
+@settings(max_examples=80, deadline=3000, derandomize=True, database=None)
+@given(invocations())
+def test_cli_exit_codes_and_messages(argv):
+    _check(argv)
+
+
+@settings(max_examples=60, deadline=3000, derandomize=True, database=None)
+@given(st.one_of(evanescent_waves(), large_mu_expansions()))
+def test_cli_exit_codes_and_messages_where_nan_arises(argv):
+    _check(argv)
