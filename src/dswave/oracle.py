@@ -279,7 +279,10 @@ def integrate_riccati(
     every panel.  On all panels at once, y starts from i sqrt(q) and is
     corrected by y <- y - (y' + y^2 + q) / (2y), with y' from the Chebyshev
     differentiation matrix; each panel keeps its iterate of lowest
-    max |R| / (2|y|), R = y' + y^2 + q.  Then u1 = exp(integral y) and its
+    max |R| / (2|y|), R = y' + y^2 + q.  The sweeps stop once the
+    phase-error estimate of the kept iterates, sum over panels of
+    width * max |R| / (2|y|), is at most tol, or once no panel improves
+    (at most _RICCATI_SWEEPS sweeps).  Then u1 = exp(integral y) and its
     conjugate u2 are two solutions on each panel, and one 2x2 solve per
     panel matches (u, u') at its start.  Values at the wanted points come
     from the Chebyshev antiderivative of y inside their panel.
@@ -312,6 +315,7 @@ def integrate_riccati(
             )
         y = 1j * np.sqrt(q)
         best, best_err = y, np.full(n, np.inf)
+        width, phase_err = abs(span) / n, math.inf
         for _ in range(_RICCATI_SWEEPS):
             resid = (y @ _DIFF.T) / half[:, None] + y * y + q
             err = np.max(np.abs(resid) / (2.0 * np.abs(y)), axis=1)
@@ -320,9 +324,10 @@ def integrate_riccati(
                 break
             best = np.where(better[:, None], y, best)
             best_err = np.where(better, err, best_err)
+            phase_err = width * float(np.sum(best_err))
+            if phase_err <= tol:
+                break
             y = y - resid / (2.0 * y)
-        width = abs(span) / n
-        phase_err = width * float(np.sum(best_err))
         if not phase_err <= 10.0 * tol:
             raise StepFailure(
                 f"Riccati phase-error estimate {phase_err:.3g} exceeds 10 tol = {10.0 * tol:.3g} "

@@ -231,11 +231,12 @@ _N_SAMPLES = 64
 _POLY_DEGREE = 6
 _FD_STEP = 5e-4
 
-# Tolerance of the cross-check's integrators.  The Riccati panels give the
-# same bits at every tol they accept: tol only sets when they hand over to
-# the collocation fallback.  Looser lets them accept larger phase errors near
-# threshold; tighter hands over where they are accurate, and at (eps, m, j) =
-# (1e4, 50, 1) the gap grows from 7e-14 to 1e-10 (1e-13) or no result (1e-14).
+# Tolerance of the cross-check's integrators.  The Riccati sweeps stop once
+# their phase-error estimate is at most tol, or once no panel improves, and
+# refuse above 10 tol, which hands over to the collocation fallback.  Looser
+# lets them stop earlier and accept larger phase errors near threshold;
+# tighter hands over where they are accurate, and at (eps, m, j) =
+# (1e4, 50, 1) the gap grows from 7.5e-14 to 1e-10 (1e-13) or no result (1e-14).
 _FLUX_TOL = 1e-11
 
 
@@ -313,9 +314,8 @@ def interior_wave_ratio(
 
     zeta = np.sqrt(q) ** -0.5 * np.exp(1j * phase)
     t = (2.0 * xs - (lo + hi)) / (hi - lo)  # window-normalized poly variable
-    cols = [(t**d) * zeta for d in range(_POLY_DEGREE + 1)]
-    cols += [(t**d) * np.conj(zeta) for d in range(_POLY_DEGREE + 1)]
-    design = np.column_stack(cols)
+    powers = np.vander(t, _POLY_DEGREE + 1, increasing=True)
+    design = np.hstack((powers * zeta[:, None], powers * np.conj(zeta)[:, None]))
     coef, _, _, _ = np.linalg.lstsq(design, sol.u, rcond=None)
     fitted = design @ coef
     resid = float(np.linalg.norm(fitted - sol.u) / np.linalg.norm(sol.u))

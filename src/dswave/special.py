@@ -918,7 +918,8 @@ def connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, comp
     the z -> 1-z connection coefficients (DLMF 15.8.4) of hyp2f1 and
     waves.connect, as exp of log_gamma sums, with a+b-c taken as -(c-a-b).
     Their relative error is the rounding of those sums, ~|sum| * 2^-52:
-    ~2e-12 at |Im a|, |Im b| ~ 1e3.
+    ~2e-12 at |Im a|, |Im b| ~ 1e3.  Where a coefficient is beyond double
+    range (eps << m) they raise NonConvergence naming (a, b, c).
 
     The pair of the last (a, b, c) is kept, keyed on the bits of a, b and c
     (log_gamma's branch follows the sign of a zero, so +0.0 and -0.0 are
@@ -932,8 +933,13 @@ def connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, comp
         return memo[1]
     s = c - a - b
     lg_c = log_gamma(c)
-    g1 = cmath.exp(lg_c + log_gamma(s) - log_gamma(c - a) - log_gamma(c - b))
-    g2 = cmath.exp(lg_c + log_gamma(-s) - log_gamma(a) - log_gamma(b))
+    try:
+        g1 = cmath.exp(lg_c + log_gamma(s) - log_gamma(c - a) - log_gamma(c - b))
+        g2 = cmath.exp(lg_c + log_gamma(-s) - log_gamma(a) - log_gamma(b))
+    except OverflowError:
+        raise NonConvergence(
+            f"z -> 1-z connection coefficients beyond double range at (a, b, c) = ({a:.6g}, {b:.6g}, {c:.6g})"
+        ) from None
     _gammas_memo = key, (g1, g2)
     return g1, g2
 

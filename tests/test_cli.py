@@ -837,6 +837,19 @@ def test_wave_beyond_double_range_is_a_numerics_failure_naming_j_and_r(capsys, a
     assert f"j={j}" in line and f"r={r}" in line, line
 
 
+@pytest.mark.parametrize("residuals", [(), ("--residuals",)], ids=["running", "residuals"])
+def test_wave_connection_coefficients_beyond_double_range_exit_4_naming_them(capsys, residuals):
+    # eps << m: the Gamma pair of hyp2f1's connection route (the running
+    # wave) and of waves.connect (the residual column) is beyond double
+    # range; one line names it and its (a, b, c), not a generic overflow
+    rc, out, err = run(capsys, "wave", "--epsilon=15.91219844874046", "--m=487.55227161580325",
+                       "--j=2", "--kind=in", "--grid=3", *residuals)
+    assert rc == 4 and out == ""
+    line = one_error_line(err)
+    assert line.startswith("error: z -> 1-z connection coefficients beyond double range at (a, b, c) = ("), line
+    assert "overflow" not in line, line
+
+
 def test_flat_limit_bessel_beyond_double_range_names_kr(capsys):
     # J_-20.5 at kr = 1e-20 is beyond double range: the error names that
     # Bessel value, not a generic overflow

@@ -1,17 +1,21 @@
 """Property test of the CLI boundary over finite, non-finite and huge flags.
 
-Every run of ``potential``, ``wave``, ``reflect --no-flux`` and ``expand``
-ends in exit code 0, 2, 3 or 4; a failure writes exactly one ``error:`` line
-to stderr, a success writes no NaN or infinity, and no run emits a warning
+Every run of ``potential``, ``wave``, ``reflect`` and ``expand`` ends in
+exit code 0, 2, 3 or 4; a failure writes exactly one ``error:`` line to
+stderr, a success writes no NaN or infinity, and no run emits a warning
 (which a command-line user would read as extra stderr lines).  Besides the
 edge values, the draws reach the regions that produce NaN: ``wave`` with
 eps < m up to m = 500 (ROADMAP item 12) and ``expand`` with mu up to 1e3,
-j <= 20 and radii near 1 (item 13).
+j <= 20 and radii near 1 (item 13).  ``reflect`` with its flux cross-check
+is drawn over the benchmark's box, m in [10, 50] and mu up to 5, where its
+JSON report parses strictly and the flux balance agrees with the zero
+far-field verdict to 1e-6 wherever eps >= 1.5 m and eps^2 - m^2 > 100 j^2.
 """
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import re
 import warnings
@@ -77,6 +81,14 @@ def large_mu_expansions(draw) -> list[str]:
     return argv
 
 
+@st.composite
+def flux_reflections(draw) -> list[str]:
+    # mu from below 1 (evanescent, exit 3) through the threshold to 5
+    m = draw(st.floats(min_value=10.0, max_value=50.0))
+    eps = m * draw(st.floats(min_value=0.9, max_value=5.0))
+    return ["reflect", f"--epsilon={eps!r}", f"--m={m!r}", f"--j={draw(st.integers(0, 5))}"]
+
+
 def _check(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
@@ -91,6 +103,7 @@ def _check(argv):
     else:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    return rc, out.getvalue()
 
 
 @settings(max_examples=80, deadline=3000, derandomize=True, database=None)
@@ -103,3 +116,19 @@ def test_cli_exit_codes_and_messages(argv):
 @given(st.one_of(evanescent_waves(), large_mu_expansions()))
 def test_cli_exit_codes_and_messages_where_nan_arises(argv):
     _check(argv)
+
+
+def _strict(constant):
+    raise ValueError(f"non-finite JSON constant {constant}")
+
+
+@settings(max_examples=40, deadline=3000, derandomize=True, database=None)
+@given(flux_reflections())
+def test_cli_flux_check_exit_codes_and_agreement_in_the_benchmark_box(argv):
+    rc, out = _check(argv)
+    if rc != 0:
+        return
+    report = json.loads(out, parse_constant=_strict)["report"]
+    eps, m, j = (float(arg.partition("=")[2]) for arg in argv[1:])
+    if eps >= 1.5 * m and eps * eps - m * m > 100.0 * j * j:
+        assert report["flux_vs_far_field"] < 1e-6, (argv, report["flux_vs_far_field"])

@@ -203,6 +203,37 @@ def test_riccati_window_samples_match_tight_rkf78_on_criterion_1(monkeypatch):
         assert err <= 1e-9, (mu, j, m, err)
 
 
+def test_riccati_sweeps_stop_once_the_phase_error_meets_the_tolerance(monkeypatch):
+    # at (eps, m, j) ~ (242, 49.2, 0) the phase-error estimate of the kept
+    # iterates reaches _FLUX_TOL after 5 sweeps (polishing until no panel
+    # improved took 12): capped at 5 sweeps the samples keep their bits; at
+    # 4 the estimate is still 3e-10, above 10 tol, and the panels refuse
+    hp = HorizonUnitsParams(epsilon=242.08309064450253, m=49.17857506034823, j=0)
+    calls = _record_routes(monkeypatch)
+    horizon_flux_balance(make_ansatz(hp, "regular"), hp)
+    [(route, prob, target, samples, sol)] = calls
+
+    def capped(sweeps):
+        monkeypatch.setattr(dswave.oracle, "_RICCATI_SWEEPS", sweeps)
+        return integrate_riccati(prob, target, dswave.reflection._FLUX_TOL, samples=samples).u
+
+    assert route == "riccati"
+    assert np.array_equal(capped(5), sol.u)
+    with pytest.raises(StepFailure, match="phase-error estimate"):
+        capped(4)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the 64 window samples lie 1/63 apart, so where the interior wave number is "
+    "near a multiple of 63 pi the two channels alias and the fit cannot split them",
+)
+def test_flux_balance_agrees_where_the_samples_are_half_a_wavelength_apart():
+    # (eps, m, j) = (197.25, 10, 0) reads 0.72 against the far field's zero
+    hp = HorizonUnitsParams(epsilon=197.25, m=10.0, j=0)
+    assert horizon_flux_balance(make_ansatz(hp, "regular"), hp) < 1e-6
+
+
 def test_flux_balance_costs_the_same_at_every_large_eps(monkeypatch):
     # counts, not timings: one potential call for the panel nodes and one
     # for the WKB phase, and 12 panels, at every eps

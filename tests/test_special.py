@@ -9,6 +9,7 @@ import cmath
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -870,6 +871,26 @@ def test_connection_gammas_memo_returns_the_pair_it_would_compute(monkeypatch):
             before = len(calls)
             assert repr(special.connection_gammas(*point)) == repr(pair), point
             assert (len(calls) == before) == hit, point
+
+
+def test_connection_gammas_beyond_double_range_refuse_naming_a_b_c(monkeypatch):
+    # where eps << m the log-Gamma sums pass the double range: the pair
+    # refuses with a NonConvergence naming the coefficients and (a, b, c),
+    # not an OverflowError, and the memo keeps its last pair; the running
+    # wave's connection route and waves.connect refuse alike
+    ans = make_ansatz(HorizonUnitsParams(epsilon=15.91219844874046, m=487.55227161580325, j=2), "regular")
+    memo = (b"kept", (1j, 2j))
+    monkeypatch.setattr(special, "_gammas_memo", memo)
+    running = (ans.c - ans.a, ans.c - ans.b, ans.c - ans.a - ans.b + 1.0)
+    for a, b, c in [(ans.a, ans.b, ans.c), running]:
+        named = re.escape(f"connection coefficients beyond double range at (a, b, c) = ({a:.6g}, {b:.6g}, {c:.6g})")
+        with pytest.raises(NonConvergence, match=named):
+            special.connection_gammas(a, b, c)
+        assert special._gammas_memo is memo
+    with pytest.raises(NonConvergence, match="connection coefficients beyond double range"):
+        waves.connect(ans)
+    with pytest.raises(NonConvergence, match="connection coefficients beyond double range"):
+        eval_running(ans, "in", 0.5)
 
 
 @pytest.mark.parametrize("family", ["regular", "singular"])
