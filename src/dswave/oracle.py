@@ -336,17 +336,21 @@ def integrate_riccati(
 
         coef = best @ _TO_COEF.T  # y on each panel, T_0..T_n
         big_y = half[:, None] * (coef @ _ANTIDERIV.T)  # integral of y from the panel start
-        # (u, u') at each panel start, and the weights of u1, u2 there
-        alpha, beta = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+        # (u, u') at each panel start, and the weights of u1, u2 there, in
+        # Python complexes: y at each panel's ends and log u1 at its end
+        # (T_i(1) = 1), each read from numpy once
+        alpha, beta = [], []
         u, du = complex(prob.u0), complex(prob.du0)
-        for k in range(n):
-            ya, yb = complex(best[k, 0]), complex(best[k, -1])
+        for ya, yb, log_grow in zip(best[:, 0].tolist(), best[:, -1].tolist(), big_y.sum(axis=1).tolist()):
             gap = ya - ya.conjugate()
-            alpha[k] = a = (du - ya.conjugate() * u) / gap
-            beta[k] = b = (ya * u - du) / gap
-            grow = cmath.exp(complex(big_y[k].sum()))  # T_i(1) = 1
+            a = (du - ya.conjugate() * u) / gap
+            b = (ya * u - du) / gap
+            alpha.append(a)
+            beta.append(b)
+            grow = cmath.exp(log_grow)
             u = a * grow + b * grow.conjugate()
             du = a * yb * grow + b * yb.conjugate() * grow.conjugate()
+        alpha, beta = np.array(alpha), np.array(beta)
 
         r = np.array(wanted)
         panel = np.clip(((r - prob.r0) / span * n).astype(int), 0, n - 1)

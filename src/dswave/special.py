@@ -43,6 +43,16 @@ the float series measures:
   refuses, the passes go on up to a larger budget, past the 10 000 terms
   of a first pass where that budget allows.
 
+The float series keep the term ratios (a+n)(b+n)/((c+n)(n+1)) of the last
+two parameter triples they were summed on (_ratio_slots), so that a grid of
+z on one triple (a wave's radii, the expansion's ladder, the continuation's
+start values) computes them once.  A triple's second series writes its
+ratios, as an immutable tuple of at most _MAX_TERMS; later series read
+them and add those they compute past the end.  A kept ratio is the double
+the loop's own expression gives, and the loop multiplies it into the term
+as before, so every term, sum, peak, stop and returned double is the same
+bit for bit; a triple matches only bit for bit, a zero's sign included.
+
 Accuracy contract: log_gamma within 1e-13 max(1, |log Gamma(z)|) over
 |z| <= 1e7 (away from poles), modulo 2 pi i (see its branch note), so
 relative where |log Gamma| >= 1 and absolute near its zeros z = 1 and z = 2;
@@ -311,6 +321,45 @@ _REL_TOL = 1e-15
 # affords); the continuation also caps its panels, halved ones included, at
 # this count.
 _MAX_TERMS = 10_000
+# While the peak term is below _RISING, the sum of at most _MAX_TERMS + 1
+# terms no larger than it cannot overflow, nor can its abs, and a term above
+# _SKIP times the peak is never within _REL_TOL of that sum, whatever its
+# rounding (_SKIP is twice the bound): _series_sum skips its stopping test,
+# abs(sum) included, on such a term.
+_RISING = 1e300
+_SKIP = 2.0 * _REL_TOL * (_MAX_TERMS + 1)
+
+# The term ratios (a+n)(b+n)/((c+n)(n+1)) of the last two (a, b, c) a float
+# series was summed on, newest first, as (a, b, c, ratios): ratios () after
+# the triple's first series and, from its second on, the tuple of the ratios
+# for n = 0 .. up to the longest series summed on it (at most _MAX_TERMS).
+# The pair is replaced, never changed in place.
+_NO_SLOT = (math.nan, math.nan, math.nan, ())
+_ratio_slots: tuple[tuple, tuple] = (_NO_SLOT, _NO_SLOT)
+
+
+def _same_bits(a: complex, b: complex, c: complex, slot: tuple) -> bool:
+    """Whether (a, b, c), equal in value to the triple of the _ratio_slots
+    entry `slot`, is it bit for bit.  Equal doubles differ in their bits
+    only where they are zeros of opposite sign (a NaN equals nothing), and
+    those are different keys: whether a + n keeps the sign of a zero depends
+    on the interpreter's mixed complex arithmetic."""
+    copysign = math.copysign
+    for u, v in zip((a, b, c), slot):
+        if u is not v and (
+            not u.real and copysign(1.0, u.real) != copysign(1.0, v.real)
+            or not u.imag and copysign(1.0, u.imag) != copysign(1.0, v.imag)
+        ):
+            return False
+    return True
+
+
+def _kept_ratios(a: complex, b: complex, c: complex) -> tuple:
+    """The term ratios _ratio_slots keeps for (a, b, c), else ()."""
+    for slot in _ratio_slots:
+        if a == slot[0] and b == slot[1] and c == slot[2] and _same_bits(a, b, c, slot):
+            return slot[3]
+    return ()
 
 
 def _series_sum(a: complex, b: complex, c: complex, z: complex) -> tuple[complex, float, float, int]:
@@ -320,36 +369,109 @@ def _series_sum(a: complex, b: complex, c: complex, z: complex) -> tuple[complex
     The cancellation is inf when a term or the sum overflows or the sum is
     zero, and the peak is inf when a term overflows; no OverflowError
     escapes.
+
+    A term is term * (ratio * z), the ratio (a+n)(b+n)/((c+n)(n+1)) either
+    computed in that expression or read from _ratio_slots, which holds the
+    doubles the same expression gave for these bits of a, b and c: every
+    term, the sum, the peak and the stop are the same bit for bit either
+    way.  A triple's first series computes its ratios; every later one reads
+    those its predecessors kept and keeps those it computes past them.
     """
+    global _ratio_slots
+    newest, older = _ratio_slots  # one read: a concurrent call may replace it
+    # the values find a triple's slot, and a hit needs its bits as well
+    if a == newest[0] and b == newest[1] and c == newest[2] and _same_bits(a, b, c, newest):
+        kept, other = newest[3], older
+    elif a == older[0] and b == older[1] and c == older[2] and _same_bits(a, b, c, older):
+        kept, other = older[3], newest
+    else:
+        kept = None
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     peak = 1.0
+    skip = _SKIP
     small_streak = 0
     try:
-        for n in range(_MAX_TERMS):
-            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-            total += term
-            mag = abs(term)
-            if mag > peak:
-                if mag == math.inf:
-                    return total, math.inf, math.inf, n + 1
-                peak = mag
-            if term == 0.0:
-                break
-            if mag <= _REL_TOL * abs(total):
-                small_streak += 1
-                if small_streak >= 2:
+        # the same loop twice: a triple's first series, the most common one,
+        # reads and keeps no ratios and pays for no bookkeeping
+        if kept is None:
+            for n in range(_MAX_TERMS):
+                term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+                total += term
+                mag = abs(term)
+                if mag > skip:
+                    if mag <= peak:
+                        small_streak = 0
+                        continue
+                    if mag < _RISING:
+                        peak = mag
+                        skip = _SKIP * mag
+                        small_streak = 0
+                        continue
+                if mag > peak:
+                    if mag == math.inf:
+                        return total, math.inf, math.inf, n + 1
+                    peak = mag
+                    skip = math.inf
+                if term == 0.0:
                     break
+                if mag <= _REL_TOL * abs(total):
+                    small_streak += 1
+                    if small_streak >= 2:
+                        break
+                else:
+                    small_streak = 0
             else:
-                small_streak = 0
+                raise NonConvergence(
+                    f"2F1 series: no convergence after {_MAX_TERMS} terms "
+                    f"(|z|={abs(z):.3g}, last |term|={abs(term):.3g})"
+                )
         else:
-            raise NonConvergence(
-                f"2F1 series: no convergence after {_MAX_TERMS} terms "
-                f"(|z|={abs(z):.3g}, last |term|={abs(term):.3g})"
-            )
+            known = len(kept)
+            fresh = []
+            keep = fresh.append
+            for n in range(_MAX_TERMS):
+                if n < known:
+                    ratio = kept[n]
+                else:
+                    ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0))
+                    keep(ratio)
+                term *= ratio * z
+                total += term
+                mag = abs(term)
+                if mag > skip:
+                    if mag <= peak:
+                        small_streak = 0
+                        continue
+                    if mag < _RISING:
+                        peak = mag
+                        skip = _SKIP * mag
+                        small_streak = 0
+                        continue
+                if mag > peak:
+                    if mag == math.inf:
+                        return total, math.inf, math.inf, n + 1
+                    peak = mag
+                    skip = math.inf
+                if term == 0.0:
+                    break
+                if mag <= _REL_TOL * abs(total):
+                    small_streak += 1
+                    if small_streak >= 2:
+                        break
+                else:
+                    small_streak = 0
+            else:
+                raise NonConvergence(
+                    f"2F1 series: no convergence after {_MAX_TERMS} terms "
+                    f"(|z|={abs(z):.3g}, last |term|={abs(term):.3g})"
+                )
+            if fresh:
+                kept += tuple(fresh)
         size = abs(total)
     except OverflowError:
         return total, math.inf, math.inf, n + 1
+    _ratio_slots = ((a, b, c, ()), newest) if kept is None else ((a, b, c, kept), other)
     if not 0.0 < size < math.inf:
         return total, math.inf, peak, n + 1
     return total, peak / size, peak, n + 1
@@ -396,26 +518,37 @@ def _summed(
     `cancel_limit` (_CANCEL_START for the paired walk's partner start
     values), or from fixed-point passes within _PASS_BUDGET, else (None,
     walk): the series goes to the continuation, and walk = (cancel, bits,
-    terms) is what _continued takes from it: _passed after _read."""
-    return _passed(a, b, c, z, *_read(a, b, c, z, cancel_limit))
+    terms) is what _continued takes from it: _passed after _read, with the
+    float sum that settles a series returned straight from _series_sum."""
+    total, cancel, peak, terms = _series_sum(a, b, c, z)
+    if cancel <= cancel_limit:
+        return total, None
+    return _passed(a, b, c, z, None, _plan(a, b, c, z, cancel, peak, terms))
 
 
 def _read(
     a: complex, b: complex, c: complex, z: complex, cancel_limit: float = _CANCEL_RETRY
 ) -> tuple[complex | None, tuple[float, int, int] | None]:
     """The float series at z, summed once: (F, None) where it cancels by at
-    most `cancel_limit`, else (None, plan).  plan = (cancel, bits, terms)
-    sets the first fixed-point pass: bits = _peak_bits of the peak term
-    (from the log-space sum, and its term count, where the float terms
-    overflow) over the float series' terms."""
+    most `cancel_limit`, else (None, _plan of its first fixed-point pass)."""
     total, cancel, peak, terms = _series_sum(a, b, c, z)
     if cancel <= cancel_limit:
         return total, None
+    return None, _plan(a, b, c, z, cancel, peak, terms)
+
+
+def _plan(
+    a: complex, b: complex, c: complex, z: complex, cancel: float, peak: float, terms: int
+) -> tuple[float, int, int]:
+    """(cancel, bits, terms), the first fixed-point pass of a float series
+    that cancelled by `cancel`: bits = _peak_bits of the peak term (from the
+    log-space sum, and its term count, where the float terms overflow) over
+    the float series' terms."""
     if peak == math.inf:
         log_peak, terms = _log2_peak(a, b, c, z)
     else:
         log_peak = math.log2(peak)
-    return None, (cancel, _peak_bits(log_peak), terms)
+    return cancel, _peak_bits(log_peak), terms
 
 
 def _passed(
@@ -604,13 +737,16 @@ def _float_tail(
     """(sum of the Gauss series terms after term n, the index it stopped
     at), summed in doubles from term n until two terms fall below _REL_TOL
     |total|; the sum is None when a term rises above 2^-24 of total or the
-    series runs past `limit` terms."""
+    series runs past `limit` terms.  The term ratios are _series_sum's: read
+    from _ratio_slots as far as it keeps them, computed past that."""
     rise = 2.0**-24 * (abs(total.real) + abs(total.imag))
     small = _REL_TOL * abs(total)
     tail = 0.0
     small_streak = 0
+    ratios = _kept_ratios(a, b, c)
+    known = len(ratios)
     for n in range(n, limit):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        term *= (ratios[n] if n < known else (a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
         tail += term
         mag = abs(term)
         if mag > rise:
@@ -1000,7 +1136,7 @@ def _connection(
         # the second series is w^s times Kummer's partner of the first
         # one: where both would walk, one walk may carry both
         try:
-            f2, walk2 = _summed(*second)
+            f2, walk2 = _passed(*second, *_read(*second))
         except NonConvergence:
             _continued(*first, *walk1)  # the first series' refusal comes first
             raise
@@ -1013,7 +1149,7 @@ def _connection(
     if walk2 is not None:
         f2 = _continued(*second, *walk2)
     elif f2 is None:
-        f2 = _gauss_series(*second, read2)
+        f2 = _gauss_series(*second, read2 or _read(*second))
     g1, g2 = connection_gammas(a, b, c)
     return g1 * f1 + g2 * (w ** s) * f2
 
@@ -1098,6 +1234,14 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     (_MAX_TERMS), a rescue pass excepted; the continuation's walk carries
     at most as many panels, halved ones included.
 
+    The float series keep the term ratios (a+n)(b+n)/((c+n)(n+1)) of the
+    last two (a, b, c) they were summed on, a triple matching only bit for
+    bit: its second series writes them, at most 10 000, and later ones read
+    them and add those they compute past the end, so that a grid of z on
+    one set of parameters computes them once.  A kept ratio is the double
+    the series' own expression gives, multiplied into the term as before,
+    so no term, stop or result changes by a bit.
+
     Raises
     ------
     PoleError
@@ -1120,20 +1264,16 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
         raise PoleError(f"hyp2f1: c={c} is a non-positive integer")
     if z == 0.0:
         return 1.0 + 0.0j
-    s = c - a - b
-    use_connection = (
-        z.imag == 0.0
-        and _CONNECTION_THRESHOLD < z.real < 1.0
-        and not (s.imag == 0.0 and s.real == math.floor(s.real))
-    )
-    if use_connection:
-        w = 1.0 - z.real
-        first, second = (a, b, 1.0 - s, w), (c - a, c - b, 1.0 + s, w)
-        if _bits(*second[:3]) == _bits(a.conjugate(), b.conjugate(), (1.0 - s).conjugate()):
-            # the second series is the conjugate of the first, and g2 of g1
-            t = connection_gammas(a, b, c)[0] * _gauss_series(*first)
-            return t + t.conjugate() * w**s
-        return _priced(a, b, c, z, s, first, second)
+    if z.imag == 0.0 and _CONNECTION_THRESHOLD < z.real < 1.0:
+        s = c - a - b
+        if not (s.imag == 0.0 and s.real == math.floor(s.real)):
+            w = 1.0 - z.real
+            first, second = (a, b, 1.0 - s, w), (c - a, c - b, 1.0 + s, w)
+            if _bits(*second[:3]) == _bits(a.conjugate(), b.conjugate(), (1.0 - s).conjugate()):
+                # the second series is the conjugate of the first, and g2 of g1
+                t = connection_gammas(a, b, c)[0] * _gauss_series(*first)
+                return t + t.conjugate() * w**s
+            return _priced(a, b, c, z, s, first, second)
     if abs(z) < 1.0:
         return _gauss_series(a, b, c, z)
     raise ValueError(f"hyp2f1: |z| >= 1 not supported (z={z})")

@@ -12,6 +12,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -1300,6 +1301,197 @@ def test_hyp2f1_nonconvergence_with_tiny_budget(monkeypatch):
     monkeypatch.setattr(special, "_MAX_TERMS", 4)
     with pytest.raises(NonConvergence):
         hyp2f1(0.5 + 2j, 0.5 - 2j, 1.5, 0.45)
+
+
+# ----------------------------------------------------- kept float term ratios
+
+
+def _clear_ratio_slots():
+    special._ratio_slots = (special._NO_SLOT, special._NO_SLOT)
+
+
+def _route_grids():
+    """(name, function of r, radii) on each route whose float series read
+    or keep term ratios: the direct float series, fixed-point passes with
+    their float tails, the conjugate connection series of a standing wave,
+    a running wave's priced pair and the continuation's start series."""
+    def standing(eps, m, j, family):
+        ans = make_ansatz(HorizonUnitsParams(epsilon=eps, m=m, j=j), family)
+        return lambda r: hyp2f1(ans.a, ans.b, ans.c, complex(r * r))
+
+    def running(r):
+        return hyp2f1(*_running_point(40.0, 20.0, 0, "out", r))
+
+    return [
+        ("direct", standing(10.0, 5.0, 1, "regular"), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]),
+        ("fixed point", standing(200.0, 100.0, 1, "regular"), [0.3, 0.35, 0.4, 0.45, 0.5]),
+        ("conjugate connection", standing(30.0, 15.0, 1, "singular"), [0.75, 0.8, 0.85, 0.9, 0.95]),
+        ("priced pair", running, [0.3, 0.4, 0.5, 0.6, 0.7]),
+        ("continuation start", standing(500.0, 250.0, 8, "regular"), [0.6, 0.65, 0.7]),
+    ]
+
+
+def test_kept_ratios_give_the_bits_of_a_cleared_slot_in_any_order(monkeypatch):
+    # every route gives, at every radius, the double it gives with the slots
+    # cleared before each call, whether the grid runs up, down or shuffled;
+    # the grids read kept ratios in the float series and in the float tails
+    # of the fixed-point passes
+    reads = {"series": 0, "tail": 0}
+    float_tail = special._float_tail
+
+    def tail(*args):
+        reads["tail"] += bool(special._kept_ratios(*args[:3]))
+        return float_tail(*args)
+
+    monkeypatch.setattr(special, "_float_tail", tail)
+    series_sum = special._series_sum
+
+    def series(*args):
+        reads["series"] += bool(special._kept_ratios(*args[:3]))
+        return series_sum(*args)
+
+    monkeypatch.setattr(special, "_series_sum", series)
+    rng = random.Random(29)
+    for name, value, radii in _route_grids():
+        cleared = {}
+        for r in radii:
+            _clear_ratio_slots()
+            cleared[r] = repr(value(r))
+        shuffled = rng.sample(radii, len(radii))
+        for order in (radii, radii[::-1], shuffled):
+            _clear_ratio_slots()
+            got = {r: repr(value(r)) for r in order}
+            assert got == cleared, (name, order)
+    assert reads["series"] and reads["tail"], reads
+
+
+def test_kept_ratios_are_keyed_by_the_bits_of_a_b_and_c():
+    # a triple equal in value to a kept one, but with a zero of the other
+    # sign, reads no ratios: with the kept triple's slot holding ratios that
+    # are not its own, it still gives the bits it gives with no slot at all
+    c_plus, c_minus = complex(1.5, 0.0), complex(1.5, -0.0)
+    a, b, z = complex(0.25, 3.0), complex(0.25, -3.0), complex(0.3)
+    assert c_plus == c_minus and special._bits(a, b, c_plus) != special._bits(a, b, c_minus)
+    _clear_ratio_slots()
+    alone = repr(special._series_sum(a, b, c_minus, z))
+    bogus = tuple(complex(k + 2.0, 1.0) for k in range(special._MAX_TERMS))
+    special._ratio_slots = ((a, b, c_plus, bogus), special._NO_SLOT)
+    assert special._kept_ratios(a, b, c_plus) is bogus
+    assert special._kept_ratios(a, b, c_minus) == ()
+    assert repr(special._series_sum(a, b, c_minus, z)) == alone
+    for _ in range(2):  # its own ratios kept, then read
+        assert repr(special._series_sum(a, b, c_minus, z)) == alone
+    assert special._kept_ratios(a, b, c_minus) and special._kept_ratios(a, b, c_plus) is bogus
+    _clear_ratio_slots()
+
+
+def _series_sum_before_kept_ratios(a, b, c, z):
+    """_series_sum as it was before it kept term ratios, verbatim."""
+    term = 1.0 + 0.0j
+    total = 1.0 + 0.0j
+    peak = 1.0
+    small_streak = 0
+    try:
+        for n in range(special._MAX_TERMS):
+            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+            total += term
+            mag = abs(term)
+            if mag > peak:
+                if mag == math.inf:
+                    return total, math.inf, math.inf, n + 1
+                peak = mag
+            if term == 0.0:
+                break
+            if mag <= special._REL_TOL * abs(total):
+                small_streak += 1
+                if small_streak >= 2:
+                    break
+            else:
+                small_streak = 0
+        else:
+            raise NonConvergence(
+                f"2F1 series: no convergence after {special._MAX_TERMS} terms "
+                f"(|z|={abs(z):.3g}, last |term|={abs(term):.3g})"
+            )
+        size = abs(total)
+    except OverflowError:
+        return total, math.inf, math.inf, n + 1
+    if not 0.0 < size < math.inf:
+        return total, math.inf, peak, n + 1
+    return total, peak / size, peak, n + 1
+
+
+def test_kept_ratios_keep_the_overflow_results():
+    # a term that overflows, and a sum of two terms of 1.5e308 at right
+    # angles, whose abs raises OverflowError, give the 4-tuple of the loop
+    # before ratios were kept, on a triple's first, second and third series;
+    # so do falling, terminating and cancelling series, and slow ones whose
+    # sum is many times their largest term, which stop on terms the skipped
+    # stopping test must not miss
+    big = complex(1.5e308)
+    points = [
+        (complex(1e300), complex(1.0), complex(1.0), complex(1.5)),  # the second term is inf
+        (big, -1.0 + 4j / big, complex(1.0), complex(1.0)),  # -1.5e308 (1 + i)
+        _FALLING_POINT,
+        _NEGATIVE_C_HUMP,
+        (complex(-3.0), complex(2.5, 1.0), complex(0.5), complex(0.9)),  # terminates
+        (complex(1.0), complex(1.0), complex(2.0), complex(0.99)),  # -log(0.01) / 0.99
+        (complex(1.0), complex(1.0), complex(1.0), complex(0.997)),  # 1 / 0.003 in ~9 500 terms
+    ]
+    rng = random.Random(2029)
+    for _ in range(20):
+        a, b = complex(rng.uniform(-5.0, 5.0), rng.uniform(-30.0, 30.0)), complex(rng.uniform(0.1, 3.0))
+        points.append((a, b, complex(rng.uniform(0.5, 4.0), rng.choice([0.0, 2.0])), complex(rng.uniform(0.5, 0.99))))
+    for point in points:
+        expected = repr(_series_sum_before_kept_ratios(*point))
+        _clear_ratio_slots()
+        for _ in range(3):
+            assert repr(special._series_sum(*point)) == expected, point
+
+
+def test_kept_ratios_under_interleaving_threads():
+    # threads summing grids on different triples, more threads than cores
+    # and the interpreter switching threads every microsecond, get the bits
+    # of a serial run
+    grids = [_route_grids()[k] for k in (0, 2, 3)]
+    serial = [[repr(value(r)) for r in radii * 3] for _, value, radii in grids]
+    results = [None] * len(grids)
+    barrier = threading.Barrier(len(grids), timeout=60)
+
+    def worker(k):
+        _, value, radii = grids[k]
+        barrier.wait()
+        results[k] = [repr(value(r)) for r in radii * 3]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            results[:] = [None] * len(grids)
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(grids))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_kept_ratios_stay_within_the_term_cap_after_a_rescue_pass(monkeypatch):
+    # at epsilon = 5000, r = 0.7 the rescue pass sums 10 320 terms, its
+    # float tail past _MAX_TERMS, reading the ratios the continuation's start
+    # series kept; no slot keeps more than _MAX_TERMS of them
+    tails = []
+    float_tail = special._float_tail
+    monkeypatch.setattr(special, "_float_tail", lambda *args: tails.append(float_tail(*args)) or tails[-1])
+    _clear_ratio_slots()
+    point = (_EPS5000.a, _EPS5000.b, _EPS5000.c, complex(0.7**2))
+    hyp2f1(*point)
+    assert any(rest is not None and stop > special._MAX_TERMS for rest, stop in tails), tails
+    kept = [slot[3] for slot in special._ratio_slots]
+    assert any(kept) and all(len(ratios) <= special._MAX_TERMS for ratios in kept), [len(r) for r in kept]
 
 
 # -------------------------------------------------------------------- bessel
