@@ -418,6 +418,17 @@ def _coerce_coefficients(coeffs: Any) -> tuple[FactoredRational, FactoredRationa
     return p, q
 
 
+def _short(location: Any) -> str:
+    """A singular point for a message: 'infinity', or its value to 6
+    significant digits, also where it is beyond double range."""
+    if isinstance(location, str):
+        return location
+    if location == 0 or 1e-300 < abs(location) < 1e300:
+        return f"{float(location):.6g}"
+    exp = math.floor(math.log10(abs(location.numerator)) - math.log10(location.denominator))
+    return f"{float(location / Fraction(10) ** exp):.6g}e{exp:+d}"
+
+
 def _fuchs_point(
     location: Any, pole_p: float, pole_q: float, limits: Callable[[], tuple[Fraction, Fraction]]
 ) -> SingularPoint | None:
@@ -429,7 +440,7 @@ def _fuchs_point(
             exponents = indicial_roots(*limits())
         except OverflowError as exc:
             raise OverflowError(
-                f"the indicial exponents at x = {location} are beyond double range"
+                f"the indicial exponents at x = {_short(location)} are beyond double range"
             ) from exc
         return SingularPoint(location=location, kind="regular", exponents=exponents)
     return SingularPoint(location=location, kind="irregular", exponents=None)

@@ -46,12 +46,15 @@ the float series measures:
 The float series keep the term ratios (a+n)(b+n)/((c+n)(n+1)) of the last
 two parameter triples they were summed on (_ratio_slots), so that a grid of
 z on one triple (a wave's radii, the expansion's ladder, the continuation's
-start values) computes them once.  A triple's second series writes its
-ratios, as an immutable tuple of at most _MAX_TERMS; later series read
-them and add those they compute past the end.  A kept ratio is the double
-the loop's own expression gives, and the loop multiplies it into the term
-as before, so every term, sum, peak, stop and returned double is the same
-bit for bit; a triple matches only bit for bit, a zero's sign included.
+start values) computes them once.  A triple's first series keeps none;
+each later one reads the triple's immutable tuple of ratios and extends
+it by those it computes past its end (so at most _MAX_TERMS).  A kept
+ratio is the double the loop's own expression gives, and the loop
+multiplies it into the term as before, so every term, sum, peak, stop and
+returned double is the same bit for bit; a triple matches only bit for
+bit, a zero's sign included.  A series on the triple and z of the
+triple's last series, bit for bit, returns that series' result (a
+connection residual sums one series twice).
 
 Accuracy contract: log_gamma within 1e-13 max(1, |log Gamma(z)|) over
 |z| <= 1e7 (away from poles), modulo 2 pi i (see its branch note), so
@@ -330,22 +333,24 @@ _RISING = 1e300
 _SKIP = 2.0 * _REL_TOL * (_MAX_TERMS + 1)
 
 # The term ratios (a+n)(b+n)/((c+n)(n+1)) of the last two (a, b, c) a float
-# series was summed on, newest first, as (a, b, c, ratios): ratios () after
-# the triple's first series and, from its second on, the tuple of the ratios
-# for n = 0 .. up to the longest series summed on it (at most _MAX_TERMS).
-# The pair is replaced, never changed in place.
-_NO_SLOT = (math.nan, math.nan, math.nan, ())
+# series was summed on, newest first, as (a, b, c, ratios, z, result):
+# ratios () after the triple's first series and, from its second on, the
+# tuple of the ratios for n = 0 .. up to the longest series summed on it
+# since (at most _MAX_TERMS); z and result are the triple's last series and
+# what _series_sum returned for it.  The pair is replaced, never changed in
+# place.
+_NO_SLOT = (math.nan, math.nan, math.nan, (), math.nan, None)
 _ratio_slots: tuple[tuple, tuple] = (_NO_SLOT, _NO_SLOT)
 
 
-def _same_bits(a: complex, b: complex, c: complex, slot: tuple) -> bool:
-    """Whether (a, b, c), equal in value to the triple of the _ratio_slots
-    entry `slot`, is it bit for bit.  Equal doubles differ in their bits
-    only where they are zeros of opposite sign (a NaN equals nothing), and
-    those are different keys: whether a + n keeps the sign of a zero depends
-    on the interpreter's mixed complex arithmetic."""
+def _same_bits(xs: tuple, ys: tuple) -> bool:
+    """Whether the complexes xs, equal in value to ys one by one, are them
+    bit for bit.  Equal doubles differ in their bits only where they are
+    zeros of opposite sign (a NaN equals nothing), and those are different
+    keys: whether a + n keeps the sign of a zero depends on the
+    interpreter's mixed complex arithmetic."""
     copysign = math.copysign
-    for u, v in zip((a, b, c), slot):
+    for u, v in zip(xs, ys):
         if u is not v and (
             not u.real and copysign(1.0, u.real) != copysign(1.0, v.real)
             or not u.imag and copysign(1.0, u.imag) != copysign(1.0, v.imag)
@@ -354,12 +359,16 @@ def _same_bits(a: complex, b: complex, c: complex, slot: tuple) -> bool:
     return True
 
 
-def _kept_ratios(a: complex, b: complex, c: complex) -> tuple:
-    """The term ratios _ratio_slots keeps for (a, b, c), else ()."""
-    for slot in _ratio_slots:
-        if a == slot[0] and b == slot[1] and c == slot[2] and _same_bits(a, b, c, slot):
-            return slot[3]
-    return ()
+def _kept_slot(a: complex, b: complex, c: complex, slots: tuple[tuple, tuple]) -> tuple[tuple | None, tuple]:
+    """(the slot in `slots`, a _ratio_slots pair, whose triple is (a, b, c)
+    bit for bit, the other slot), else (None, the newest slot).  The values
+    find a slot, and a match needs its bits as well."""
+    newest, older = slots
+    if a == newest[0] and b == newest[1] and c == newest[2] and _same_bits((a, b, c), newest):
+        return newest, older
+    if a == older[0] and b == older[1] and c == older[2] and _same_bits((a, b, c), older):
+        return older, newest
+    return None, newest
 
 
 def _series_sum(a: complex, b: complex, c: complex, z: complex) -> tuple[complex, float, float, int]:
@@ -374,107 +383,75 @@ def _series_sum(a: complex, b: complex, c: complex, z: complex) -> tuple[complex
     computed in that expression or read from _ratio_slots, which holds the
     doubles the same expression gave for these bits of a, b and c: every
     term, the sum, the peak and the stop are the same bit for bit either
-    way.  A triple's first series computes its ratios; every later one reads
-    those its predecessors kept and keeps those it computes past them.
+    way.  A triple's first series computes its ratios and keeps none; every
+    later one reads those its predecessors kept and keeps those it computes
+    past them.  A series on the triple and z of the last one on that triple,
+    bit for bit, returns that one's result.
     """
     global _ratio_slots
-    newest, older = _ratio_slots  # one read: a concurrent call may replace it
-    # the values find a triple's slot, and a hit needs its bits as well
-    if a == newest[0] and b == newest[1] and c == newest[2] and _same_bits(a, b, c, newest):
-        kept, other = newest[3], older
-    elif a == older[0] and b == older[1] and c == older[2] and _same_bits(a, b, c, older):
-        kept, other = older[3], newest
+    # one read of the pair: a concurrent call may replace it
+    slot, other = _kept_slot(a, b, c, _ratio_slots)
+    if slot is None:  # a first sighting
+        kept, known, keep = (), 0, None
+    elif z == slot[4] and _same_bits((z,), slot[4:]):
+        return slot[5]
     else:
-        kept = None
+        kept, fresh = slot[3], []
+        known, keep = len(kept), fresh.append
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     peak = 1.0
     skip = _SKIP
     small_streak = 0
     try:
-        # the same loop twice: a triple's first series, the most common one,
-        # reads and keeps no ratios and pays for no bookkeeping
-        if kept is None:
-            for n in range(_MAX_TERMS):
-                term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-                total += term
-                mag = abs(term)
-                if mag > skip:
-                    if mag <= peak:
-                        small_streak = 0
-                        continue
-                    if mag < _RISING:
-                        peak = mag
-                        skip = _SKIP * mag
-                        small_streak = 0
-                        continue
-                if mag > peak:
-                    if mag == math.inf:
-                        return total, math.inf, math.inf, n + 1
-                    peak = mag
-                    skip = math.inf
-                if term == 0.0:
-                    break
-                if mag <= _REL_TOL * abs(total):
-                    small_streak += 1
-                    if small_streak >= 2:
-                        break
-                else:
-                    small_streak = 0
+        for n in range(_MAX_TERMS):
+            if n < known:
+                ratio = kept[n]
             else:
-                raise NonConvergence(
-                    f"2F1 series: no convergence after {_MAX_TERMS} terms "
-                    f"(|z|={abs(z):.3g}, last |term|={abs(term):.3g})"
-                )
-        else:
-            known = len(kept)
-            fresh = []
-            keep = fresh.append
-            for n in range(_MAX_TERMS):
-                if n < known:
-                    ratio = kept[n]
-                else:
-                    ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0))
+                ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0))
+                if keep is not None:
                     keep(ratio)
-                term *= ratio * z
-                total += term
-                mag = abs(term)
-                if mag > skip:
-                    if mag <= peak:
-                        small_streak = 0
-                        continue
-                    if mag < _RISING:
-                        peak = mag
-                        skip = _SKIP * mag
-                        small_streak = 0
-                        continue
-                if mag > peak:
-                    if mag == math.inf:
-                        return total, math.inf, math.inf, n + 1
-                    peak = mag
-                    skip = math.inf
-                if term == 0.0:
-                    break
-                if mag <= _REL_TOL * abs(total):
-                    small_streak += 1
-                    if small_streak >= 2:
-                        break
-                else:
+            term *= ratio * z
+            total += term
+            mag = abs(term)
+            if mag > skip:
+                if mag <= peak:
                     small_streak = 0
+                    continue
+                if mag < _RISING:
+                    peak = mag
+                    skip = _SKIP * mag
+                    small_streak = 0
+                    continue
+            if mag > peak:
+                if mag == math.inf:
+                    return total, math.inf, math.inf, n + 1
+                peak = mag
+                skip = math.inf
+            if term == 0.0:
+                break
+            if mag <= _REL_TOL * abs(total):
+                small_streak += 1
+                if small_streak >= 2:
+                    break
             else:
-                raise NonConvergence(
-                    f"2F1 series: no convergence after {_MAX_TERMS} terms "
-                    f"(|z|={abs(z):.3g}, last |term|={abs(term):.3g})"
-                )
-            if fresh:
-                kept += tuple(fresh)
+                small_streak = 0
+        else:
+            raise NonConvergence(
+                f"2F1 series: no convergence after {_MAX_TERMS} terms "
+                f"(|z|={abs(z):.3g}, last |term|={abs(term):.3g})"
+            )
         size = abs(total)
     except OverflowError:
         return total, math.inf, math.inf, n + 1
-    _ratio_slots = ((a, b, c, ()), newest) if kept is None else ((a, b, c, kept), other)
-    if not 0.0 < size < math.inf:
-        return total, math.inf, peak, n + 1
-    return total, peak / size, peak, n + 1
+    if keep is not None and fresh:
+        kept += tuple(fresh)
+    if 0.0 < size < math.inf:
+        result = total, peak / size, peak, n + 1
+    else:
+        result = total, math.inf, peak, n + 1
+    _ratio_slots = ((a, b, c, kept, z, result), other)
+    return result
 
 
 def _log2_peak(a: complex, b: complex, c: complex, z: complex, limit: int | None = None) -> tuple[float, int]:
@@ -518,37 +495,26 @@ def _summed(
     `cancel_limit` (_CANCEL_START for the paired walk's partner start
     values), or from fixed-point passes within _PASS_BUDGET, else (None,
     walk): the series goes to the continuation, and walk = (cancel, bits,
-    terms) is what _continued takes from it: _passed after _read, with the
-    float sum that settles a series returned straight from _series_sum."""
-    total, cancel, peak, terms = _series_sum(a, b, c, z)
-    if cancel <= cancel_limit:
-        return total, None
-    return _passed(a, b, c, z, None, _plan(a, b, c, z, cancel, peak, terms))
+    terms) is what _continued takes from it: _passed after _read."""
+    return _passed(a, b, c, z, *_read(a, b, c, z, cancel_limit))
 
 
 def _read(
     a: complex, b: complex, c: complex, z: complex, cancel_limit: float = _CANCEL_RETRY
 ) -> tuple[complex | None, tuple[float, int, int] | None]:
     """The float series at z, summed once: (F, None) where it cancels by at
-    most `cancel_limit`, else (None, _plan of its first fixed-point pass)."""
+    most `cancel_limit`, else (None, plan).  plan = (cancel, bits, terms)
+    sets the first fixed-point pass: bits = _peak_bits of the peak term
+    (from the log-space sum, and its term count, where the float terms
+    overflow) over the float series' terms."""
     total, cancel, peak, terms = _series_sum(a, b, c, z)
     if cancel <= cancel_limit:
         return total, None
-    return None, _plan(a, b, c, z, cancel, peak, terms)
-
-
-def _plan(
-    a: complex, b: complex, c: complex, z: complex, cancel: float, peak: float, terms: int
-) -> tuple[float, int, int]:
-    """(cancel, bits, terms), the first fixed-point pass of a float series
-    that cancelled by `cancel`: bits = _peak_bits of the peak term (from the
-    log-space sum, and its term count, where the float terms overflow) over
-    the float series' terms."""
     if peak == math.inf:
         log_peak, terms = _log2_peak(a, b, c, z)
     else:
         log_peak = math.log2(peak)
-    return cancel, _peak_bits(log_peak), terms
+    return None, (cancel, _peak_bits(log_peak), terms)
 
 
 def _passed(
@@ -743,7 +709,8 @@ def _float_tail(
     small = _REL_TOL * abs(total)
     tail = 0.0
     small_streak = 0
-    ratios = _kept_ratios(a, b, c)
+    slot = _kept_slot(a, b, c, _ratio_slots)[0]
+    ratios = () if slot is None else slot[3]
     known = len(ratios)
     for n in range(n, limit):
         term *= (ratios[n] if n < known else (a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
@@ -1136,7 +1103,7 @@ def _connection(
         # the second series is w^s times Kummer's partner of the first
         # one: where both would walk, one walk may carry both
         try:
-            f2, walk2 = _passed(*second, *_read(*second))
+            f2, walk2 = _summed(*second)
         except NonConvergence:
             _continued(*first, *walk1)  # the first series' refusal comes first
             raise
@@ -1149,7 +1116,7 @@ def _connection(
     if walk2 is not None:
         f2 = _continued(*second, *walk2)
     elif f2 is None:
-        f2 = _gauss_series(*second, read2 or _read(*second))
+        f2 = _gauss_series(*second, read2)
     g1, g2 = connection_gammas(a, b, c)
     return g1 * f1 + g2 * (w ** s) * f2
 
@@ -1236,11 +1203,12 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
 
     The float series keep the term ratios (a+n)(b+n)/((c+n)(n+1)) of the
     last two (a, b, c) they were summed on, a triple matching only bit for
-    bit: its second series writes them, at most 10 000, and later ones read
-    them and add those they compute past the end, so that a grid of z on
-    one set of parameters computes them once.  A kept ratio is the double
-    the series' own expression gives, multiplied into the term as before,
-    so no term, stop or result changes by a bit.
+    bit: its second series keeps those it computes, at most 10 000, and
+    later ones read them and keep those they compute past the end, so that
+    a grid of z on one set of parameters computes them once.  A kept
+    ratio is the double the series' own expression gives, multiplied into
+    the term as before, so no term, stop or result changes by a bit; a
+    series repeated at the same z, bit for bit, returns its last result.
 
     Raises
     ------

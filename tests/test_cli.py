@@ -461,6 +461,21 @@ def test_classify_refuses_multiplicities_naming_the_root(capsys, tmp_path, mult)
     assert one_error_line(err).startswith("error: root '1/3' needs a whole-number multiplicity"), err
 
 
+@pytest.mark.parametrize("root, shown", [(1e300, "1e+300"), ("-7e400", "-7e+400")])
+def test_classify_overflow_names_a_far_root_in_short(capsys, tmp_path, root, shown):
+    # indicial exponents beyond double range at a root far out: the one
+    # error line names the root to 6 digits, not as its exact integer
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({
+        "p": {"numerator": [0, 1], "denominator": {"const": 1, "roots": [[root, 1]]}},
+        "q": {"numerator": [1], "denominator": {"const": 1, "roots": [[root, 2]]}},
+    }))
+    rc, out, err = run(capsys, "classify", str(path))
+    assert rc == 4 and out == ""
+    line = one_error_line(err)
+    assert f"at x = {shown} are beyond double range" in line and len(line) < 160, line
+
+
 NOT_EXACT = "must be an integer, a finite float or a rational string like '3/4', got"
 
 

@@ -1310,6 +1310,12 @@ def _clear_ratio_slots():
     special._ratio_slots = (special._NO_SLOT, special._NO_SLOT)
 
 
+def _kept_ratios(a, b, c):
+    """The ratios the slots keep for (a, b, c), bit for bit, else ()."""
+    slot = special._kept_slot(a, b, c, special._ratio_slots)[0]
+    return () if slot is None else slot[3]
+
+
 def _route_grids():
     """(name, function of r, radii) on each route whose float series read
     or keep term ratios: the direct float series, fixed-point passes with
@@ -1340,14 +1346,14 @@ def test_kept_ratios_give_the_bits_of_a_cleared_slot_in_any_order(monkeypatch):
     float_tail = special._float_tail
 
     def tail(*args):
-        reads["tail"] += bool(special._kept_ratios(*args[:3]))
+        reads["tail"] += bool(_kept_ratios(*args[:3]))
         return float_tail(*args)
 
     monkeypatch.setattr(special, "_float_tail", tail)
     series_sum = special._series_sum
 
     def series(*args):
-        reads["series"] += bool(special._kept_ratios(*args[:3]))
+        reads["series"] += bool(_kept_ratios(*args[:3]))
         return series_sum(*args)
 
     monkeypatch.setattr(special, "_series_sum", series)
@@ -1370,18 +1376,33 @@ def test_kept_ratios_are_keyed_by_the_bits_of_a_b_and_c():
     # sign, reads no ratios: with the kept triple's slot holding ratios that
     # are not its own, it still gives the bits it gives with no slot at all
     c_plus, c_minus = complex(1.5, 0.0), complex(1.5, -0.0)
-    a, b, z = complex(0.25, 3.0), complex(0.25, -3.0), complex(0.3)
+    a, b, z, z2 = complex(0.25, 3.0), complex(0.25, -3.0), complex(0.3), complex(0.35)
     assert c_plus == c_minus and special._bits(a, b, c_plus) != special._bits(a, b, c_minus)
-    _clear_ratio_slots()
-    alone = repr(special._series_sum(a, b, c_minus, z))
+    alone = {}
+    for zk in (z, z2):
+        _clear_ratio_slots()
+        alone[zk] = repr(special._series_sum(a, b, c_minus, zk))
     bogus = tuple(complex(k + 2.0, 1.0) for k in range(special._MAX_TERMS))
-    special._ratio_slots = ((a, b, c_plus, bogus), special._NO_SLOT)
-    assert special._kept_ratios(a, b, c_plus) is bogus
-    assert special._kept_ratios(a, b, c_minus) == ()
-    assert repr(special._series_sum(a, b, c_minus, z)) == alone
-    for _ in range(2):  # its own ratios kept, then read
-        assert repr(special._series_sum(a, b, c_minus, z)) == alone
-    assert special._kept_ratios(a, b, c_minus) and special._kept_ratios(a, b, c_plus) is bogus
+    special._ratio_slots = ((a, b, c_plus, bogus, z, None), special._NO_SLOT)
+    assert _kept_ratios(a, b, c_plus) is bogus
+    assert _kept_ratios(a, b, c_minus) == ()
+    for zk in (z, z2, z):  # its own ratios kept at z2, then read at z
+        assert repr(special._series_sum(a, b, c_minus, zk)) == alone[zk]
+    assert _kept_ratios(a, b, c_minus) and _kept_ratios(a, b, c_plus) is bogus
+    _clear_ratio_slots()
+
+
+def test_a_repeated_series_returns_the_result_of_its_last_sum():
+    # a series on the triple and z of the last one on that triple returns
+    # that one's result; z with a zero of the other sign is summed again
+    a, b, c = complex(0.25, 3.0), complex(0.25, -3.0), complex(1.5)
+    z_plus, z_minus = complex(0.3, 0.0), complex(0.3, -0.0)
+    _clear_ratio_slots()
+    first = special._series_sum(a, b, c, z_plus)
+    assert special._series_sum(a, b, c, z_plus) is first
+    again = special._series_sum(a, b, c, z_minus)
+    assert again is not first and special._series_sum(a, b, c, z_minus) is again
+    assert repr(again) == repr(_series_sum_before_kept_ratios(a, b, c, z_minus))
     _clear_ratio_slots()
 
 
@@ -1424,7 +1445,8 @@ def _series_sum_before_kept_ratios(a, b, c, z):
 def test_kept_ratios_keep_the_overflow_results():
     # a term that overflows, and a sum of two terms of 1.5e308 at right
     # angles, whose abs raises OverflowError, give the 4-tuple of the loop
-    # before ratios were kept, on a triple's first, second and third series;
+    # before ratios were kept, on a triple's first series, on one that keeps
+    # ratios and on one that reads them;
     # so do falling, terminating and cancelling series, and slow ones whose
     # sum is many times their largest term, which stop on terms the skipped
     # stopping test must not miss
@@ -1445,8 +1467,11 @@ def test_kept_ratios_keep_the_overflow_results():
     for point in points:
         expected = repr(_series_sum_before_kept_ratios(*point))
         _clear_ratio_slots()
-        for _ in range(3):
-            assert repr(special._series_sum(*point)) == expected, point
+        got = [repr(special._series_sum(*point))]
+        for _ in range(2):  # the series at z / 2 keeps ratios, then reads them
+            special._series_sum(*point[:3], 0.5 * point[3])
+            got.append(repr(special._series_sum(*point)))
+        assert got == [expected] * 3, point
 
 
 def test_kept_ratios_under_interleaving_threads():
