@@ -119,11 +119,13 @@ def far_field_coefficients(ans: WaveAnsatz, hp: HorizonUnitsParams) -> FarFieldA
 
     Raises RegimeError below the hard validity floor (margin _HARD_FLOOR = 1),
     where the algorithm's defining substitution has no asymptotic backing, and
-    NonConvergence when eps^2 - m^2 or an amplitude is not a finite double
-    (or the outgoing amplitude underflows to zero): the Gamma factors at
-    |Im| ~ eps lose every digit long before eps^2 itself overflows; and
-    from eps ~ 5e4 on, where |Im log Gamma(1 - i eps)| * 2^-52, the rounding
-    of the amplitudes' phase, exceeds 1e-10.
+    NonConvergence from eps ~ 5e4 on, where |Im log Gamma(1 - i eps)| * 2^-52,
+    the rounding of the amplitudes' phase, exceeds 1e-10 ("lose their
+    digits"; at m = 5 that check refuses every eps up to 1e109 at j = 1, up
+    to 1e65 at j = 2, 1e30 at j = 5 and 1e9 at j = 20).  Before it, and so at
+    larger eps, the amplitude check refuses where eps^2 - m^2 or an amplitude
+    is not a finite double, or the outgoing amplitude underflows to zero
+    ("overflow"; eps^2 itself from eps ~ 1.3e154).
     """
     eps, m, p, j = hp.epsilon, hp.m, hp.p, hp.j
     if eps <= m:

@@ -1,7 +1,9 @@
 """Complex-parameter special functions used throughout the package.
 
-This module is the double-precision numeric substrate: complex log-Gamma,
-asymptotic Gamma ratios, the Gauss hypergeometric function, and
+This module is the double-precision numeric substrate: complex log-Gamma
+(math.lgamma on the positive real axis, else Stirling's series, shifted
+upward only while |z| < 10 and summed to the terms |z| needs), asymptotic
+Gamma ratios, the Gauss hypergeometric function, and
 Bessel/Hankel functions of half-integer order p = +/-(j + 1/2), the only
 orders the flat-space limit and the small-curvature expansion produce.
 Everything here is pure, deterministic and double precision (numpy only
@@ -58,7 +60,9 @@ connection residual sums one series twice).
 
 Accuracy contract: log_gamma within 1e-13 max(1, |log Gamma(z)|) over
 |z| <= 1e7 (away from poles), modulo 2 pi i (see its branch note), so
-relative where |log Gamma| >= 1 and absolute near its zeros z = 1 and z = 2;
+relative where |log Gamma| >= 1 and absolute near its zeros z = 1 and z = 2,
+over Re z >= 1/2 up to |z| = 1e300, and on the positive real axis from 1/2
+to 1e300 (+inf from ~2.55e305 on);
 series summation to a fixed relative tolerance of 1e-15 (_REL_TOL) within
 a budget of 10 000 terms (_MAX_TERMS), up to _CANCEL_RETRY of cancellation;
 the fixed-point series to the rounding of its result to double plus
@@ -126,6 +130,18 @@ _STIRLING_COEF = (
     43867.0 / 244188.0,
     -174611.0 / 125400.0,
 )
+# The first term the series leaves out bounds its error, times a sector
+# factor below 2^11 where Re w >= 1/2 (DLMF 5.11.ii).  log_gamma shifts w to
+# |w| >= 10, where all ten terms leave out |B_22|/(22*21*|w|^21) <= 1.3e-20;
+# each term is summed only while it would leave out more than that, i.e.
+# while |w|^2 is below (|coefficient|/1.3e-20)^(2/(2k+1)) for the term in
+# w^-(2k+1): ten terms up to |w| = 11.3, four at |w| = 100, one from
+# |w| = 5.9e5 and none from 6.2e18, so w^(2k+1) stays finite.  The limits
+# fall with k, so the sum stops at the first term it does not need.
+_STIRLING_OMITTED = 854513.0 / 138.0 / (22.0 * 21.0) / 10.0**21
+_STIRLING_TERMS = tuple(
+    (c, (abs(c) / _STIRLING_OMITTED) ** (2.0 / (2 * k + 1))) for k, c in enumerate(_STIRLING_COEF)
+)
 
 # Monomial coefficients (highest degree first) of the Bernoulli polynomials
 # B_2 .. B_7, used by log_gamma_diff.
@@ -178,11 +194,16 @@ def _log_sin_pi(z: complex) -> complex:
 def log_gamma(z: complex) -> complex:
     """Logarithm of the Gamma function for complex argument.
 
-    Stirling's series with Bernoulli coefficients after an upward recurrence
-    shift to Re z >= 10; the reflection formula handles Re z < 1/2.  The
-    branch is fixed by exp(log_gamma(z)) == Gamma(z) together with reality on
-    the positive real axis; continuity of the imaginary part across the
-    negative real axis is not guaranteed.
+    The reflection formula handles Re z < 1/2.  On the positive real axis
+    (Im z a zero of either sign, kept in the result) it is math.lgamma:
+    exact zeros at 1 and 2, finite up to ~2.55e305 and +inf beyond.
+    Elsewhere, Stirling's series with Bernoulli coefficients after an upward
+    recurrence shift w = z + n, taken only while Re w < 10 and |w| < 10, so
+    none where |Im z| >= 10.  Of its ten terms it sums only those |w| needs
+    (_STIRLING_TERMS), so it stays finite and accurate up to |z| = 1e300.
+    The branch is fixed by exp(log_gamma(z)) == Gamma(z) together with
+    reality on the positive real axis; continuity of the imaginary part
+    across the negative real axis is not guaranteed.
 
     Parameters
     ----------
@@ -200,16 +221,25 @@ def log_gamma(z: complex) -> complex:
     if z.real < 0.5:
         # Reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z).
         return _LN_PI - _log_sin_pi(z) - log_gamma(1.0 - z)
+    if z.imag == 0.0:
+        try:
+            return complex(math.lgamma(z.real), z.imag)
+        except OverflowError:
+            return complex(math.inf, z.imag)
     w = z
     acc = 0.0 + 0.0j
-    while w.real < 10.0:
+    y2 = z.imag * z.imag
+    while w.real < 10.0 and w.real * w.real + y2 < 100.0:
         acc += cmath.log(w)
         w += 1.0
+    r2 = w.real * w.real + y2
     lw = cmath.log(w)
     s = (w - 0.5) * lw - w + 0.5 * _LN_2PI
     w2 = w * w
     t = w
-    for c in _STIRLING_COEF:
+    for c, r2_max in _STIRLING_TERMS:
+        if r2 >= r2_max:
+            break
         s += c / t
         t *= w2
     return s - acc
