@@ -79,7 +79,7 @@ from .model import (
 from .oracle import StepFailure, classify_singularities
 from .reflection import RegimeError, far_field_reflection, horizon_flux_balance
 from .special import NonConvergence
-from .waves import EvanescentMode, UnsupportedMass, connection_check, eval_running, eval_standing, flat_limit_convergence, make_ansatz
+from .waves import EvanescentMode, UnsupportedMass, connect, connection_check, eval_running, eval_standing, flat_limit_convergence, make_ansatz
 
 __all__ = ["main", "build_parser", "ConfigError"]
 
@@ -399,11 +399,15 @@ def cmd_wave(args: argparse.Namespace) -> int:
     rows = []
     for r in grid:
         if args.residuals:
-            # the residual evaluates the standing and both running waves; the
-            # row's value is one of those three
+            # the residual evaluates the standing and the outgoing wave, the
+            # incoming one its conjugate; the row's value is one of those three.
+            # The cancellation factor, the residual's envelope over |standing|,
+            # tells an ill-conditioned check from a wrong value.
             standing, out, inc, residual = connection_check(ans, r)
             u = {"out": out, "in": inc}.get(kind, standing)
-            named = [("r", r), ("u", u), ("connection_residual", residual)]
+            envelope = connect(ans).envelope(out, inc)
+            factor = envelope / abs(standing) if standing != 0.0 else math.inf
+            named = [("r", r), ("u", u), ("cancellation_factor", factor), ("connection_residual", residual)]
         elif kind in ("f", "g"):
             named = [("r", r), ("u", eval_standing(ans, r))]
         else:
@@ -680,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wave.add_argument(
         "--residuals",
         action="store_true",
-        help="append the standing-vs-running connection residual column",
+        help="append the cancellation factor and the standing-vs-running connection residual columns",
     )
     _add_grid(p_wave)
     p_wave.set_defaults(func=cmd_wave)

@@ -1025,6 +1025,13 @@ def connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, comp
     ~2e-12 at |Im a|, |Im b| ~ 1e3.  Where a coefficient is beyond double
     range (eps << m) they raise NonConvergence naming (a, b, c).
 
+    Where c is real, Re(c-a-b) = 0 and (c-a, c-b) are (conj a, conj b) bit
+    for bit, as for both standing families of real eps and m, the second is
+    the conjugate of the first (Gamma(conj x) = conj Gamma(x)): it is taken
+    as conj(g1), from log_gamma at c, c-a-b, c-a and c-b alone.  Every other
+    triple sums both.  The conjugate equals the second sum up to its
+    rounding and its branch of log Gamma, not always bit for bit.
+
     A wave ansatz's store (kept_store) keeps the pair under the bits of a,
     b and c (log_gamma's branch follows the sign of a zero): a grid of radii
     on one ansatz in hyp2f1's connection route, or waves.connect before
@@ -1034,11 +1041,14 @@ def connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, comp
     key = "gammas", _bits(a, b, c)
     if store is not None and key in store:
         return store[key]
-    s = c - a - b
+    s, c_a, c_b = c - a - b, c - a, c - b
     lg_c = log_gamma(c)
     try:
-        g1 = cmath.exp(lg_c + log_gamma(s) - log_gamma(c - a) - log_gamma(c - b))
-        g2 = cmath.exp(lg_c + log_gamma(-s) - log_gamma(a) - log_gamma(b))
+        g1 = cmath.exp(lg_c + log_gamma(s) - log_gamma(c_a) - log_gamma(c_b))
+        if c.imag == 0.0 and s.real == 0.0 and _bits(c_a, c_b, c) == _bits(a.conjugate(), b.conjugate(), c):
+            g2 = g1.conjugate()
+        else:
+            g2 = cmath.exp(lg_c + log_gamma(-s) - log_gamma(a) - log_gamma(b))
     except OverflowError:
         raise NonConvergence(
             f"z -> 1-z connection coefficients beyond double range at (a, b, c) = ({a:.6g}, {b:.6g}, {c:.6g})"

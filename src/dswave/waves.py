@@ -83,6 +83,11 @@ class ConnectionCoefficients:
     to_out: complex
     to_in: complex
 
+    def envelope(self, out: complex, inc: complex) -> float:
+        """|to_out U_out| + |to_in U_in|: the scale of the connection
+        residual, which bounds |standing| and does not vanish at its nodes."""
+        return abs(self.to_out * out) + abs(self.to_in * inc)
+
 
 def make_ansatz(hp: HorizonUnitsParams, family: str) -> WaveAnsatz:
     """Parameter set of the regular or singular standing family.
@@ -194,8 +199,9 @@ def connect(ans: WaveAnsatz) -> ConnectionCoefficients:
     to_in  = G(c) G(a+b-c) / (G(a) G(b)),
     the DLMF 15.8.4 pair of special.connection_gammas, which hyp2f1's
     connection route uses too; the same formula serves both families
-    through their own (a, b, c).  For real eps these are complex conjugates
-    (reality of standing waves).
+    through their own (a, b, c).  For real eps and m both standing families
+    are real, so to_in = conj(to_out), and connection_gammas takes it so,
+    from four log-Gamma values instead of seven.
     """
     to_out, to_in = _kept(ans, connection_gammas, ans.a, ans.b, ans.c)
     return ConnectionCoefficients(to_out=to_out, to_in=to_in)
@@ -204,20 +210,28 @@ def connect(ans: WaveAnsatz) -> ConnectionCoefficients:
 def connection_check(ans: WaveAnsatz, r: float) -> tuple[complex, complex, complex, float]:
     """Standing wave, U_out and U_in at radius r, and their connection residual.
 
-    The residual is |standing - (to_out U_out + to_in U_in)| / |standing|
-    (absolute where the standing wave vanishes); each wave is evaluated once.
+    For real eps and m, U_in = conj(U_out) (the incoming wave's parameters
+    are the outgoing wave's conjugates), so U_in is taken so, and one
+    running wave is evaluated per radius.  The residual is the gap
+    |standing - (to_out U_out + to_in U_in)| over the envelope
+    |to_out U_out| + |to_in U_in| of the two terms (absolute where the
+    envelope vanishes): where the standing wave is the small solution the
+    two terms cancel, and a gap relative to |standing| would read that
+    cancellation, not the rounding of the check.
     """
     cc = connect(ans)
     standing = eval_standing(ans, r)
     out = eval_running(ans, "out", r)
-    inc = eval_running(ans, "in", r)
+    inc = out.conjugate()
     gap = abs(standing - (cc.to_out * out + cc.to_in * inc))
-    scale = abs(standing)
-    return standing, out, inc, (gap / scale if scale != 0.0 else gap)
+    envelope = cc.envelope(out, inc)
+    return standing, out, inc, (gap / envelope if envelope != 0.0 else gap)
 
 
 def connection_residual(ans: WaveAnsatz, r: float) -> float:
-    """Relative residual |standing - (to_out U_out + to_in U_in)| / |standing|."""
+    """Connection residual of connection_check: the gap between the standing
+    wave and to_out U_out + to_in U_in, relative to |to_out U_out| +
+    |to_in U_in| (absolute where that vanishes)."""
     return connection_check(ans, r)[3]
 
 

@@ -76,8 +76,10 @@ def test_wave_connection_residual_column(capsys):
     )
     assert rc == 0
     header, rows = csv_rows(out)
-    assert header[-1] == "connection_residual"
+    assert header == ["r", "re_u", "im_u", "cancellation_factor", "connection_residual"]
     assert all(float(row[-1]) < 1e-10 for row in rows)
+    # the envelope |to_out U_out| + |to_in U_in| bounds |standing| from above
+    assert all(float(row[-2]) >= 1.0 - 1e-12 for row in rows)
 
 
 def _count_calls(monkeypatch, counts, module, name):
@@ -94,16 +96,20 @@ def _count_calls(monkeypatch, counts, module, name):
 def test_wave_residual_rows_reuse_the_residuals_waves(capsys, monkeypatch, kind):
     argv = ("wave", "--epsilon", "10", "--m", "5", "--j", "1", "--kind", kind, "--grid", "7")
     ans = make_ansatz(HorizonUnitsParams(epsilon=10.0, m=5.0, j=1), "singular" if kind == "g" else "regular")
+    cc = waves.connect(ans)
     expected = []
     for r in (float(r) for r in np.linspace(0.05, 0.95, 7)):
-        u = waves.eval_standing(ans, r) if kind in ("f", "g") else waves.eval_running(ans, kind, r)
+        standing, out = waves.eval_standing(ans, r), waves.eval_running(ans, "out", r)
+        # the incoming wave of a real standing family is the outgoing one's conjugate
+        u = {"out": out, "in": out.conjugate()}.get(kind, standing)
+        factor = (abs(cc.to_out * out) + abs(cc.to_in * out.conjugate())) / abs(standing)
         res = waves.connection_residual(ans, r)
-        expected.append(",".join(format(v, ".17g") for v in (r, u.real, u.imag, res)))
+        expected.append(",".join(format(v, ".17g") for v in (r, u.real, u.imag, factor, res)))
     counts = collections.Counter()
     _count_calls(monkeypatch, counts, waves, "hyp2f1")
     rc, out, _ = run(capsys, *argv, "--residuals")
-    # one standing and two running waves per radius, the row's value among them
-    assert rc == 0 and counts["hyp2f1"] == 3 * 7
+    # one standing and one running wave per radius, the row's value among them
+    assert rc == 0 and counts["hyp2f1"] == 2 * 7
     assert out.splitlines()[1:] == expected
     counts.clear()
     rc, out, _ = run(capsys, *argv)

@@ -905,9 +905,9 @@ def test_running_waves_over_a_seeded_grid_against_the_oracle():
 def test_connection_check_sums_each_wave_at_its_own_argument(monkeypatch):
     # (epsilon, m, j, r) = (20, 10, 2, 0.65), the radius of the benchmark's
     # `wave --residuals` calls: the standing wave sums its series at
-    # z = r^2, and the running waves, whose connection series would sum it
-    # (the out wave) and its Euler transform (the in wave) at r^2 again,
-    # sum their own series at w = 1 - r^2
+    # z = r^2, and the outgoing running wave (the incoming one is its
+    # conjugate), whose connection series would sum it at r^2 again, sums
+    # its own series at w = 1 - r^2
     r = 0.65
     ans = make_ansatz(HorizonUnitsParams(epsilon=20.0, m=10.0, j=2), "regular")
     summed = {}  # wave -> the z of its float series and passes
@@ -994,6 +994,76 @@ def test_a_standing_grid_on_one_ansatz_computes_the_gamma_pair_once(monkeypatch,
     for r in np.linspace(0.05, 0.95, 19):
         eval_standing(ans, float(r))
     assert once > 0 and len(calls) == once
+
+
+def _standing_triples(n, seed):
+    """(a, b, c) of n standing ansatzes, the two families in turn: epsilon
+    log-uniform in [10, 2000], mu = epsilon / m in [1.5, 5] and j <= 20."""
+    rng = random.Random(seed)
+    triples = []
+    for k in range(n):
+        eps = 10.0 ** rng.uniform(1.0, math.log10(2000.0))
+        hp = HorizonUnitsParams(epsilon=eps, m=eps / rng.uniform(1.5, 5.0), j=rng.randrange(21))
+        ans = make_ansatz(hp, ("regular", "singular")[k % 2])
+        triples.append((ans.a, ans.b, ans.c))
+    return triples
+
+
+def _gamma_sums(a, b, c):
+    """The connection pair as its two log-Gamma sums, the formula
+    connection_gammas runs for a triple that is not a standing one."""
+    s = c - a - b
+    lg_c = log_gamma(c)
+    return (
+        cmath.exp(lg_c + log_gamma(s) - log_gamma(c - a) - log_gamma(c - b)),
+        cmath.exp(lg_c + log_gamma(-s) - log_gamma(a) - log_gamma(b)),
+    )
+
+
+def _log_gamma_args(*args):
+    """The arguments log_gamma is called with for args in turn, each
+    reflection's recursion at 1 - x included, as reprs (bit for bit)."""
+    calls = []
+    for x in args:
+        calls += [repr((x,))] + ([repr((1.0 - x,))] if x.real < 0.5 else [])
+    return calls
+
+
+def test_a_standing_triple_takes_the_second_gamma_as_the_conjugate_of_the_first(monkeypatch):
+    # both standing families: g1 is the sum it always was, bit for bit, and
+    # g2 its conjugate, from log_gamma at c, c-a-b, c-a and c-b alone
+    triples = _standing_triples(60, 43)
+    sums = [_gamma_sums(*t) for t in triples]
+    calls = _counted(monkeypatch, "log_gamma")
+    for (a, b, c), (g1_sum, _) in zip(triples, sums):
+        calls.clear()
+        g1, g2 = special.connection_gammas(a, b, c)
+        assert repr(g1) == repr(g1_sum), (a, b, c)
+        assert repr(g2) == repr(g1.conjugate()), (a, b, c)
+        assert list(map(repr, calls)) == _log_gamma_args(c, c - a - b, c - a, c - b), (a, b, c)
+
+
+def test_every_other_triple_sums_both_gammas_bit_for_bit(monkeypatch):
+    # the running triples, a complex c, Re(c-a-b) != 0, and a zero of a's
+    # imaginary part whose sign breaks the bitwise conjugacy of c-a: each
+    # pair is the two log-Gamma sums, bit for bit, from all seven log_gamma
+    others = []
+    for a, b, c in _standing_triples(30, 47):
+        s = c - a - b
+        others += [
+            (a, b, a + b - c + 1.0),
+            (c - a, c - b, s + 1.0),
+            (a, b, c + 0.5j),
+            (a, b, c + 0.25),
+            (complex(a.real, 0.0), b, c),
+        ]
+    sums = [_gamma_sums(*t) for t in others]
+    calls = _counted(monkeypatch, "log_gamma")
+    for (a, b, c), pair in zip(others, sums):
+        calls.clear()
+        assert repr(special.connection_gammas(a, b, c)) == repr(pair), (a, b, c)
+        s = c - a - b
+        assert list(map(repr, calls)) == _log_gamma_args(c, s, c - a, c - b, -s, a, b), (a, b, c)
 
 
 def test_refused_paired_walk_falls_back_to_one_walk_per_series(monkeypatch):
