@@ -79,7 +79,7 @@ from .model import (
 from .oracle import StepFailure, classify_singularities
 from .reflection import RegimeError, far_field_reflection, horizon_flux_balance
 from .special import NonConvergence
-from .waves import EvanescentMode, UnsupportedMass, connect, connection_check, eval_running, eval_standing, flat_limit_convergence, make_ansatz
+from .waves import EvanescentMode, UnsupportedMass, connection_check, eval_running, eval_standing, flat_limit_convergence, make_ansatz
 
 __all__ = ["main", "build_parser", "ConfigError"]
 
@@ -403,9 +403,8 @@ def cmd_wave(args: argparse.Namespace) -> int:
             # incoming one its conjugate; the row's value is one of those three.
             # The cancellation factor, the residual's envelope over |standing|,
             # tells an ill-conditioned check from a wrong value.
-            standing, out, inc, residual = connection_check(ans, r)
+            standing, out, inc, residual, envelope = connection_check(ans, r)
             u = {"out": out, "in": inc}.get(kind, standing)
-            envelope = connect(ans).envelope(out, inc)
             factor = envelope / abs(standing) if standing != 0.0 else math.inf
             named = [("r", r), ("u", u), ("cancellation_factor", factor), ("connection_residual", residual)]
         elif kind in ("f", "g"):

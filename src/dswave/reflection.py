@@ -76,12 +76,12 @@ class FarFieldAmplitudes:
 class ReflectionResult:
     amplitudes: FarFieldAmplitudes
     ratio: float
-    coefficient: float
     regime_ok: bool
 
-    def __post_init__(self) -> None:
-        if self.coefficient != self.ratio * self.ratio:
-            raise ValueError("coefficient must equal ratio**2 exactly")
+    @property
+    def coefficient(self) -> float:
+        """The reflection coefficient |A_minus/A_plus|^2, ratio squared."""
+        return self.ratio * self.ratio
 
 
 # The hard validity floor: far_field_coefficients refuses parameters that
@@ -199,12 +199,7 @@ def far_field_reflection(hp: HorizonUnitsParams) -> ReflectionResult:
     """
     amps = far_field_coefficients(make_ansatz(hp, "regular"), hp)
     ratio = abs(amps.A_minus) / abs(amps.A_plus)
-    return ReflectionResult(
-        amplitudes=amps,
-        ratio=ratio,
-        coefficient=ratio * ratio,
-        regime_ok=check_regime(hp),
-    )
+    return ReflectionResult(amplitudes=amps, ratio=ratio, regime_ok=check_regime(hp))
 
 
 # --- ODE cross-check --------------------------------------------------------

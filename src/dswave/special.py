@@ -45,18 +45,8 @@ the float series measures:
   refuses, the passes go on up to a larger budget, past the 10 000 terms
   of a first pass where that budget allows.
 
-The float series keep the term ratios (a+n)(b+n)/((c+n)(n+1)) of every
-parameter triple they are summed on in the store of the wave ansatz they
-serve (waves.WaveAnsatz.kept, set as kept_store; it lives as long as its
-ansatz, and a bare hyp2f1 call keeps nothing), so that a grid of z on one
-triple (a wave's radii, the expansion's ladder, the continuation's start
-values) computes them once.  A triple's first series keeps none; each later
-one reads the triple's immutable tuple of ratios and extends it by those it
-computes past its end (so at most _MAX_TERMS).  A kept ratio is the double
-the loop's own expression gives, multiplied into the term as before, so
-every returned double is the same bit for bit.  A series on the triple and
-z of the triple's last series returns that series' result, and the store
-keeps each connection_gammas pair too, every key the bits of its values.
+The float series and connection_gammas keep their work in the store of
+the wave ansatz they serve; kept_store states that policy.
 
 Accuracy contract: log_gamma within 1e-13 max(1, |log Gamma(z)|) over
 |z| <= 1e7 (away from poles), modulo 2 pi i (see its branch note), so
@@ -363,12 +353,21 @@ _MAX_TERMS = 10_000
 _RISING = 1e300
 _SKIP = 2.0 * _REL_TOL * (_MAX_TERMS + 1)
 
-# The store of the wave ansatz whose hyp2f1 calls run, or None (keep
-# nothing).  Under _bits(a, b, c): (ratios, the _PACK_TWO bits of the z of the
-# triple's last series, its _series_sum result), ratios () after the triple's
-# first series, then the ratios for n = 0 .. up to its longest series since
-# (at most _MAX_TERMS); an entry is replaced, never changed in place.
-# connection_gammas keeps its pairs under ("gammas", _bits(a, b, c)).
+# The 2F1 store policy.  kept_store is the store of the wave ansatz whose
+# hyp2f1 and connection_gammas calls run (waves sets it to WaveAnsatz.kept,
+# which lives as long as the ansatz), or None: a bare call reads and keeps
+# nothing.  Under _bits(a, b, c) the float series keep (ratios, the _PACK_TWO
+# bits of the z of the triple's last series, its _series_sum result): ratios
+# () after the triple's first series, then the term ratios
+# (a+n)(b+n)/((c+n)(n+1)) for n = 0 .. up to its longest series since (at
+# most _MAX_TERMS), each the double the loop's own expression gives.  So a
+# grid of z on one triple (a wave's radii, the expansion's ladder, the
+# continuation's start values) computes them once, a series on the triple
+# at the bits of its last z returns that series' result, and every term,
+# stop and returned double is the same bit for bit as with no store.  An
+# entry is replaced, never changed in place.  connection_gammas keeps its
+# pairs under ("gammas", _bits(a, b, c)): log_gamma's branch follows the
+# sign of a zero, so the key is the values' bits.
 kept_store: ContextVar[dict | None] = ContextVar("kept_store", default=None)
 
 
@@ -380,15 +379,8 @@ def _series_sum(a: complex, b: complex, c: complex, z: complex) -> tuple[complex
     zero, and the peak is inf when a term overflows; no OverflowError
     escapes.
 
-    A term is term * (ratio * z), the ratio (a+n)(b+n)/((c+n)(n+1)) either
-    computed in that expression or read from kept_store's store, which holds
-    the doubles the same expression gave for these bits of a, b and c: every
-    term, the sum, the peak and the stop are the same bit for bit either
-    way.  A triple's first series computes its ratios and keeps none; every
-    later one reads those its predecessors kept and keeps those it computes
-    past them.  A series on the triple and z of the last one on that triple,
-    bit for bit, returns that one's result.  With no store nothing is read
-    or kept.
+    A term is term * (ratio * z), the ratio (a+n)(b+n)/((c+n)(n+1)) read
+    from or kept in kept_store's store (the policy is stated there).
     """
     store = kept_store.get()
     key, at = _bits(a, b, c), _PACK_TWO(z.real, z.imag)
@@ -706,8 +698,8 @@ def _float_tail(
     """(sum of the Gauss series terms after term n, the index it stopped
     at), summed in doubles from term n until two terms fall below _REL_TOL
     |total|; the sum is None when a term rises above 2^-24 of total or the
-    series runs past `limit` terms.  The term ratios are _series_sum's: read
-    from kept_store's store as far as it keeps them, computed past that."""
+    series runs past `limit` terms.  The term ratios are _series_sum's,
+    kept as far as kept_store's store holds them."""
     rise = 2.0**-24 * (abs(total.real) + abs(total.imag))
     small = _REL_TOL * abs(total)
     tail = 0.0
@@ -1032,10 +1024,7 @@ def connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, comp
     triple sums both.  The conjugate equals the second sum up to its
     rounding and its branch of log Gamma, not always bit for bit.
 
-    A wave ansatz's store (kept_store) keeps the pair under the bits of a,
-    b and c (log_gamma's branch follows the sign of a zero): a grid of radii
-    on one ansatz in hyp2f1's connection route, or waves.connect before
-    eval_standing there, computes it once.  A bare call computes it anew.
+    Called for a wave ansatz, the pair is kept in its store (see kept_store).
     """
     store = kept_store.get()
     key = "gammas", _bits(a, b, c)
@@ -1212,14 +1201,8 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     (_MAX_TERMS), a rescue pass excepted; the continuation's walk carries
     at most as many panels, halved ones included.
 
-    Called by waves for an ansatz, the float series keep in its store the
-    term ratios (a+n)(b+n)/((c+n)(n+1)) of every (a, b, c), bit for bit: a
-    triple's second series keeps those it computes, at most 10 000, and
-    later ones read them and keep those they compute past the end, so a grid
-    of z on one set of parameters computes them once, and no term, stop or
-    result changes by a bit; a series repeated at the same z returns its
-    last result.  The store lives as long as the ansatz; a bare call keeps
-    nothing.
+    Called for a wave ansatz, the float series keep their term ratios and
+    last result in its store, bit for bit (see kept_store).
 
     Raises
     ------

@@ -54,14 +54,11 @@ class WaveAnsatz:
     """Hypergeometric data of one standing-wave family.
 
     kappa is the z=0 exponent (j/2 regular, -(j+1)/2 singular), sigma the
-    z=1 exponent (-i eps/2 for both standing families; the incoming running
-    wave uses -sigma), and (a, b, c) the hypergeometric parameters.
+    z=1 exponent (-i eps/2 for both standing families and the outgoing
+    running wave, whose conjugate is the incoming one), and (a, b, c) the
+    hypergeometric parameters.
 
-    kept is the ansatz's store of 2F1 work (special.kept_store): the float
-    series' term ratios and last results, and the connection Gamma pairs.
-    This module's hyp2f1 and connection_gammas calls for the ansatz use it,
-    so a grid of radii computes them once; it lives as long as the ansatz,
-    and a bare hyp2f1 call keeps nothing.
+    kept is the ansatz's store of 2F1 work, its policy at special.kept_store.
     """
 
     kappa: float
@@ -82,11 +79,6 @@ class ConnectionCoefficients:
 
     to_out: complex
     to_in: complex
-
-    def envelope(self, out: complex, inc: complex) -> float:
-        """|to_out U_out| + |to_in U_in|: the scale of the connection
-        residual, which bounds |standing| and does not vanish at its nodes."""
-        return abs(self.to_out * out) + abs(self.to_in * inc)
 
 
 def make_ansatz(hp: HorizonUnitsParams, family: str) -> WaveAnsatz:
@@ -169,8 +161,12 @@ def eval_running(ans: WaveAnsatz, direction: str, r: float) -> complex:
     transformation identity relates their z -> 1-z hypergeometric forms),
     so this accepts either family's parameters:
 
-        out: z^kappa (1-z)^sigma     F(a, b; a+b-c+1; 1-z)
-        in:  z^kappa (1-z)^(-sigma)  F(c-a, c-b; c-a-b+1; 1-z)
+        out: z^kappa (1-z)^sigma F(a, b; a+b-c+1; 1-z)
+        in:  conj(out)
+
+    For real eps and m the incoming wave z^kappa (1-z)^(-sigma)
+    F(c-a, c-b; c-a-b+1; 1-z) has the outgoing wave's conjugate parameters,
+    so it is taken as the conjugate, one series for both directions.
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"eval_running: r={r} outside (0, 1)")
@@ -181,15 +177,11 @@ def eval_running(ans: WaveAnsatz, direction: str, r: float) -> complex:
             f"eval_running: r={r} is too near the origin: 1 - r^2 rounds to 1, "
             "where the running waves' series in 1 - r^2 do not converge"
         )
-    if direction == "out":
-        third = ans.a + ans.b - ans.c + 1.0
-        series = _kept(ans, hyp2f1, ans.a, ans.b, third, w)
-        return _origin_power(ans, r) * _horizon_exponent(ans.sigma, z) * series
-    if direction == "in":
-        third = ans.c - ans.a - ans.b + 1.0
-        series = _kept(ans, hyp2f1, ans.c - ans.a, ans.c - ans.b, third, w)
-        return _origin_power(ans, r) * _horizon_exponent(-ans.sigma, z) * series
-    raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
+    if direction not in ("out", "in"):
+        raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
+    series = _kept(ans, hyp2f1, ans.a, ans.b, ans.a + ans.b - ans.c + 1.0, w)
+    out = _origin_power(ans, r) * _horizon_exponent(ans.sigma, z) * series
+    return out if direction == "out" else out.conjugate()
 
 
 def connect(ans: WaveAnsatz) -> ConnectionCoefficients:
@@ -207,25 +199,29 @@ def connect(ans: WaveAnsatz) -> ConnectionCoefficients:
     return ConnectionCoefficients(to_out=to_out, to_in=to_in)
 
 
-def connection_check(ans: WaveAnsatz, r: float) -> tuple[complex, complex, complex, float]:
-    """Standing wave, U_out and U_in at radius r, and their connection residual.
+def connection_check(ans: WaveAnsatz, r: float) -> tuple[complex, complex, complex, float, float]:
+    """Standing wave, U_out and U_in at radius r, their connection residual
+    and its envelope.
 
-    For real eps and m, U_in = conj(U_out) (the incoming wave's parameters
-    are the outgoing wave's conjugates), so U_in is taken so, and one
-    running wave is evaluated per radius.  The residual is the gap
-    |standing - (to_out U_out + to_in U_in)| over the envelope
-    |to_out U_out| + |to_in U_in| of the two terms (absolute where the
-    envelope vanishes): where the standing wave is the small solution the
-    two terms cancel, and a gap relative to |standing| would read that
-    cancellation, not the rounding of the check.
+    U_in = conj(U_out) (eval_running), so one running wave is evaluated per
+    radius.  The residual is the gap |standing - (to_out U_out + to_in U_in)|
+    over the envelope |to_out U_out| + |to_in U_in| of the two terms
+    (absolute where the envelope vanishes): where the standing wave is the
+    small solution the two terms cancel, and a gap relative to |standing|
+    would read that cancellation, not the rounding of the check.
+
+    Above z = 1/2 the residual checks rounding only: there the standing
+    wave's hyp2f1 takes the connection route with U_out's series and the
+    same to_out from the ansatz's store, so both sides are arrangements of
+    one product.  Below z = 1/2 the standing wave sums its own series at z.
     """
     cc = connect(ans)
     standing = eval_standing(ans, r)
     out = eval_running(ans, "out", r)
     inc = out.conjugate()
     gap = abs(standing - (cc.to_out * out + cc.to_in * inc))
-    envelope = cc.envelope(out, inc)
-    return standing, out, inc, (gap / envelope if envelope != 0.0 else gap)
+    envelope = abs(cc.to_out * out) + abs(cc.to_in * inc)
+    return standing, out, inc, (gap / envelope if envelope != 0.0 else gap), envelope
 
 
 def connection_residual(ans: WaveAnsatz, r: float) -> float:

@@ -123,10 +123,24 @@ def test_wave_in_is_conjugate_of_out(capsys):
     _, in_text, _ = run(capsys, *argv, "--kind", "in")
     _, o_rows = csv_rows(out_text)
     _, i_rows = csv_rows(in_text)
+    assert len(o_rows) == len(i_rows) == 9
     for orow, irow in zip(o_rows, i_rows):
-        ov = complex(float(orow[1]), float(orow[2]))
-        iv = complex(float(irow[1]), float(irow[2]))
-        assert abs(iv - ov.conjugate()) < 1e-12 * abs(ov)
+        assert (float(irow[1]), float(irow[2])) == (float(orow[1]), -float(orow[2]))
+
+
+def test_wave_in_prints_the_same_values_with_and_without_residuals(capsys):
+    # both print conj(U_out); at this point a separately summed incoming
+    # series, F(c-a, c-b; c-a-b+1; 1-r^2), reads re u = -2.6772638763683898
+    argv = ["wave", "--epsilon", "20.144382755405843", "--m", "4.108431802232617", "--j", "0",
+            "--kind", "in", "--r-min", "0.24688899954541083", "--r-max", "0.5", "--grid", "2"]
+    rc, plain, _ = run(capsys, *argv)
+    assert rc == 0
+    rc, checked, _ = run(capsys, *argv, "--residuals")
+    assert rc == 0
+    header, rows = csv_rows(checked)
+    assert header[:3] == ["r", "re_u", "im_u"]
+    assert plain.splitlines() == [",".join(line.split(",")[:3]) for line in checked.splitlines()]
+    assert rows[0][1] == "-2.6772638763683729"
 
 
 def test_wave_standing_kinds_real(capsys):

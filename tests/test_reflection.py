@@ -53,9 +53,14 @@ def test_reflection_coefficient_verdict():
 
 
 def test_reflection_result_invariant():
+    # the coefficient is derived from the ratio: it cannot be given or set
     amps = FarFieldAmplitudes(C1=1.0, C2=1.0, A_plus=2.0, A_minus=0.0)
-    with pytest.raises(ValueError):
-        ReflectionResult(amplitudes=amps, ratio=0.5, coefficient=0.3, regime_ok=True)
+    res = ReflectionResult(amplitudes=amps, ratio=0.3, regime_ok=True)
+    assert res.coefficient == 0.3 * 0.3
+    with pytest.raises(AttributeError):
+        res.coefficient = 0.09
+    with pytest.raises(TypeError):
+        ReflectionResult(amplitudes=amps, ratio=0.5, coefficient=0.25, regime_ok=True)
 
 
 def test_check_regime_truth_table():

@@ -231,6 +231,14 @@ def test_gamma_ratio_rejects_bad_order():
         gamma_ratio_asymptotic(10.0, 0.5, 0.0, order=2)
 
 
+@pytest.mark.parametrize("order", [0, 1])
+def test_gamma_ratio_of_equal_shifts_is_one(order):
+    # Gamma(z+A)/Gamma(z+A) = 1 exactly, however small z is
+    for z in (40.0 + 5.0j, 0.5, -3.0j):
+        got = gamma_ratio_asymptotic(z, 0.25 + 1.0j, complex(0.25, 1.0), order=order)
+        assert got == 1.0 + 0.0j and isinstance(got, complex)
+
+
 # -------------------------------------------------------------------- hyp2f1
 
 HYP2F1_CASES = [
@@ -546,6 +554,16 @@ def test_fixed_point_sum_retries_above_the_loss_it_measured(monkeypatch):
     value, calls = _routed(monkeypatch, point, 2e3)
     assert not calls
     assert rel(value, complex(extended_series("hyp2f1", list(point)))) < 2e-15
+
+
+def test_fixed_point_sum_stops_on_the_exact_zero_term_of_a_terminating_series(monkeypatch):
+    # F(-2, 1; 1; 1/2) = (1 - 1/2)^2: terms 1, -1, 1/4, then an exact 0,
+    # on which the pass stops without a float tail; the loss is log2(1 / (1/4))
+    def no_tail(*args):
+        raise AssertionError("the float tail was summed")
+
+    monkeypatch.setattr(special, "_float_tail", no_tail)
+    assert special._fixed_point_sum(-2.0 + 0j, 1.0 + 0j, 1.0 + 0j, 0.5 + 0j, 8) == (0.25 + 0j, 2.0)
 
 
 def test_fixed_point_sum_falls_back_past_the_term_budget(monkeypatch):
@@ -1810,6 +1828,22 @@ def test_bessel_and_hankel_take_half_integer_orders_only(p):
         bessel_j(p, 1.5)
     with pytest.raises(ValueError, match="half-integer"):
         hankel1(p, 1.5)
+
+
+def test_bessel_and_hankel_at_and_below_zero():
+    # J_p(0) = 0 for p > 0; negative orders diverge there, and no order
+    # takes x < 0; H1_p needs x > 0
+    for p in (0.5, 2.5, 20.5):
+        assert bessel_j(p, 0.0) == 0.0
+    for p in (-0.5, -20.5):
+        with pytest.raises(ValueError, match="^bessel_j at x=0 diverges for negative order$"):
+            bessel_j(p, 0.0)
+    for p in (0.5, -2.5):
+        with pytest.raises(ValueError, match="^bessel_j requires x >= 0$"):
+            bessel_j(p, -1e-300)
+        for x in (0.0, -0.0, -2.0):
+            with pytest.raises(ValueError, match="^hankel1 requires x > 0$"):
+                hankel1(p, x)
 
 
 def test_bessel_series_beyond_double_range_is_a_nonconvergence():

@@ -4,6 +4,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import struct
 
 import mpmath as mp
 import numpy as np
@@ -82,6 +83,14 @@ def test_standing_domain_errors():
         eval_standing(make_ansatz(HP, "regular"), 1.0)
 
 
+@pytest.mark.parametrize("r", [0.0, -0.25, 1.0, 1.5, math.nan])
+def test_running_domain_errors(r):
+    for fam in ("regular", "singular"):
+        for direction in ("out", "in"):
+            with pytest.raises(DomainError, match=rf"^eval_running: r={r} outside \(0, 1\)$"):
+                eval_running(make_ansatz(HP, fam), direction, r)
+
+
 def test_running_waves_conjugate():
     ans = make_ansatz(HP, "regular")
     for r in (0.1, 0.5, 0.9):
@@ -157,16 +166,16 @@ def _seeded_waves(n, seed):
     return points
 
 
+def _bits(value: complex) -> bytes:
+    return struct.pack("2d", value.real, value.imag)
+
+
 def test_incoming_running_wave_is_the_conjugate_of_the_outgoing_one():
-    # connection_check takes U_in as conj(U_out); the incoming route itself
-    # stays within that conjugate's Gamma rounding, which the connection
-    # route of either wave carries: 2^-52 times its log-Gamma sum, ~eps ln eps
-    # (a 400-point draw of this grid reads at most 0.68 of that unit)
+    # for real eps and m the incoming wave's parameters are the outgoing
+    # wave's conjugates, and it is the conjugate, bit for bit, in both families
     for ans, r in _seeded_waves(40, 53):
-        eps = -2.0 * ans.sigma.imag
         out = eval_running(ans, "out", r)
-        bound = 2.0 * 2.0**-52 * (1.0 + eps * math.log(eps))
-        assert abs(eval_running(ans, "in", r) - out.conjugate()) <= bound * abs(out), (ans, r)
+        assert _bits(eval_running(ans, "in", r)) == _bits(out.conjugate()), (ans, r)
 
 
 def test_connection_residual_over_a_seeded_propagating_grid():
@@ -176,9 +185,11 @@ def test_connection_residual_over_a_seeded_propagating_grid():
     # 1.1e-11 (epsilon = 1107, singular, j = 18, r = 0.246), where the
     # standing wave and U_out are each ~1e-11 from mpmath
     for ans, r in _seeded_waves(100, 59):
-        standing, out, inc, residual = connection_check(ans, r)
+        standing, out, inc, residual, envelope = connection_check(ans, r)
         assert inc == out.conjugate() and standing == eval_standing(ans, r), (ans, r)
         assert residual < 2e-11, (ans, r, residual)
+        cc = connect(ans)
+        assert envelope == abs(cc.to_out * out) + abs(cc.to_in * inc), (ans, r)
 
 
 def test_connection_residual_where_the_standing_wave_nearly_vanishes():
@@ -194,9 +205,8 @@ def test_connection_residual_where_the_standing_wave_nearly_vanishes():
             hi = mid
         else:
             lo = mid
-    standing, out, inc, residual = connection_check(ans, lo)
-    cc = connect(ans)
-    factor = (abs(cc.to_out * out) + abs(cc.to_in * inc)) / abs(standing)
+    standing, _, _, residual, envelope = connection_check(ans, lo)
+    factor = envelope / abs(standing)
     assert factor > 1e8 and residual < 1e-12, (factor, residual)
 
 
@@ -336,6 +346,9 @@ def test_flat_limit_reference_half_integer_form():
     assert abs(flat_limit_reference(hp, k, r) - expected) < 1e-13 * abs(expected)
     with pytest.raises(EvanescentMode):
         flat_limit_reference(HorizonUnitsParams(epsilon=1.0, m=5.0, j=0), k, r)
+    for k, r in ((0.0, 2.0), (-3.0, 2.0), (3.0, 0.0), (3.0, -2.0)):
+        with pytest.raises(ValueError, match=r"^flat_limit_reference needs k > 0 and r > 0$"):
+            flat_limit_reference(hp, k, r)
 
 
 def test_normalized_out_wave_approaches_reference():
